@@ -100,6 +100,17 @@ func (l Ladder) For(final float64) Ladder {
 	return append(out, final)
 }
 
+// Index returns the position of eps in the ladder (0 = coarsest), or
+// -1 when eps is not one of its steps.
+func (l Ladder) Index(eps float64) int {
+	for i, v := range l {
+		if v == eps {
+			return i
+		}
+	}
+	return -1
+}
+
 // Jobs returns the refinement jobs that upgrade key from the resident
 // generation at eps down to the ladder's final step, in execution
 // order. l must be a template-effective ladder (see For); Gen indexes

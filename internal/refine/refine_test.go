@@ -60,6 +60,17 @@ func TestLadderForAndJobs(t *testing.T) {
 	}
 }
 
+// TestLadderIndex: Index locates a step of an effective ladder and
+// reports -1 for a factor that is not one of its steps.
+func TestLadderIndex(t *testing.T) {
+	eff := Ladder{0.5, 0.1}.For(0)
+	for eps, want := range map[float64]int{0.5: 0, 0.1: 1, 0: 2, 0.25: -1} {
+		if got := eff.Index(eps); got != want {
+			t.Errorf("Index(%v) = %d, want %d", eps, got, want)
+		}
+	}
+}
+
 // TestRefinerRunsChainsInOrder: jobs execute serially, FIFO, each chain
 // in ladder order, and Wait observes quiescence.
 func TestRefinerRunsChainsInOrder(t *testing.T) {

@@ -3,9 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpq/internal/fleet"
 	"mpq/internal/geometry"
 	"mpq/internal/workload"
 )
@@ -175,52 +180,174 @@ func TestPrepareDeadlineMidOptimize(t *testing.T) {
 	}
 }
 
-// TestPrepareWaiterSurvivesCancelledWinner: when the singleflight
-// winner's caller gives up, a waiter with a live context must not
-// inherit the cancellation — it retries and becomes the new winner.
+// waiterCase is one singleflight table under
+// TestPrepareWaiterSurvivesCancelledWinner.
+type waiterCase struct {
+	// call issues one request through the table's flight.
+	call func(ctx context.Context) error
+	// parked blocks until the winner's flight is registered and busy.
+	parked func()
+	// waiters is how many live-context requests join the flight.
+	waiters int
+	// release unblocks the flight's work once the winner is cancelled.
+	release func()
+	// check asserts the table-specific outcome after every request ended.
+	check func(t *testing.T)
+}
+
+// TestPrepareWaiterSurvivesCancelledWinner: when a singleflight
+// winner's caller gives up, waiters with live contexts must not inherit
+// the cancellation — one retries and becomes the new winner, the rest
+// join it. Both flight tables are covered: Prepare's (the winner is
+// cancelled mid-optimization) and the pick-time reload's (the winner is
+// parked inside the source walk, in a peer fetch that blocks until
+// released).
 func TestPrepareWaiterSurvivesCancelledWinner(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T) waiterCase
+	}{
+		{"prepare", prepareWaiterCase},
+		{"reload", reloadWaiterCase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.setup(t)
+			winnerCtx, cancelWinner := context.WithCancel(context.Background())
+			winnerErr := make(chan error, 1)
+			go func() { winnerErr <- c.call(winnerCtx) }()
+			c.parked()
+			waiterErrs := make(chan error, c.waiters)
+			for i := 0; i < c.waiters; i++ {
+				go func() { waiterErrs <- c.call(context.Background()) }()
+			}
+			// Let the waiters join the flight before its winner gives up.
+			time.Sleep(50 * time.Millisecond)
+			cancelWinner()
+			if err := <-winnerErr; err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("winner = %v, want nil or context.Canceled", err)
+			}
+			c.release()
+			for i := 0; i < c.waiters; i++ {
+				select {
+				case err := <-waiterErrs:
+					if err != nil {
+						t.Fatalf("waiter inherited the winner's fate: %v", err)
+					}
+				case <-time.After(2 * time.Minute):
+					t.Fatal("waiter never completed after the winner was cancelled")
+				}
+			}
+			c.check(t)
+		})
+	}
+}
+
+// prepareWaiterCase: one waiter joins a Prepare whose winner is
+// cancelled while optimizing.
+func prepareWaiterCase(t *testing.T) waiterCase {
 	if testing.Short() {
 		t.Skip("multi-second optimization")
 	}
 	s := New(Options{Workers: 2})
-	defer s.Close()
+	t.Cleanup(s.Close)
+	return waiterCase{
+		call: func(ctx context.Context) error {
+			prep, err := s.Prepare(ctx, slowTemplate())
+			if err == nil && prep.NumPlans == 0 {
+				err = errors.New("empty plan set")
+			}
+			return err
+		},
+		parked: func() {
+			for {
+				s.mu.Lock()
+				n := len(s.inflight)
+				s.mu.Unlock()
+				if n == 1 {
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		},
+		waiters: 1,
+		release: func() {},
+		check:   func(t *testing.T) {},
+	}
+}
 
-	winnerCtx, cancelWinner := context.WithCancel(context.Background())
-	winnerErr := make(chan error, 1)
-	go func() {
-		_, err := s.Prepare(winnerCtx, slowTemplate())
-		winnerErr <- err
-	}()
-	// Wait until the winner's flight is registered, then join as a
-	// waiter with a background context.
-	for {
-		s.mu.Lock()
-		n := len(s.inflight)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
+// reloadWaiterCase: concurrent Picks of an evicted key join one
+// pick-time reload whose winner is cancelled while its peer fetch
+// blocks. The waiters must all be answered by exactly one reload.
+func reloadWaiterCase(t *testing.T) waiterCase {
+	// The origin retains its documents (a budgeted cache) so it can
+	// serve them to peers.
+	origin := New(Options{Workers: 1, CacheBytes: 1 << 30})
+	t.Cleanup(origin.Close)
+	if _, err := origin.Prepare(context.Background(), testTemplate(21)); err != nil {
+		t.Fatal(err)
 	}
-	waiterRes := make(chan error, 1)
-	go func() {
-		prep, err := s.Prepare(context.Background(), slowTemplate())
-		if err == nil && prep.NumPlans == 0 {
-			err = errors.New("empty plan set")
+	var blocking atomic.Bool
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if blocking.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			select {
+			case <-gate:
+			case <-r.Context().Done():
+				return
+			}
 		}
-		waiterRes <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancelWinner()
-	if err := <-winnerErr; err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("winner = %v, want nil or context.Canceled", err)
-	}
-	select {
-	case err := <-waiterRes:
+		doc, err := origin.Document(strings.TrimPrefix(r.URL.Path, fleet.PlanSetPath))
 		if err != nil {
-			t.Fatalf("waiter inherited the winner's fate: %v", err)
+			http.NotFound(w, r)
+			return
 		}
-	case <-time.After(2 * time.Minute):
-		t.Fatal("waiter never completed after the winner was cancelled")
+		w.Header().Set(fleet.DocHashHeader, fleet.ContentHash(doc))
+		w.Write(doc)
+	}))
+	t.Cleanup(peer.Close)
+
+	// A one-byte budget keeps only the latest admission resident: the
+	// second template evicts the first, whose only source is the peer.
+	s := New(Options{Workers: 4, CacheBytes: 1, Peers: fleet.NewPeerClient([]string{peer.URL}, 0)})
+	t.Cleanup(s.Close)
+	prep, err := s.Prepare(context.Background(), testTemplate(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prep.Cached {
+		t.Fatal("the first plan set was not fetched from the peer")
+	}
+	if _, err := s.Prepare(context.Background(), testTemplate(22)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.PlanSet(prep.Key); ok {
+		t.Fatal("the first plan set was not evicted")
+	}
+	blocking.Store(true)
+	return waiterCase{
+		call: func(ctx context.Context) error {
+			res, err := s.Pick(ctx, PickRequest{Key: prep.Key, Point: testPoints[2]})
+			if err == nil && len(res.Choices) == 0 {
+				err = errors.New("empty pick")
+			}
+			return err
+		},
+		parked:  func() { <-entered },
+		waiters: 3,
+		release: func() { close(gate) },
+		check: func(t *testing.T) {
+			st := s.Stats()
+			if st.Reloads != 1 {
+				t.Errorf("reloads = %d, want exactly 1 for one evicted key", st.Reloads)
+			}
+			if st.Cancellations != 1 {
+				t.Errorf("cancellations = %d, want 1 (the parked winner)", st.Cancellations)
+			}
+		},
 	}
 }

@@ -459,8 +459,8 @@ type Server struct {
 
 	mu        sync.RWMutex
 	closed    bool
-	inflight  map[string]*inflightPrepare
-	reloading map[string]*inflightReload
+	inflight  flights[PrepareResult]
+	reloading flights[*entry]
 	stats     Stats
 
 	// Anytime refinement (Options.RefineLadder): the background
@@ -527,22 +527,64 @@ func (e *entry) lookup(x geometry.Vector) (cands []selection.Candidate, viaIndex
 	return e.candidates, false
 }
 
-// inflightPrepare deduplicates concurrent Prepares of one key: the
-// first request optimizes (or fetches), later ones wait for its
-// outcome. It is also the fleet's fetch-vs-compute singleflight: the
-// winner consults the shared store and the peers before optimizing, so
-// one key never has a racing fetch and computation in one process.
-type inflightPrepare struct {
+// flight is one in-progress resolution of a key: the winner runs it,
+// concurrent requests for the key wait for its outcome.
+type flight[T any] struct {
 	done chan struct{}
-	res  PrepareResult
+	val  T
 	err  error
 }
 
-// inflightReload deduplicates pick-time reloads of an evicted key.
-type inflightReload struct {
-	done chan struct{}
-	e    *entry
-	err  error
+// flights is a per-key singleflight table, guarded by the server
+// mutex. The server keeps two: Prepare's (which is also the fleet's
+// fetch-vs-compute singleflight — the winner consults the shared store
+// and the peers before optimizing, so one key never has a racing fetch
+// and computation in one process) and the pick-time reloads' (so a
+// Prepare never inherits a reload's ErrUnknownPlanSet).
+type flights[T any] map[string]*flight[T]
+
+// do resolves key through the table. A key already resident in the
+// cache is answered by hit, checked under the lock: a winner admits its
+// entry before retiring its flight, so a request that missed the cache
+// while that happened finds the entry here instead of running the key
+// again. Otherwise the request joins key's flight, or becomes its
+// winner and runs fn. A waiter whose winner failed on the winner's own
+// context (its caller gave up, not the work) does not inherit that
+// failure: its context is still live, so it retries and may become the
+// next winner. won reports that this call ran fn.
+func (t flights[T]) do(ctx context.Context, s *Server, key string, hit func(*entry) T, fn func() (T, error)) (val T, won bool, err error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return val, false, err
+		}
+		s.mu.Lock()
+		if v, ok := s.cache.Get(key, false); ok {
+			s.mu.Unlock()
+			return hit(v.(*entry)), false, nil
+		}
+		if fl, ok := t[key]; ok {
+			s.mu.Unlock()
+			select {
+			case <-fl.done:
+			case <-ctx.Done():
+				return val, false, ctx.Err()
+			}
+			if isCtxErr(fl.err) {
+				continue
+			}
+			return fl.val, false, fl.err
+		}
+		fl := &flight[T]{done: make(chan struct{})}
+		t[key] = fl
+		s.mu.Unlock()
+
+		fl.val, fl.err = fn()
+		s.mu.Lock()
+		delete(t, key)
+		s.mu.Unlock()
+		close(fl.done)
+		return fl.val, true, fl.err
+	}
 }
 
 // job is one queued request; run executes on a pool worker. state
@@ -599,8 +641,8 @@ func New(opts Options) *Server {
 		queue:     make(chan *job, opts.QueueDepth),
 		cache:     fleet.NewCache(opts.CacheBytes),
 		admission: fleet.NewAdmission(opts.MaxConcurrentPrepares),
-		inflight:  make(map[string]*inflightPrepare),
-		reloading: make(map[string]*inflightReload),
+		inflight:  make(flights[PrepareResult]),
+		reloading: make(flights[*entry]),
 	}
 	if len(opts.RefineLadder) > 0 {
 		if err := refine.Ladder(opts.RefineLadder).Validate(); err != nil {
@@ -771,15 +813,9 @@ func (s *Server) Document(key string) ([]byte, error) {
 			return doc, nil
 		}
 	}
-	if s.opts.Dir != "" {
-		if doc, err := s.fs.ReadFile(s.docPath(key)); err == nil {
-			return doc, nil
-		}
-	}
-	if s.opts.Shared != nil {
-		if doc, ok, err := s.opts.Shared.Get(key); err == nil && ok {
-			return doc, nil
-		}
+	var doc []byte
+	if s.localDoc(key, func(d []byte, _ entrySource) bool { doc = d; return true }) {
+		return doc, nil
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
 }
@@ -882,119 +918,60 @@ func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, erro
 	if err != nil {
 		return PrepareResult{}, err
 	}
-	res, err := s.prepareKey(ctx, key, schema, cloudCfg, epsilon)
+	res, won, err := s.inflight.do(ctx, s, key, func(e *entry) PrepareResult {
+		return s.prepared(key, e, core.Stats{}, true)
+	}, func() (PrepareResult, error) {
+		return s.runPrepare(ctx, key, schema, cloudCfg, epsilon)
+	})
 	if err != nil {
 		s.noteCtxFailure(err)
+		return PrepareResult{}, err
 	}
-	return res, err
+	if !won {
+		// A cache hit or another request's flight: this request did no
+		// optimization work.
+		res.Cached, res.Duration, res.Stats = true, 0, core.Stats{}
+	}
+	s.mu.Lock()
+	s.stats.Prepares++
+	if !won {
+		s.stats.PrepareHits++
+	}
+	s.mu.Unlock()
+	return res, nil
 }
 
-// prepareKey is the cache/singleflight front of Prepare. It loops:
-// when the flight this request waited on was cancelled by *its* owner,
-// a waiter whose own context is still live must not inherit that
-// failure — it retries and may become the new flight's winner.
-func (s *Server) prepareKey(ctx context.Context, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64) (PrepareResult, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return PrepareResult{}, err
-		}
-		if v, ok := s.cache.Get(key, false); ok {
-			s.mu.Lock()
-			s.stats.Prepares++
-			s.stats.PrepareHits++
-			s.mu.Unlock()
-			return s.hitResult(key, v.(*entry)), nil
-		}
-		s.mu.Lock()
-		if v, ok := s.cache.Get(key, false); ok {
-			// A concurrent Prepare's winner inserted between our lock-free
-			// cache miss and taking the mutex (insert happens before its
-			// inflight entry is removed, so without this re-check we would
-			// find the inflight table empty and optimize the key again).
-			s.stats.Prepares++
-			s.stats.PrepareHits++
-			s.mu.Unlock()
-			return s.hitResult(key, v.(*entry)), nil
-		}
-		if fl, ok := s.inflight[key]; ok {
-			// Another request is already optimizing this template; wait
-			// for it instead of duplicating the work — but not past our
-			// own context.
-			s.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return PrepareResult{}, ctx.Err()
-			}
-			if fl.err != nil {
-				if isCtxErr(fl.err) {
-					// The winner's caller gave up, not the computation:
-					// our context is still live, so run our own flight.
-					continue
-				}
-				return PrepareResult{}, fl.err
-			}
-			res := fl.res
-			res.Cached = true
-			res.Duration = 0
-			res.Stats = core.Stats{}
-			s.mu.Lock()
-			s.stats.Prepares++
-			s.stats.PrepareHits++
-			s.mu.Unlock()
-			return res, nil
-		}
-		fl := &inflightPrepare{done: make(chan struct{})}
-		s.inflight[key] = fl
-		s.mu.Unlock()
-
-		res, err := s.runPrepare(ctx, key, schema, cloudCfg, epsilon)
-		fl.res, fl.err = res, err
-		s.mu.Lock()
-		delete(s.inflight, key)
-		if err == nil {
-			s.stats.Prepares++
-		}
-		s.mu.Unlock()
-		close(fl.done)
-		return res, err
-	}
-}
-
-// hitResult builds the PrepareResult of a cache hit, annotated with
-// the resident generation — which may still be coarse while background
-// refinement is outstanding. A coarse hit also re-nudges the refiner:
-// the Schedule is deduplicated when the chain is still queued, and it
-// resurrects a chain dropped by an earlier failure.
-func (s *Server) hitResult(key string, e *entry) PrepareResult {
-	res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: true}
-	s.annotate(&res, key, e)
+// prepared builds the PrepareResult of a resident entry, annotated with
+// its generation — which may still be coarse while background
+// refinement is outstanding. A coarse result also (re-)nudges the
+// refiner: the Schedule is deduplicated when the chain is still queued,
+// and it resurrects a chain dropped by an earlier failure.
+func (s *Server) prepared(key string, e *entry, cst core.Stats, cached bool) PrepareResult {
+	res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: cached,
+		Duration: cst.Duration, Stats: cst, Epsilon: e.set.Epsilon}
+	res.Generation, res.Final = s.generationOf(key, e.set.Epsilon)
 	if !res.Final {
 		s.ensureRefinement(key, e)
 	}
 	return res
 }
 
-// annotate stamps a Prepare result with the generation it served.
-func (s *Server) annotate(res *PrepareResult, key string, e *entry) {
-	res.Epsilon = e.set.Epsilon
-	res.Generation, res.Final = s.generationOf(key, e.set.Epsilon)
-}
-
 // generationOf maps an entry's approximation factor to its index in
 // the key's effective refinement ladder. Keys that never took the
 // anytime path have a single, final generation.
 func (s *Server) generationOf(key string, eps float64) (gen int, final bool) {
+	if s.refiner == nil {
+		// No ladder, no refinement state: skip the lock on the pick path.
+		return 0, true
+	}
 	s.refineMu.Lock()
 	st, ok := s.refineStates[key]
 	s.refineMu.Unlock()
 	if !ok {
 		return 0, true
 	}
-	for i, v := range st.ladder {
-		if v == eps {
-			return i, i == len(st.ladder)-1
-		}
+	if i := st.ladder.Index(eps); i >= 0 {
+		return i, i == len(st.ladder)-1
 	}
 	// Not a ladder member (e.g. a finer document published by a
 	// sibling running a different ladder): final iff at or below the
@@ -1081,13 +1058,8 @@ func (s *Server) runPrepare(ctx context.Context, key string, schema *catalog.Sch
 func (s *Server) run(ctx context.Context, fn func(w *worker)) error {
 	j := &job{done: make(chan struct{})}
 	j.run = func(w *worker) {
-		before := w.solver.Stats
+		defer s.mergeSolverStats(w, w.solver.Stats)
 		fn(w)
-		diff := w.solver.Stats
-		diff.Sub(before)
-		s.mu.Lock()
-		s.stats.Geometry.Add(diff)
-		s.mu.Unlock()
 	}
 	if err := s.submit(j); err != nil {
 		return err
@@ -1104,6 +1076,16 @@ func (s *Server) run(ctx context.Context, fn func(w *worker)) error {
 		<-j.done
 		return nil
 	}
+}
+
+// mergeSolverStats adds the solver work w did since before to the
+// server's geometry counters.
+func (s *Server) mergeSolverStats(w *worker, before geometry.Stats) {
+	diff := w.solver.Stats
+	diff.Sub(before)
+	s.mu.Lock()
+	s.stats.Geometry.Add(diff)
+	s.mu.Unlock()
 }
 
 // entrySource labels where a served document came from, for the
@@ -1148,15 +1130,38 @@ func validKey(key string) bool {
 	return true
 }
 
-// loadFromSources tries every non-compute source in order — the
-// restart Dir, the shared store, then the peers — and returns the
-// first document that deserializes cleanly. A corrupt or unreadable
+// localDoc offers key's document from each local source in resolution
+// order — the restart Dir, then the shared store — to use, stopping at
+// the first one use accepts. An unreadable document is skipped like a
+// missing one. It is the non-compute source walk shared by resolve
+// (which continues with the peers) and Document (which never consults
+// peers).
+func (s *Server) localDoc(key string, use func(doc []byte, src entrySource) bool) bool {
+	if s.opts.Dir != "" {
+		if doc, err := s.fs.ReadFile(s.docPath(key)); err == nil && use(doc, sourceDisk) {
+			return true
+		}
+	}
+	if s.opts.Shared != nil {
+		if doc, ok, err := s.opts.Shared.Get(key); err == nil && ok && use(doc, sourceShared) {
+			return true
+		}
+	}
+	return false
+}
+
+// resolve is the one route to a resident plan set, run on worker w.
+// It serves the first document that deserializes cleanly from the
+// ordered sources — the restart Dir, the shared store, then the peers —
+// and otherwise computes it; either way the entry is admitted to the
+// cache (see admit; swap selects the refinement's generation swap) and
+// the lookup and save phases are traced. A corrupt or unreadable
 // document from any source is not fatal: the next source (ultimately
 // the optimizer) takes over. Documents fetched from a peer are
 // re-published to the shared store so the next sibling finds them one
-// hop closer. Malformed keys resolve nowhere.
+// hop closer. Malformed keys resolve nowhere but the optimizer.
 //
-// acceptEps, when non-nil, filters documents by their recorded
+// accept, when non-nil, filters documents by their recorded
 // approximation factor: one recording an unacceptable factor is
 // treated as a miss, exactly like a corrupt one — defense in depth
 // behind the key (which already binds ε by hash) against a document
@@ -1165,36 +1170,78 @@ func validKey(key string) bool {
 // generation of its effective ladder, and a refinement job anything at
 // or below its step. Pick-time reloads pass nil and accept the
 // document's own factor, which the key vouches for.
-func (s *Server) loadFromSources(ctx context.Context, w *worker, key string, acceptEps func(eps float64) bool) (*entry, entrySource, bool) {
-	if !validKey(key) {
-		return nil, sourceComputed, false
+//
+// compute is nil for reloads, which never optimize: a key no source
+// holds is then ErrUnknownPlanSet, or ctx's error when the lookup may
+// have been cut short (peer fetch aborted).
+func (s *Server) resolve(ctx context.Context, w *worker, key string, accept func(eps float64) bool, compute func() (*entry, core.Stats, error), swap bool, tr *obs.PrepareTrace) (*entry, entrySource, core.Stats, error) {
+	var e *entry
+	src := sourceComputed
+	use := func(doc []byte, from entrySource) bool {
+		got, err := s.newEntry(doc, w)
+		if err != nil || (accept != nil && !accept(got.set.Epsilon)) {
+			return false
+		}
+		e, src = got, from
+		return true
 	}
-	accept := func(e *entry) bool {
-		return acceptEps == nil || acceptEps(e.set.Epsilon)
-	}
-	if s.opts.Dir != "" {
-		if raw, err := s.fs.ReadFile(s.docPath(key)); err == nil {
-			if e, err := s.newEntry(raw, w); err == nil && accept(e) {
-				return e, sourceDisk, true
-			}
+	if validKey(key) && !s.localDoc(key, use) && s.opts.Peers != nil && ctx.Err() == nil {
+		if doc, ok, _ := s.opts.Peers.Fetch(ctx, key); ok && use(doc, sourcePeer) {
+			s.publishShared(key, doc)
 		}
 	}
-	if s.opts.Shared != nil {
-		if doc, ok, err := s.opts.Shared.Get(key); err == nil && ok {
-			if e, err := s.newEntry(doc, w); err == nil && accept(e) {
-				return e, sourceShared, true
+	tr.Phase("lookup")
+	var cst core.Stats
+	if e == nil {
+		if compute == nil {
+			if err := ctx.Err(); err != nil {
+				return nil, src, cst, err
 			}
+			return nil, src, cst, fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
+		}
+		var err error
+		if e, cst, err = compute(); err != nil {
+			return nil, src, core.Stats{}, err
 		}
 	}
-	if s.opts.Peers != nil && ctx.Err() == nil {
-		if doc, ok, _ := s.opts.Peers.Fetch(ctx, key); ok {
-			if e, err := s.newEntry(doc, w); err == nil && accept(e) {
-				s.publishShared(key, doc)
-				return e, sourcePeer, true
-			}
-		}
+	tr.SetSource(src.name())
+	s.admit(key, e, src, swap)
+	if src == sourceComputed {
+		tr.Phase("save")
 	}
-	return nil, sourceComputed, false
+	return e, src, cst, nil
+}
+
+// admit publishes a resolved entry into the memory-accounted cache and
+// bumps its source counter. A Prepare or reload inserts (the first
+// insert of a key wins); a refinement swap atomically replaces the
+// resident generation with a finer one. The swap's ε guard runs under
+// the cache lock, so a straggling coarser generation never downgrades,
+// and pins (in-flight picks on the old generation) carry over — those
+// picks keep their pinned object and observe exactly one generation.
+func (s *Server) admit(key string, e *entry, src entrySource, swap bool) {
+	swapped := false
+	if swap {
+		newEps := e.set.Epsilon
+		_, swapped = s.cache.Replace(key, e, e.footprint(), func(old any) bool {
+			return old.(*entry).set.Epsilon <= newEps
+		})
+	} else {
+		s.cache.Add(key, e, e.footprint(), false)
+	}
+	s.mu.Lock()
+	if swapped {
+		s.stats.Refine.Swaps++
+	}
+	switch src {
+	case sourceDisk:
+		s.stats.PrepareDiskHits++
+	case sourceShared:
+		s.stats.SharedHits++
+	case sourcePeer:
+		s.stats.PeerHits++
+	}
+	s.mu.Unlock()
 }
 
 // publishShared best-effort publishes a document to the shared store.
@@ -1209,38 +1256,41 @@ func (s *Server) publishShared(key string, doc []byte) {
 	}
 }
 
-// prepareOn runs on a pool worker: serve the document from the first
-// source that has it (Dir, shared store, peers), otherwise optimize,
-// Save through the store format, persist (Dir and shared store) and
-// cache the deserialized set. Picks therefore serve exactly the bytes
-// a separate run-time process would load, wherever they came from.
+// prepareOn runs on a pool worker: resolve the key's plan set through
+// the ordered sources, optimizing when none has it. Picks therefore
+// serve exactly the bytes a separate run-time process would load,
+// wherever they came from.
 //
-// With a refinement ladder configured, a deadline-bounded request for
-// a cold template takes the anytime path instead: compute the
-// coarsest ladder generation within the caller's budget and refine in
-// the background (see prepareAnytime).
+// With a refinement ladder configured, a deadline-bounded request takes
+// the anytime path instead (see anytimeLadder): it serves the finest
+// generation of the template's effective ladder that a non-compute
+// source already has, and otherwise computes the coarsest ladder step —
+// a fraction of the exact optimization's work — under the caller's
+// deadline. Every generation is a full regret-certified plan set, so
+// picks served before refinement finishes are coarse but never wrong;
+// the remaining steps run as background refinement jobs, each finished
+// generation atomically replacing the previous one (see runRefineJob).
 func (s *Server) prepareOn(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64, tr *obs.PrepareTrace) (PrepareResult, error) {
-	if lad := s.anytimeLadder(ctx, epsilon); lad != nil {
-		return s.prepareAnytime(ctx, w, key, schema, cloudCfg, lad, tr)
+	accept := func(got float64) bool { return got == epsilon }
+	computeEps := epsilon
+	lad := s.anytimeLadder(ctx, epsilon)
+	if lad != nil {
+		s.noteRefineState(key, schema, cloudCfg, lad)
+		accept = func(got float64) bool { return lad.Index(got) >= 0 }
+		computeEps = lad[0]
 	}
-	e, src, ok := s.loadFromSources(ctx, w, key, func(got float64) bool { return got == epsilon })
-	tr.Phase("lookup")
-	if ok {
-		tr.SetSource(src.name())
-		s.insert(key, e, src)
-		res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: true}
-		s.annotate(&res, key, e)
-		tr.SetGeneration(res.Epsilon, res.Generation)
-		return res, nil
-	}
-	e, cst, err := s.computeEntry(ctx, w, key, schema, cloudCfg, epsilon, tr)
+	e, src, cst, err := s.resolve(ctx, w, key, accept, func() (*entry, core.Stats, error) {
+		return s.computeEntry(ctx, w, key, schema, cloudCfg, computeEps, tr)
+	}, false, tr)
 	if err != nil {
 		return PrepareResult{}, err
 	}
-	s.insert(key, e, sourceComputed)
-	tr.Phase("save")
-	res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Duration: cst.Duration, Stats: cst}
-	s.annotate(&res, key, e)
+	if lad != nil && src == sourceComputed {
+		s.mu.Lock()
+		s.stats.Refine.CoarsePrepares++
+		s.mu.Unlock()
+	}
+	res := s.prepared(key, e, cst, src != sourceComputed)
 	tr.SetGeneration(res.Epsilon, res.Generation)
 	return res, nil
 }
@@ -1262,55 +1312,6 @@ func (s *Server) anytimeLadder(ctx context.Context, epsilon float64) refine.Ladd
 		return nil
 	}
 	return lad
-}
-
-// prepareAnytime is the deadline-budgeted Prepare of a cold template
-// on a ladder-configured server: serve the finest generation any
-// non-compute source already has, otherwise compute the coarsest
-// ladder step — a fraction of the exact optimization's work — under
-// the caller's deadline, and schedule the remaining steps as
-// background refinement jobs. Every generation is a full
-// regret-certified plan set, so picks served before refinement
-// finishes are coarse but never wrong; each finished generation
-// atomically replaces the previous one (see runRefineJob).
-func (s *Server) prepareAnytime(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, lad refine.Ladder, tr *obs.PrepareTrace) (PrepareResult, error) {
-	inLadder := func(got float64) bool {
-		for _, v := range lad {
-			if v == got {
-				return true
-			}
-		}
-		return false
-	}
-	s.noteRefineState(key, schema, cloudCfg, lad)
-	e, src, ok := s.loadFromSources(ctx, w, key, inLadder)
-	tr.Phase("lookup")
-	if ok {
-		tr.SetSource(src.name())
-		s.insert(key, e, src)
-		res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: true}
-		s.annotate(&res, key, e)
-		if !res.Final {
-			s.scheduleRefine(lad.Jobs(key, e.set.Epsilon))
-		}
-		tr.SetGeneration(res.Epsilon, res.Generation)
-		return res, nil
-	}
-	coarse := lad[0]
-	e, cst, err := s.computeEntry(ctx, w, key, schema, cloudCfg, coarse, tr)
-	if err != nil {
-		return PrepareResult{}, err
-	}
-	s.insert(key, e, sourceComputed)
-	tr.Phase("save")
-	s.mu.Lock()
-	s.stats.Refine.CoarsePrepares++
-	s.mu.Unlock()
-	s.scheduleRefine(lad.Jobs(key, coarse))
-	res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Duration: cst.Duration, Stats: cst}
-	s.annotate(&res, key, e)
-	tr.SetGeneration(res.Epsilon, res.Generation)
-	return res, nil
 }
 
 // noteRefineState records a key's refinement state once (first Prepare
@@ -1405,59 +1406,14 @@ func (s *Server) runRefineJob(ctx context.Context, job refine.Job) error {
 		return refine.ErrObsolete
 	}
 	w := s.refineWorker
-	before := w.solver.Stats
-	defer func() {
-		diff := w.solver.Stats
-		diff.Sub(before)
-		s.mu.Lock()
-		s.stats.Geometry.Add(diff)
-		s.mu.Unlock()
-	}()
+	defer s.mergeSolverStats(w, w.solver.Stats)
 	tr := s.opts.Trace.Start("refine", job.Key)
 	tr.SetGeneration(job.Epsilon, job.Gen)
-	if e, src, ok := s.loadFromSources(ctx, w, job.Key, func(got float64) bool { return got <= job.Epsilon }); ok {
-		tr.Phase("lookup")
-		tr.SetSource(src.name())
-		s.swapEntry(job.Key, e, src)
-		tr.Finish(nil)
-		return nil
-	}
-	tr.Phase("lookup")
-	e, _, err := s.computeEntry(ctx, w, job.Key, st.schema, st.cloudCfg, job.Epsilon, tr)
-	if err != nil {
-		tr.Finish(err)
-		return err
-	}
-	s.swapEntry(job.Key, e, sourceComputed)
-	tr.Phase("save")
-	tr.Finish(nil)
-	return nil
-}
-
-// swapEntry atomically replaces a key's resident generation with a
-// finer one. The ε guard runs under the cache lock, so a straggling
-// coarser generation never downgrades, and pins (in-flight picks on
-// the old generation) carry over — those picks keep their pinned
-// object and observe exactly one generation. Source counters are
-// bumped like insert's.
-func (s *Server) swapEntry(key string, e *entry, src entrySource) {
-	newEps := e.set.Epsilon
-	_, swapped := s.cache.Replace(key, e, e.footprint(), func(old any) bool {
-		return old.(*entry).set.Epsilon <= newEps
-	})
-	s.mu.Lock()
-	if swapped {
-		s.stats.Refine.Swaps++
-	}
-	switch src {
-	case sourceDisk:
-		s.stats.PrepareDiskHits++
-	case sourceShared:
-		s.stats.SharedHits++
-	case sourcePeer:
-		s.stats.PeerHits++
-	}
-	s.mu.Unlock()
+	_, _, _, err := s.resolve(ctx, w, job.Key, func(got float64) bool { return got <= job.Epsilon }, func() (*entry, core.Stats, error) {
+		return s.computeEntry(ctx, w, job.Key, st.schema, st.cloudCfg, job.Epsilon, tr)
+	}, true, tr)
+	tr.Finish(err)
+	return err
 }
 
 // WaitRefinement blocks until every scheduled background refinement
@@ -1609,22 +1565,6 @@ func (s *Server) recordPickPoint(key string, e *entry, x geometry.Vector) {
 	s.opts.Telemetry.Record(key, e.telLo, e.telHi, x)
 }
 
-// insert publishes an entry into the memory-accounted cache (the
-// first insert of a key wins) and bumps the source counter.
-func (s *Server) insert(key string, e *entry, src entrySource) {
-	s.cache.Add(key, e, e.footprint(), false)
-	s.mu.Lock()
-	switch src {
-	case sourceDisk:
-		s.stats.PrepareDiskHits++
-	case sourceShared:
-		s.stats.SharedHits++
-	case sourcePeer:
-		s.stats.PeerHits++
-	}
-	s.mu.Unlock()
-}
-
 func (s *Server) docPath(key string) string {
 	return filepath.Join(s.opts.Dir, key+".json")
 }
@@ -1640,22 +1580,29 @@ func (s *Server) persist(key string, doc []byte) error {
 // prepared plan set. ctx cancels or deadline-bounds the request (a
 // Pick abandoned while queued never starts).
 func (s *Server) Pick(ctx context.Context, req PickRequest) (PickResult, error) {
+	return pickOnPool(ctx, s, func(ctx context.Context, w *worker) (PickResult, error) {
+		return s.pickOn(ctx, w, req)
+	})
+}
+
+// pickOnPool runs one pick-shaped request on a pool worker and counts a
+// failure on its context once, at the API boundary.
+func pickOnPool[R any](ctx context.Context, s *Server, on func(ctx context.Context, w *worker) (R, error)) (R, error) {
 	ctx = orBackground(ctx)
-	var res PickResult
+	var res R
 	var jerr error
 	err := s.run(ctx, func(w *worker) {
-		res, jerr = s.pickOn(ctx, w, req)
+		res, jerr = on(ctx, w)
 	})
 	if err == nil {
 		err = jerr
-	} else {
-		res = PickResult{}
 	}
 	if err != nil {
+		// res is the zero value here: either the job never ran, or it
+		// failed and returned none.
 		s.noteCtxFailure(err)
-		return PickResult{}, err
 	}
-	return res, nil
+	return res, err
 }
 
 // PickBatchRequest evaluates one selection policy at many parameter
@@ -1701,22 +1648,9 @@ type PickBatchResult struct {
 // byte-identical to issuing the Picks one by one. Any invalid point or
 // selection failure fails the whole batch (the error names the point).
 func (s *Server) PickBatch(ctx context.Context, req PickBatchRequest) (PickBatchResult, error) {
-	ctx = orBackground(ctx)
-	var res PickBatchResult
-	var jerr error
-	err := s.run(ctx, func(w *worker) {
-		res, jerr = s.pickBatchOn(ctx, w, req)
+	return pickOnPool(ctx, s, func(ctx context.Context, w *worker) (PickBatchResult, error) {
+		return s.pickBatchOn(ctx, w, req)
 	})
-	if err == nil {
-		err = jerr
-	} else {
-		res = PickBatchResult{}
-	}
-	if err != nil {
-		s.noteCtxFailure(err)
-		return PickBatchResult{}, err
-	}
-	return res, nil
 }
 
 // pickBatchOn executes a batch on a pool worker.
@@ -1777,20 +1711,7 @@ func (s *Server) pickBatchOn(ctx context.Context, w *worker, req PickBatchReques
 		}
 		choices[i] = cs
 	}
-	gen, final := s.generationOf(req.Key, e.set.Epsilon)
-	s.mu.Lock()
-	s.stats.Picks += int64(len(req.Points))
-	s.stats.Index.IndexPicks += int64(indexPicks)
-	s.stats.Index.FallbackPicks += int64(len(req.Points) - indexPicks)
-	s.stats.Index.BatchRequests++
-	s.stats.Index.BatchPoints += int64(len(req.Points))
-	if !final {
-		s.stats.Refine.CoarsePicks += int64(len(req.Points))
-	}
-	s.mu.Unlock()
-	for _, x := range req.Points {
-		s.recordPickPoint(req.Key, e, x)
-	}
+	gen, final := s.notePicks(req.Key, e, indexPicks, true, req.Points...)
 	return PickBatchResult{Metrics: e.set.Metrics, Choices: choices,
 		Epsilon: e.set.Epsilon, Generation: gen, Final: final}, nil
 }
@@ -1816,32 +1737,59 @@ func (s *Server) pickOn(ctx context.Context, w *worker, req PickRequest) (PickRe
 	if err != nil {
 		return PickResult{}, err
 	}
-	gen, final := s.generationOf(req.Key, e.set.Epsilon)
-	s.mu.Lock()
-	s.stats.Picks++
+	indexPicks := 0
 	if viaIndex {
-		s.stats.Index.IndexPicks++
-	} else {
-		s.stats.Index.FallbackPicks++
+		indexPicks = 1
 	}
-	if !final {
-		s.stats.Refine.CoarsePicks++
-	}
-	s.mu.Unlock()
-	s.recordPickPoint(req.Key, e, req.Point)
+	gen, final := s.notePicks(req.Key, e, indexPicks, false, req.Point)
 	return PickResult{Metrics: e.set.Metrics, Choices: choices,
 		Epsilon: e.set.Epsilon, Generation: gen, Final: final}, nil
 }
 
+// notePicks records pick points served from e — indexPicks of them
+// through the index, the rest by the linear scan — in the counters and
+// the telemetry, and returns the generation they were served from.
+func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, points ...geometry.Vector) (gen int, final bool) {
+	gen, final = s.generationOf(key, e.set.Epsilon)
+	n := int64(len(points))
+	s.mu.Lock()
+	s.stats.Picks += n
+	s.stats.Index.IndexPicks += int64(indexPicks)
+	s.stats.Index.FallbackPicks += n - int64(indexPicks)
+	if batch {
+		s.stats.Index.BatchRequests++
+		s.stats.Index.BatchPoints += n
+	}
+	if !final {
+		s.stats.Refine.CoarsePicks += n
+	}
+	s.mu.Unlock()
+	for _, x := range points {
+		s.recordPickPoint(key, e, x)
+	}
+	return gen, final
+}
+
 // entryFor resolves a plan-set key, transparently reloading evicted
-// entries from the non-compute sources (Dir, shared store, peers). The
-// resident entry is pinned against eviction for the duration of the
-// request; callers must call the returned release exactly once.
+// (or never-seen) entries from the non-compute sources (Dir, shared
+// store, peers) through the reload singleflight; a reload never
+// computes. It accepts the document's own approximation factor: the
+// request addressed the tier by key, and the key hash already binds ε.
+// The resident entry is pinned against eviction for the duration of
+// the request; callers must call the returned release exactly once.
 func (s *Server) entryFor(ctx context.Context, key string, w *worker) (*entry, func(), error) {
 	if v, ok := s.cache.Get(key, true); ok {
 		return v.(*entry), func() { s.cache.Unpin(key) }, nil
 	}
-	e, err := s.reload(ctx, key, w)
+	e, _, err := s.reloading.do(ctx, s, key, func(e *entry) *entry { return e }, func() (*entry, error) {
+		e, _, _, err := s.resolve(ctx, w, key, nil, nil, false, nil)
+		if err == nil {
+			s.mu.Lock()
+			s.stats.Reloads++
+			s.mu.Unlock()
+		}
+		return e, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1852,57 +1800,6 @@ func (s *Server) entryFor(ctx context.Context, key string, w *worker) (*entry, f
 	// serve the loaded object unpinned — it stays alive for this
 	// request regardless of cache membership.
 	return e, func() {}, nil
-}
-
-// reload loads an evicted (or never-seen) key's document from Dir, the
-// shared store, or a peer — never by computing — deduplicating
-// concurrent reloads of one key. As with Prepare's singleflight, a
-// flight whose winner was cancelled does not poison waiters with live
-// contexts: they retry the reload themselves.
-func (s *Server) reload(ctx context.Context, key string, w *worker) (*entry, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if fl, ok := s.reloading[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if fl.err != nil && isCtxErr(fl.err) {
-				continue
-			}
-			return fl.e, fl.err
-		}
-		fl := &inflightReload{done: make(chan struct{})}
-		s.reloading[key] = fl
-		s.mu.Unlock()
-
-		// A pick-time reload accepts the document's own approximation
-		// factor: the request addressed the tier by key, and the key
-		// hash already binds ε.
-		if e, src, ok := s.loadFromSources(ctx, w, key, nil); ok {
-			fl.e = e
-			s.insert(key, e, src)
-			s.mu.Lock()
-			s.stats.Reloads++
-			s.mu.Unlock()
-		} else if cerr := ctx.Err(); cerr != nil {
-			// The lookup may have been cut short (peer fetch aborted);
-			// report the cancellation, not a misleading unknown-key.
-			fl.err = cerr
-		} else {
-			fl.err = fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
-		}
-		s.mu.Lock()
-		delete(s.reloading, key)
-		s.mu.Unlock()
-		close(fl.done)
-		return fl.e, fl.err
-	}
 }
 
 // validatePoint rejects points the stored plan set cannot price.
