@@ -7,41 +7,41 @@
 // Usage:
 //
 //	mpqbench -experiment figure12 [-quick] [-reps 25] [-csv] [-json] [-workers N]
-//	mpqbench -experiment figure12 -shapes chain,star,cycle,clique -params 1,2,3
+//	mpqbench -experiment figure12 -shapes chain,star,cycle,clique -params 1,2,3 [-max-tables N]
 //	mpqbench -experiment figure12 -quick -json -baseline BENCH_baseline.json
 //	mpqbench -experiment figure12 -parallel clique:1:6,star:1:8
-//	mpqbench -experiment figure12 -picks clique:2:6 [-pick-points 256]
+//	mpqbench -experiment figure12 -picks clique:2:6 -fleet star:1:7 [-points 256]
 //	mpqbench -experiment figure12 -epsilon 0,0.01,0.1 -epsilon-specs chain:1:8,star:1:7
 //	mpqbench -experiment figure12 -anytime 0.5,0.1 -anytime-specs chain:1:8
 //	mpqbench -experiment figure12 -cpuprofile cpu.out -memprofile mem.out
 //	mpqbench -experiment pqblowup
 //	mpqbench -experiment ablation [-tables 6]
 //
-// -picks is the pick-throughput mode: each listed plan set is prepared
-// once, a point-location pick index is built over it, all four
-// selection policies are verified byte-identical through the index and
-// through the linear scan at random points, and both paths' per-pick
-// latency is measured (reported as pick_cases in the JSON output).
+// A figure12 run measures the Figure 12 curves (medians over -reps
+// random queries per point), then each requested spec-driven mode over
+// its shape:params:tables plan sets, with -points random points per
+// plan set:
 //
-// -epsilon runs the ε-approximation experiment over the -epsilon-specs
-// plan sets: each spec is prepared exactly (the reference) and once per
-// requested ε, the served ε frontier's max regret is certified against
-// the exact frontier at random points, and the plan-set and LP savings
-// are reported (epsilon_cases). Under -baseline, ε = 0 rows gate on
-// exact counts and ε > 0 rows gate on the certified regret contract.
+//   - -picks prepares each plan set once, verifies that the pick index
+//     returns byte-identical results to the linear scan under all four
+//     selection policies, and times both paths.
+//   - -fleet prepares each plan set on three in-process servers over
+//     one shared on-disk store, fails below a 2/3 shared-store hit
+//     rate, and times concurrent batched picks.
+//   - -epsilon certifies each ε tier's max regret against the exact
+//     frontier and reports the plan and LP savings it bought.
+//   - -anytime walks the refinement ladder an anytime server (mpqserve
+//     -refine-ladder) walks, coarsest generation first down to the
+//     implicit exact step, timing each generation's prepare and
+//     certifying its regret against the exact one.
 //
-// -anytime walks the refinement ladder an anytime server (mpqserve
-// -refine-ladder) walks over the -anytime-specs plan sets: each
-// generation — coarsest first, down to the implicit exact ε = 0 step —
-// is prepared and timed, and its regret is certified against the final
-// exact generation (anytime_cases). Under -baseline, coarse rows gate
-// on the per-step (1+ε) regret contract and the final exact row gates
-// on exact counts, like the epsilon rows.
-//
-// With -baseline, the run is additionally diffed against the given
-// snapshot (the CI regression gate): plan-count or LP-count drift
-// beyond tolerance exits non-zero — for pick cases too — and time
-// drift only warns.
+// Every row lands in the report's one gated list (cases), named by its
+// mode ("picks/", "fleet/", "epsilon/", "anytime/" prefixes). -parallel
+// points run at workers = GOMAXPROCS and land in the informational
+// parallel_cases. With -baseline, the run is diffed against the given
+// snapshot (the CI regression gate): ε > 0 rows must keep their
+// certified regret within (1+ε), every other row its plan, LP and
+// hit-rate counts; drift exits non-zero, time drift only warns.
 //
 // -cpuprofile and -memprofile write pprof profiles of the run (the CPU
 // profile covers the whole experiment; the heap profile is captured
@@ -51,8 +51,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -62,81 +64,390 @@ import (
 
 	"mpq/internal/baseline"
 	"mpq/internal/bench"
-	"mpq/internal/cloud"
 	"mpq/internal/core"
 	"mpq/internal/geometry"
+	"mpq/internal/refine"
 	"mpq/internal/region"
 	"mpq/internal/workload"
 )
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "figure12", "experiment to run: figure12, pqblowup, ablation")
-		quick      = flag.Bool("quick", false, "reduced ranges and repetitions for a fast run")
-		reps       = flag.Int("reps", 0, "random queries per data point (default: 25, quick: 5)")
-		csv        = flag.Bool("csv", false, "emit CSV instead of a table")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON (per-case ns/op, LPs, plans, workers)")
-		workers    = flag.Int("workers", 0, "optimizer worker count (0 = GOMAXPROCS, 1 = sequential)")
-		seed       = flag.Int64("seed", 1, "base random seed")
-		shapes     = flag.String("shapes", "chain,star", "comma-separated join graph shapes (chain,star,cycle,clique)")
-		params     = flag.String("params", "1,2", "comma-separated parameter counts per curve")
-		maxTables  = flag.Int("max-tables", 0, "cap on the table count of every curve (0 = per-shape defaults)")
-		parallel   = flag.String("parallel", "", "parallel reference points shape:params:tables[,...], run at workers=GOMAXPROCS and reported as parallel_cases (not gated)")
-		picks      = flag.String("picks", "", "pick-throughput specs shape:params:tables[,...]: prepare once, verify index = linear scan, measure per-pick latency (pick_cases, gated)")
-		pickPoints = flag.Int("pick-points", 0, "random pick points per -picks spec (0 = 256)")
-		fleetSpec  = flag.String("fleet", "", "fleet-serving specs shape:params:tables[,...]: N servers over one shared store, gate hit rate and fleet pick throughput (fleet_cases)")
-		fleetSrv   = flag.Int("fleet-servers", 3, "fleet size for -fleet")
-		fleetPts   = flag.Int("fleet-points", 0, "pick points per server per -fleet round (0 = 256)")
-		epsilons   = flag.String("epsilon", "", "comma-separated ε approximation factors (e.g. 0,0.01,0.1): certify regret and measure plan/LP savings per -epsilon-specs plan set (epsilon_cases)")
-		epsSpecs   = flag.String("epsilon-specs", "", "ε-experiment specs shape:params:tables[,...] (default: chain:1:8,star:1:7 when -epsilon is set)")
-		epsPoints  = flag.Int("epsilon-points", 0, "random certification points per -epsilon plan set (0 = 256)")
-		anytime    = flag.String("anytime", "", "descending refinement ladder (e.g. 0.5,0.1): walk each -anytime-specs plan set coarse-to-exact, certify per-step regret and measure per-step prepare cost (anytime_cases)")
-		anySpecs   = flag.String("anytime-specs", "", "anytime-experiment specs shape:params:tables[,...] (default: chain:1:8,star:1:7 when -anytime is set)")
-		anyPoints  = flag.Int("anytime-points", 0, "random certification points per -anytime plan set (0 = 256)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
-		maxChain1  = flag.Int("max-chain-1p", 12, "max tables for chain, 1 parameter")
-		maxStar1   = flag.Int("max-star-1p", 12, "max tables for star, 1 parameter")
-		maxChain2  = flag.Int("max-chain-2p", 10, "max tables for chain, 2 parameters")
-		maxStar2   = flag.Int("max-star-2p", 10, "max tables for star, 2 parameters")
-		tables     = flag.Int("tables", 6, "query size for the ablation experiment")
-		baseline   = flag.String("baseline", "", "JSON snapshot to diff against (CI regression gate)")
-		planTol    = flag.Float64("plan-tol", bench.DefaultCompareOptions().PlanTol, "relative plan-count drift tolerance (failure beyond it)")
-		lpTol      = flag.Float64("lp-tol", bench.DefaultCompareOptions().LPTol, "relative LP-count drift tolerance (failure beyond it)")
-		timeTol    = flag.Float64("time-tol", bench.DefaultCompareOptions().TimeTol, "relative time drift tolerance (warning only)")
-	)
-	flag.Parse()
+const (
+	// fleetServers is the -fleet fleet size.
+	fleetServers = 3
+	// defaultModeSpecs are the plan sets of -epsilon and -anytime when
+	// their -specs flag is unset.
+	defaultModeSpecs = "chain:1:8,star:1:7"
+	// parallelPrefix names the -parallel rows.
+	parallelPrefix = "parallel/"
+)
 
-	finishProfiles := startProfiles(*cpuProfile, *memProfile)
+// modeFlags is the table of spec-driven modes. Each is turned on by
+// its flag. Its specs are the flag's value, or, for a mode whose value
+// is a factor list (specsUsage set), the -<name>-specs flag.
+var modeFlags = []struct {
+	name, usage, specsUsage string
+	mode                    func(value string) (bench.Mode, error)
+}{
+	{
+		name:  "picks",
+		usage: "pick-throughput specs shape:params:tables[,...]: prepare once, verify index = linear scan, measure per-pick latency",
+		mode:  func(string) (bench.Mode, error) { return bench.PicksMode(), nil },
+	},
+	{
+		name:  "fleet",
+		usage: "fleet-serving specs shape:params:tables[,...]: 3 servers over one shared store, gate hit rate and fleet pick throughput",
+		mode:  func(string) (bench.Mode, error) { return bench.FleetMode(fleetServers), nil },
+	},
+	{
+		name:       "epsilon",
+		usage:      "comma-separated ε approximation factors (e.g. 0,0.01,0.1): certify regret and measure plan/LP savings per -epsilon-specs plan set",
+		specsUsage: "ε-experiment specs shape:params:tables[,...] (default " + defaultModeSpecs + ")",
+		mode: func(value string) (bench.Mode, error) {
+			var eps []float64
+			for _, item := range strings.Split(value, ",") {
+				v, err := strconv.ParseFloat(strings.TrimSpace(item), 64)
+				if err != nil || v < 0 || v >= 1 {
+					return bench.Mode{}, fmt.Errorf("invalid -epsilon entry %q (want a float in [0, 1))", item)
+				}
+				eps = append(eps, v)
+			}
+			return bench.EpsilonMode(eps), nil
+		},
+	},
+	{
+		name:       "anytime",
+		usage:      "descending refinement ladder (e.g. 0.5,0.1): walk each -anytime-specs plan set coarse-to-exact, certify per-step regret and measure per-step prepare cost",
+		specsUsage: "anytime-experiment specs shape:params:tables[,...] (default " + defaultModeSpecs + ")",
+		mode: func(value string) (bench.Mode, error) {
+			ladder, err := refine.ParseLadder(value)
+			if err != nil {
+				return bench.Mode{}, err
+			}
+			return bench.AnytimeMode(ladder)
+		},
+	},
+}
+
+func main() {
+	inv, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		os.Exit(2)
+	}
+	finishProfiles := startProfiles(inv.cpuProfile, inv.memProfile)
 	ok := true
-	switch *experiment {
+	switch inv.experiment {
 	case "figure12":
-		ok = runFigure12(figure12Config{
-			quick: *quick, reps: *reps, csv: *csv, json: *jsonOut,
-			seed: *seed, workers: *workers,
-			shapes: *shapes, params: *params, maxTables: *maxTables,
-			parallel: *parallel,
-			picks:    *picks, pickPoints: *pickPoints,
-			fleet: *fleetSpec, fleetServers: *fleetSrv, fleetPoints: *fleetPts,
-			epsilons: *epsilons, epsilonSpecs: *epsSpecs, epsilonPoints: *epsPoints,
-			anytime: *anytime, anytimeSpecs: *anySpecs, anytimePoints: *anyPoints,
-			maxChain1: *maxChain1, maxStar1: *maxStar1,
-			maxChain2: *maxChain2, maxStar2: *maxStar2,
-			baseline: *baseline,
-			compare:  bench.CompareOptions{PlanTol: *planTol, LPTol: *lpTol, TimeTol: *timeTol},
-		})
+		ok = runFigure12(inv.plan)
 	case "pqblowup":
 		runPQBlowup()
 	case "ablation":
-		runAblation(*tables, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		os.Exit(2)
+		runAblation(inv.tables, inv.seed)
 	}
 	finishProfiles()
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// invocation is a parsed command line.
+type invocation struct {
+	experiment             string
+	cpuProfile, memProfile string
+	tables                 int
+	seed                   int64
+	// plan is the figure12 run; nil for the other experiments.
+	plan *plan
+}
+
+// plan is a figure12 run worked out from the flags before anything is
+// measured, so a typo fails in milliseconds, not after the sequential
+// sweep.
+type plan struct {
+	curves   []bench.Config
+	parallel []bench.Spec
+	modes    []modeRun
+	// run carries the modes' shared Points, Seed and Progress.
+	run       bench.RunConfig
+	reps      int
+	csv, json bool
+	baseline  string
+}
+
+// modeRun is one requested spec-driven mode and its plan sets.
+type modeRun struct {
+	mode  bench.Mode
+	specs []bench.Spec
+}
+
+// caseNames lists the gated rows the plan emits, in report order.
+func (p *plan) caseNames() []string {
+	var names []string
+	for _, c := range p.curves {
+		for _, s := range c.Specs() {
+			names = append(names, s.String())
+		}
+	}
+	for _, m := range p.modes {
+		names = append(names, m.mode.CaseNames(m.specs)...)
+	}
+	return names
+}
+
+// parseArgs parses the command line and, for figure12, plans the run.
+func parseArgs(args []string) (*invocation, error) {
+	fs := flag.NewFlagSet("mpqbench", flag.ContinueOnError)
+	var (
+		experiment = fs.String("experiment", "figure12", "experiment to run: figure12, pqblowup, ablation")
+		quick      = fs.Bool("quick", false, "reduced ranges and repetitions for a fast run")
+		reps       = fs.Int("reps", 0, "random queries per data point (default: 25, quick: 5)")
+		csv        = fs.Bool("csv", false, "emit CSV instead of a table")
+		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON (per-case ns/op, LPs, plans, workers)")
+		workers    = fs.Int("workers", 0, "optimizer worker count of the Figure 12 curves (0 = GOMAXPROCS, 1 = sequential)")
+		seed       = fs.Int64("seed", 1, "base random seed")
+		shapes     = fs.String("shapes", "chain,star", "comma-separated join graph shapes (chain,star,cycle,clique)")
+		params     = fs.String("params", "1,2", "comma-separated parameter counts per curve")
+		maxTables  = fs.Int("max-tables", 0, "cap on the table count of every curve (0 = per-shape defaults, quick-reduced with -quick)")
+		parallel   = fs.String("parallel", "", "parallel reference points shape:params:tables[,...], run at workers=GOMAXPROCS and reported as parallel_cases (not gated)")
+		points     = fs.Int("points", 0, "random pick or certification points per plan set of -picks, -fleet, -epsilon and -anytime (0 = 256)")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
+		tables     = fs.Int("tables", 6, "query size for the ablation experiment")
+		baseline   = fs.String("baseline", "", "JSON snapshot to diff against (CI regression gate)")
+	)
+	modeValues := make([]*string, len(modeFlags))
+	modeSpecs := make([]*string, len(modeFlags))
+	for i, m := range modeFlags {
+		modeValues[i] = fs.String(m.name, "", m.usage)
+		if m.specsUsage != "" {
+			modeSpecs[i] = fs.String(m.name+"-specs", "", m.specsUsage)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	inv := &invocation{experiment: *experiment, cpuProfile: *cpuProfile, memProfile: *memProfile, tables: *tables, seed: *seed}
+	switch *experiment {
+	case "pqblowup", "ablation":
+		return inv, nil
+	case "figure12":
+	default:
+		return nil, fmt.Errorf("unknown experiment %q", *experiment)
+	}
+
+	p := &plan{
+		run:      bench.RunConfig{Points: *points, Seed: *seed, Progress: os.Stderr},
+		reps:     *reps,
+		csv:      *csv,
+		json:     *jsonOut,
+		baseline: *baseline,
+	}
+	if p.reps == 0 {
+		p.reps = 25
+		if *quick {
+			p.reps = 5
+		}
+	}
+	var paramCounts []int
+	for _, item := range strings.Split(*params, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(item))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("invalid -params entry %q", item)
+		}
+		paramCounts = append(paramCounts, n)
+	}
+	for _, name := range strings.Split(*shapes, ",") {
+		shape, err := workload.ParseShape(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		for _, n := range paramCounts {
+			m := bench.DefaultMaxTables(shape, n)
+			if *quick {
+				m = min(m, bench.QuickMaxTables(shape, n))
+			}
+			if *maxTables > 0 {
+				m = min(m, *maxTables)
+			}
+			p.curves = append(p.curves, bench.Config{
+				Shape:       shape,
+				Params:      n,
+				MinTables:   2,
+				MaxTables:   m,
+				Repetitions: p.reps,
+				Seed:        *seed,
+				Workers:     *workers,
+				Progress:    os.Stderr,
+			})
+		}
+	}
+	var err error
+	if p.parallel, err = parseSpecList(*parallel, "-parallel"); err != nil {
+		return nil, err
+	}
+	for i, m := range modeFlags {
+		value, specs, specsFlag := *modeValues[i], *modeValues[i], "-"+m.name
+		if m.specsUsage != "" {
+			specs, specsFlag = *modeSpecs[i], "-"+m.name+"-specs"
+			if value == "" && specs != "" {
+				return nil, fmt.Errorf("%s requires -%s", specsFlag, m.name)
+			}
+			if specs == "" {
+				specs = defaultModeSpecs
+			}
+		}
+		if value == "" {
+			continue
+		}
+		mode, err := m.mode(value)
+		if err != nil {
+			return nil, err
+		}
+		list, err := parseSpecList(specs, specsFlag)
+		if err != nil {
+			return nil, err
+		}
+		p.modes = append(p.modes, modeRun{mode: mode, specs: list})
+	}
+	inv.plan = p
+	return inv, nil
+}
+
+// parseSpecList parses a shape:params:tables list; flagName labels
+// errors. An empty list is valid and yields no specs.
+func parseSpecList(list, flagName string) ([]bench.Spec, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var specs []bench.Spec
+	for _, item := range strings.Split(list, ",") {
+		parts := strings.Split(strings.TrimSpace(item), ":")
+		if len(parts) != 3 {
+			return nil, fmt.Errorf("invalid %s entry %q (want shape:params:tables)", flagName, item)
+		}
+		s, err := workload.ParseShape(parts[0])
+		if err != nil {
+			return nil, err
+		}
+		p, err1 := strconv.Atoi(parts[1])
+		n, err2 := strconv.Atoi(parts[2])
+		if err1 != nil || err2 != nil || p < 1 || n < 2 {
+			return nil, fmt.Errorf("invalid %s entry %q", flagName, item)
+		}
+		if s == workload.Cycle && n < 3 {
+			return nil, fmt.Errorf("invalid %s entry %q: a cycle needs at least 3 tables", flagName, item)
+		}
+		specs = append(specs, bench.Spec{Shape: s, Params: p, Tables: n})
+	}
+	return specs, nil
+}
+
+// fatal reports a hard error of a running experiment and exits.
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "error: %v\n", err)
+	os.Exit(1)
+}
+
+// runFigure12 executes the figure12 experiment and its spec-driven
+// modes; it returns false when the baseline gate fails (hard errors
+// exit directly).
+func runFigure12(p *plan) bool {
+	start := time.Now()
+	var series []*bench.Series
+	for _, c := range p.curves {
+		s, err := bench.RunSeries(c)
+		if err != nil {
+			fatal(err)
+		}
+		series = append(series, s)
+	}
+	rep := bench.BuildJSONReport(series)
+	rep.NumCPU = runtime.NumCPU()
+	rep.ParallelCases = runParallelPoints(p)
+	for _, m := range p.modes {
+		cfg := p.run
+		cfg.Specs = m.specs
+		rows, err := m.mode.Run(context.Background(), cfg)
+		if err != nil {
+			fatal(err)
+		}
+		rep.Cases = append(rep.Cases, rows...)
+	}
+	fmt.Fprintf(os.Stderr, "total experiment time: %v\n", time.Since(start))
+	switch {
+	case p.json:
+		if err := bench.WriteJSONReport(os.Stdout, rep); err != nil {
+			fatal(err)
+		}
+	case p.csv:
+		bench.FormatCSV(os.Stdout, series)
+	default:
+		bench.FormatTable(os.Stdout, series)
+	}
+	if p.baseline != "" {
+		return compareAgainstBaseline(os.Stderr, p.baseline, rep)
+	}
+	return true
+}
+
+// runParallelPoints measures the -parallel reference points at the
+// pipelined scheduler's full parallelism (workers = GOMAXPROCS).
+func runParallelPoints(p *plan) []bench.JSONCase {
+	var cases []bench.JSONCase
+	for _, s := range p.parallel {
+		pt, err := bench.RunPoint(bench.Config{
+			Shape:       s.Shape,
+			Params:      s.Params,
+			Repetitions: p.reps,
+			Seed:        p.run.Seed,
+			// Workers 0 keeps the optimizer default: GOMAXPROCS.
+		}, s.Tables)
+		if err != nil {
+			fatal(err)
+		}
+		jc := bench.PointCase(s.Shape, s.Params, pt, parallelPrefix)
+		// Parallel wall-clock is only meaningful relative to the
+		// machine's core count; record it with the case.
+		jc.NumCPU = runtime.NumCPU()
+		cases = append(cases, jc)
+		fmt.Fprintf(os.Stderr, "parallel %s workers=%d time=%v plans=%d LPs=%d\n",
+			s, pt.Workers, pt.MedianTime, pt.MedianPlans, pt.MedianLPs)
+	}
+	return cases
+}
+
+// compareAgainstBaseline diffs the measured report against the
+// snapshot at path, printing drifts and a summary to w. Returns false
+// when the gate fails.
+func compareAgainstBaseline(w io.Writer, path string, rep *bench.JSONReport) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintf(w, "error: %v\n", err)
+		return false
+	}
+	defer f.Close()
+	base, err := bench.LoadJSONReport(f)
+	if err != nil {
+		fmt.Fprintf(w, "error: %v\n", err)
+		return false
+	}
+	failures, warnings := bench.Compare(base, rep, bench.DefaultCompareOptions())
+	for _, d := range warnings {
+		fmt.Fprintln(w, d)
+	}
+	for _, d := range failures {
+		fmt.Fprintln(w, d)
+	}
+	if len(failures) > 0 {
+		fmt.Fprintf(w, "bench regression gate: %d failure(s) against %s\n", len(failures), path)
+		return false
+	}
+	fmt.Fprintf(w, "bench regression gate: OK against %s (%d cases, %d warning(s))\n",
+		path, len(base.Cases), len(warnings))
+	return true
 }
 
 // startProfiles begins the requested pprof captures and returns the
@@ -181,433 +492,6 @@ func startProfiles(cpu, mem string) func() {
 	}
 }
 
-// figure12Config bundles the flags of the figure12 experiment.
-type figure12Config struct {
-	quick, csv, json                         bool
-	reps, workers                            int
-	seed                                     int64
-	shapes, params                           string
-	maxTables                                int
-	parallel                                 string
-	picks                                    string
-	pickPoints                               int
-	fleet                                    string
-	fleetServers, fleetPoints                int
-	epsilons, epsilonSpecs                   string
-	epsilonPoints                            int
-	anytime, anytimeSpecs                    string
-	anytimePoints                            int
-	maxChain1, maxStar1, maxChain2, maxStar2 int
-	baseline                                 string
-	compare                                  bench.CompareOptions
-}
-
-// curve is one Figure 12 series to measure.
-type curve struct {
-	shape  workload.Shape
-	params int
-	max    int
-}
-
-// maxFor resolves the curve length for a shape/parameter combination:
-// the legacy per-curve flags for the four paper curves, the package
-// defaults (quick-reduced with -quick) for the extension shapes and
-// parameter counts, and the global -max-tables cap on top.
-func (cfg figure12Config) maxFor(shape workload.Shape, params int) int {
-	m := bench.DefaultMaxTables(shape, params)
-	if cfg.quick {
-		if q := bench.QuickMaxTables(shape, params); q < m {
-			m = q
-		}
-	}
-	switch {
-	case shape == workload.Chain && params == 1:
-		m = cfg.maxChain1
-	case shape == workload.Star && params == 1:
-		m = cfg.maxStar1
-	case shape == workload.Chain && params == 2:
-		m = cfg.maxChain2
-	case shape == workload.Star && params == 2:
-		m = cfg.maxStar2
-	}
-	if cfg.maxTables > 0 && m > cfg.maxTables {
-		m = cfg.maxTables
-	}
-	return m
-}
-
-// buildCurves expands the -shapes and -params lists into the curve set.
-func buildCurves(cfg figure12Config) ([]curve, error) {
-	var shapes []workload.Shape
-	for _, name := range strings.Split(cfg.shapes, ",") {
-		s, err := workload.ParseShape(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		shapes = append(shapes, s)
-	}
-	var paramCounts []int
-	for _, p := range strings.Split(cfg.params, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid -params entry %q", p)
-		}
-		paramCounts = append(paramCounts, n)
-	}
-	var curves []curve
-	for _, s := range shapes {
-		for _, p := range paramCounts {
-			curves = append(curves, curve{shape: s, params: p, max: cfg.maxFor(s, p)})
-		}
-	}
-	return curves, nil
-}
-
-// parseSpecList parses a shape:params:tables list (the -parallel and
-// -picks formats); flagName labels errors. An empty spec is valid and
-// yields no points.
-func parseSpecList(spec, flagName string) ([]curve, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var points []curve
-	for _, item := range strings.Split(spec, ",") {
-		parts := strings.Split(strings.TrimSpace(item), ":")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("invalid %s entry %q (want shape:params:tables)", flagName, item)
-		}
-		s, err := workload.ParseShape(parts[0])
-		if err != nil {
-			return nil, err
-		}
-		p, err1 := strconv.Atoi(parts[1])
-		n, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || p < 1 || n < 2 {
-			return nil, fmt.Errorf("invalid %s entry %q", flagName, item)
-		}
-		if s == workload.Cycle && n < 3 {
-			return nil, fmt.Errorf("invalid %s entry %q: a cycle needs at least 3 tables", flagName, item)
-		}
-		points = append(points, curve{shape: s, params: p, max: n})
-	}
-	return points, nil
-}
-
-// runFigure12 executes the figure12 experiment and its optional
-// sub-experiments; it returns false when the baseline gate fails (hard
-// errors still exit directly).
-func runFigure12(cfg figure12Config) bool {
-	if cfg.reps == 0 {
-		if cfg.quick {
-			cfg.reps = 5
-		} else {
-			cfg.reps = 25
-		}
-	}
-	if cfg.quick {
-		if cfg.maxChain1 > 10 {
-			cfg.maxChain1 = 10
-		}
-		if cfg.maxStar1 > 9 {
-			cfg.maxStar1 = 9
-		}
-		if cfg.maxChain2 > 7 {
-			cfg.maxChain2 = 7
-		}
-		if cfg.maxStar2 > 6 {
-			cfg.maxStar2 = 6
-		}
-	}
-	curves, err := buildCurves(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(2)
-	}
-	// Validate the -parallel and -picks specs up front: a typo must
-	// fail in milliseconds, not after the sequential sweep.
-	parallelPoints, err := parseSpecList(cfg.parallel, "-parallel")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(2)
-	}
-	pickSpecs, err := parseSpecList(cfg.picks, "-picks")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(2)
-	}
-	fleetSpecs, err := parseSpecList(cfg.fleet, "-fleet")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(2)
-	}
-	epsList, epsilonSpecs, err := parseEpsilonFlags(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(2)
-	}
-	ladder, anytimeSpecs, err := parseAnytimeFlags(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(2)
-	}
-	var series []*bench.Series
-	start := time.Now()
-	for _, c := range curves {
-		s, err := bench.RunSeries(bench.Config{
-			Shape:       c.shape,
-			Params:      c.params,
-			MinTables:   2,
-			MaxTables:   c.max,
-			Repetitions: cfg.reps,
-			Seed:        cfg.seed,
-			Workers:     cfg.workers,
-			Progress:    os.Stderr,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		series = append(series, s)
-	}
-	rep := bench.BuildJSONReport(series)
-	rep.NumCPU = runtime.NumCPU()
-	rep.ParallelCases = runParallelPoints(cfg, parallelPoints)
-	rep.PickCases = runPickSpecs(cfg, pickSpecs)
-	rep.FleetCases = runFleetSpecs(cfg, fleetSpecs)
-	rep.EpsilonCases = runEpsilonSpecs(cfg, epsilonSpecs, epsList)
-	rep.AnytimeCases = runAnytimeSpecs(cfg, anytimeSpecs, ladder)
-	fmt.Fprintf(os.Stderr, "total experiment time: %v\n", time.Since(start))
-	switch {
-	case cfg.json:
-		if err := bench.WriteJSONReport(os.Stdout, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-	case cfg.csv:
-		bench.FormatCSV(os.Stdout, series)
-	default:
-		bench.FormatTable(os.Stdout, series)
-	}
-	if cfg.baseline != "" {
-		return compareAgainstBaseline(cfg, rep)
-	}
-	return true
-}
-
-// parseEpsilonFlags expands -epsilon and -epsilon-specs. An empty
-// -epsilon disables the experiment; a set -epsilon with no explicit
-// specs measures a small default pair of plan sets.
-func parseEpsilonFlags(cfg figure12Config) ([]float64, []curve, error) {
-	if cfg.epsilons == "" {
-		if cfg.epsilonSpecs != "" {
-			return nil, nil, fmt.Errorf("-epsilon-specs requires -epsilon")
-		}
-		return nil, nil, nil
-	}
-	var eps []float64
-	for _, item := range strings.Split(cfg.epsilons, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(item), 64)
-		if err != nil || v < 0 || v >= 1 {
-			return nil, nil, fmt.Errorf("invalid -epsilon entry %q (want a float in [0, 1))", item)
-		}
-		eps = append(eps, v)
-	}
-	specStr := cfg.epsilonSpecs
-	if specStr == "" {
-		specStr = "chain:1:8,star:1:7"
-	}
-	specs, err := parseSpecList(specStr, "-epsilon-specs")
-	if err != nil {
-		return nil, nil, err
-	}
-	return eps, specs, nil
-}
-
-// parseAnytimeFlags expands -anytime and -anytime-specs. An empty
-// -anytime disables the experiment. The ladder itself is validated by
-// bench.RunAnytime (descending, [0, 1), final exact step appended).
-func parseAnytimeFlags(cfg figure12Config) ([]float64, []curve, error) {
-	if cfg.anytime == "" {
-		if cfg.anytimeSpecs != "" {
-			return nil, nil, fmt.Errorf("-anytime-specs requires -anytime")
-		}
-		return nil, nil, nil
-	}
-	var ladder []float64
-	for _, item := range strings.Split(cfg.anytime, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(item), 64)
-		if err != nil || v < 0 || v >= 1 {
-			return nil, nil, fmt.Errorf("invalid -anytime entry %q (want a float in [0, 1))", item)
-		}
-		ladder = append(ladder, v)
-	}
-	specStr := cfg.anytimeSpecs
-	if specStr == "" {
-		specStr = "chain:1:8,star:1:7"
-	}
-	specs, err := parseSpecList(specStr, "-anytime-specs")
-	if err != nil {
-		return nil, nil, err
-	}
-	return ladder, specs, nil
-}
-
-// runAnytimeSpecs executes the -anytime experiment: walk the
-// refinement ladder coarse-to-exact per spec, certifying each
-// generation's regret against the final exact one and measuring what
-// each step costs to prepare.
-func runAnytimeSpecs(cfg figure12Config, specs []curve, ladder []float64) []bench.JSONCase {
-	if len(specs) == 0 || len(ladder) == 0 {
-		return nil
-	}
-	acfg := bench.AnytimeConfig{
-		Ladder:   ladder,
-		Points:   cfg.anytimePoints,
-		Seed:     cfg.seed,
-		Progress: os.Stderr,
-	}
-	for _, c := range specs {
-		acfg.Specs = append(acfg.Specs, bench.PickSpec{Shape: c.shape, Params: c.params, Tables: c.max})
-	}
-	ms, err := bench.RunAnytime(acfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(1)
-	}
-	return bench.AnytimeMeasurementCases(ms)
-}
-
-// runEpsilonSpecs executes the -epsilon experiment: certify each
-// tier's max regret against the exact frontier and measure the plan-set
-// and LP savings the approximation factor bought.
-func runEpsilonSpecs(cfg figure12Config, specs []curve, epsilons []float64) []bench.JSONCase {
-	if len(specs) == 0 || len(epsilons) == 0 {
-		return nil
-	}
-	ecfg := bench.EpsilonConfig{
-		Epsilons: epsilons,
-		Points:   cfg.epsilonPoints,
-		Seed:     cfg.seed,
-		Progress: os.Stderr,
-	}
-	for _, c := range specs {
-		ecfg.Specs = append(ecfg.Specs, bench.PickSpec{Shape: c.shape, Params: c.params, Tables: c.max})
-	}
-	ms, err := bench.RunEpsilon(ecfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(1)
-	}
-	return bench.EpsilonMeasurementCases(ms)
-}
-
-// runPickSpecs executes the -picks pick-throughput mode: prepare each
-// spec once, verify index and linear-scan results are byte-identical
-// across all four selection policies, and measure per-pick latency on
-// both paths.
-func runPickSpecs(cfg figure12Config, specs []curve) []bench.JSONCase {
-	if len(specs) == 0 {
-		return nil
-	}
-	pcfg := bench.PicksConfig{
-		Points:   cfg.pickPoints,
-		Seed:     cfg.seed,
-		Progress: os.Stderr,
-	}
-	for _, c := range specs {
-		pcfg.Specs = append(pcfg.Specs, bench.PickSpec{Shape: c.shape, Params: c.params, Tables: c.max})
-	}
-	ms, err := bench.RunPicks(pcfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(1)
-	}
-	return bench.PickMeasurementCases(ms)
-}
-
-// runFleetSpecs executes the -fleet fleet-serving mode: N in-process
-// servers over one shared on-disk store; the hit-rate floor (≥ (N−1)/N
-// of Prepares served from the store) is enforced by the run itself,
-// and the resulting cases are gated against the baseline.
-func runFleetSpecs(cfg figure12Config, specs []curve) []bench.JSONCase {
-	if len(specs) == 0 {
-		return nil
-	}
-	fcfg := bench.FleetConfig{
-		Servers:  cfg.fleetServers,
-		Points:   cfg.fleetPoints,
-		Seed:     cfg.seed,
-		Progress: os.Stderr,
-	}
-	for _, c := range specs {
-		fcfg.Specs = append(fcfg.Specs, bench.PickSpec{Shape: c.shape, Params: c.params, Tables: c.max})
-	}
-	ms, err := bench.RunFleet(context.Background(), fcfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		os.Exit(1)
-	}
-	return bench.FleetMeasurementCases(ms)
-}
-
-// runParallelPoints measures the -parallel reference points at the
-// pipelined scheduler's full parallelism (workers = GOMAXPROCS).
-func runParallelPoints(cfg figure12Config, points []curve) []bench.JSONCase {
-	var cases []bench.JSONCase
-	for _, c := range points {
-		p, err := bench.RunPoint(bench.Config{
-			Shape:       c.shape,
-			Params:      c.params,
-			Repetitions: cfg.reps,
-			Seed:        cfg.seed,
-			// Workers 0 keeps the optimizer default: GOMAXPROCS.
-		}, c.max)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		jc := bench.PointCase(c.shape, c.params, p, "parallel/")
-		// Parallel wall-clock is only meaningful relative to the
-		// machine's core count; record it with the case.
-		jc.NumCPU = runtime.NumCPU()
-		cases = append(cases, jc)
-		fmt.Fprintf(os.Stderr, "parallel %s-%dp n=%-2d workers=%d time=%v plans=%d LPs=%d\n",
-			c.shape, c.params, c.max, p.Workers, p.MedianTime, p.MedianPlans, p.MedianLPs)
-	}
-	return cases
-}
-
-// compareAgainstBaseline diffs the measured report (Figure 12 cases
-// and pick cases) against the snapshot, printing drifts to stderr.
-// Returns false when the gate fails.
-func compareAgainstBaseline(cfg figure12Config, rep *bench.JSONReport) bool {
-	f, err := os.Open(cfg.baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return false
-	}
-	defer f.Close()
-	base, err := bench.LoadJSONReport(f)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return false
-	}
-	failures, warnings := bench.Compare(base, rep, cfg.compare)
-	for _, d := range warnings {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	for _, d := range failures {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "bench regression gate: %d failure(s) against %s\n", len(failures), cfg.baseline)
-		return false
-	}
-	fmt.Fprintf(os.Stderr, "bench regression gate: OK against %s (%d cases, %d warning(s))\n",
-		cfg.baseline, len(base.Cases)+len(base.PickCases), len(warnings))
-	return true
-}
-
 // runPQBlowup demonstrates the Section 1.1 argument: encoding a cost
 // metric as a parameter makes the PQ result set larger than the MPQ
 // result set by an arbitrary factor.
@@ -621,8 +505,7 @@ func runPQBlowup() {
 		model := &core.StaticModel{ParamSpace: space, Metrics: []string{"time", "fees"}, Plans: alts}
 		res, err := core.Optimize(schema, model, core.DefaultOptions())
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		algebra := core.NewPWLAlgebra(geometry.NewContext(), 2)
 		pqSize := baseline.PQEncodedSetSize(alts, algebra, geometry.Vector{0.5})
@@ -672,11 +555,9 @@ func runAblation(tables int, seed int64) {
 		}
 		p, err := bench.RunPoint(cfg, tables)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("%-30s %-14.1f %-14d %-12d\n", v.name,
 			float64(p.MedianTime.Microseconds())/1000, p.MedianLPs, p.MedianPlans)
 	}
-	_ = cloud.DefaultConfig()
 }

@@ -68,43 +68,18 @@ func (d Drift) String() string {
 }
 
 // Compare diffs the current report against a baseline. Every baseline
-// case — the Figure 12 cases, the pick-throughput cases, the
-// fleet-serving cases, the ε-approximation cases and the
-// anytime-refinement cases alike — must be present in the current
-// report with the same worker count; plan-count, LP-count and
-// shared-hit-rate drift beyond tolerance fails, time drift only warns.
-// ε > 0 rows are gated on their certified max regret staying within
-// the (1+ε) contract instead of on exact counts. Extra current cases
-// are ignored (the baseline defines the gate's coverage);
-// ParallelCases are informational and never compared.
+// case must be present in the current report with the same worker
+// count. ε > 0 rows gate on their certified max regret staying within
+// the (1+ε) contract; every other row gates on plan-count, LP-count and
+// shared-hit-rate drift beyond tolerance. Time drift only warns. Extra
+// current cases are ignored (the baseline defines the gate's
+// coverage); ParallelCases are informational and never compared.
 func Compare(baseline, current *JSONReport, opts CompareOptions) (failures, warnings []Drift) {
-	byName := make(map[string]JSONCase,
-		len(current.Cases)+len(current.PickCases)+len(current.FleetCases)+
-			len(current.EpsilonCases)+len(current.AnytimeCases))
+	byName := make(map[string]JSONCase, len(current.Cases))
 	for _, c := range current.Cases {
 		byName[c.Case] = c
 	}
-	for _, c := range current.PickCases {
-		byName[c.Case] = c
-	}
-	for _, c := range current.FleetCases {
-		byName[c.Case] = c
-	}
-	for _, c := range current.EpsilonCases {
-		byName[c.Case] = c
-	}
-	for _, c := range current.AnytimeCases {
-		byName[c.Case] = c
-	}
-	gated := make([]JSONCase, 0,
-		len(baseline.Cases)+len(baseline.PickCases)+len(baseline.FleetCases)+
-			len(baseline.EpsilonCases)+len(baseline.AnytimeCases))
-	gated = append(gated, baseline.Cases...)
-	gated = append(gated, baseline.PickCases...)
-	gated = append(gated, baseline.FleetCases...)
-	gated = append(gated, baseline.EpsilonCases...)
-	gated = append(gated, baseline.AnytimeCases...)
-	for _, base := range gated {
+	for _, base := range baseline.Cases {
 		cur, ok := byName[base.Case]
 		if !ok {
 			failures = append(failures, Drift{Case: base.Case, Field: "missing"})

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -140,3 +141,134 @@ func TestJSONReportRoundTrip(t *testing.T) {
 		t.Errorf("round-tripped report drifts: %v %v", failures, warnings)
 	}
 }
+
+// The gate table: one baseline list holds a row of every kind, each
+// gated by the same Compare loop. ε = 0 rows (Figure 12, picks, fleet,
+// exact epsilon and final anytime generations) gate on exact counts and
+// the fleet hit rate; ε > 0 rows gate on the certified (1+ε) regret
+// contract and tolerate count drift; a missing row of any kind fails,
+// and time drift only warns. Each TestCompareGates*Cases test runs the
+// rows of its kinds.
+const (
+	gateFig       = "chain-1p/tables=3"
+	gatePickIdx   = "picks/star-1p/tables=7/index"
+	gateFleet     = "fleet/star-1p/tables=4/servers=2"
+	gateEpsExact  = "epsilon/chain-1p/tables=5/eps=0"
+	gateEpsApx    = "epsilon/chain-1p/tables=5/eps=0.1"
+	gateAnyCoarse = "anytime/chain-1p/tables=5/step=0/eps=0.5"
+	gateAnyFinal  = "anytime/chain-1p/tables=5/step=1/eps=0"
+)
+
+func gateBaseline() *JSONReport {
+	return reportWith(
+		JSONCase{Case: gateFig, Workers: 1, CreatedPlans: 10, SolvedLPs: 100, FinalPlans: 2, TimeMs: 1},
+		JSONCase{Case: gatePickIdx, Workers: 1, CreatedPlans: 30, SolvedLPs: 300, FinalPlans: 5, TimeMs: 0.001},
+		JSONCase{Case: gateFleet, Workers: 1, CreatedPlans: 20, SolvedLPs: 200, FinalPlans: 3, TimeMs: 0.1,
+			SharedHitRate: 0.5, NumCPU: 1},
+		JSONCase{Case: gateEpsExact, Workers: 1, CreatedPlans: 40, SolvedLPs: 400, FinalPlans: 8, TimeMs: 0.1, MaxRegret: 1},
+		JSONCase{Case: gateEpsApx, Workers: 1, CreatedPlans: 30, SolvedLPs: 300, FinalPlans: 4, TimeMs: 0.1,
+			Epsilon: 0.1, MaxRegret: 1.04},
+		JSONCase{Case: gateAnyCoarse, Workers: 1, CreatedPlans: 20, SolvedLPs: 200, FinalPlans: 3, TimeMs: 0.1,
+			Epsilon: 0.5, MaxRegret: 1.2},
+		JSONCase{Case: gateAnyFinal, Workers: 1, CreatedPlans: 40, SolvedLPs: 400, FinalPlans: 8, TimeMs: 0.3, MaxRegret: 1},
+	)
+}
+
+var gateCases = []struct {
+	kind, name string
+	rows       []string
+	// mutate edits each named current row; nil drops them.
+	mutate     func(*JSONCase)
+	fail, warn []string
+}{
+	{kind: "figure12", name: "identical", rows: nil},
+	{kind: "figure12", name: "missing figure12 row fails", rows: []string{gateFig}, fail: []string{"missing"}},
+	{kind: "picks", name: "picks plan drift fails", rows: []string{gatePickIdx},
+		mutate: func(c *JSONCase) { c.CreatedPlans++ }, fail: []string{"created_plans"}},
+	{kind: "picks", name: "missing picks row fails", rows: []string{gatePickIdx}, fail: []string{"missing"}},
+	{kind: "fleet", name: "fleet on another machine only warns on time", rows: []string{gateFleet},
+		mutate: func(c *JSONCase) { c.TimeMs, c.NumCPU = 9, 64 }, warn: []string{"time_ms"}},
+	{kind: "fleet", name: "fleet hit-rate drift fails", rows: []string{gateFleet},
+		mutate: func(c *JSONCase) { c.SharedHitRate = 0 }, fail: []string{"shared_hit_rate"}},
+	{kind: "fleet", name: "missing fleet row fails", rows: []string{gateFleet}, fail: []string{"missing"}},
+	{kind: "epsilon", name: "epsilon count drift within contract passes", rows: []string{gateEpsApx},
+		mutate: func(c *JSONCase) { c.CreatedPlans, c.SolvedLPs, c.FinalPlans, c.MaxRegret = 25, 250, 3, 1.0999 }},
+	{kind: "epsilon", name: "epsilon regret beyond contract fails", rows: []string{gateEpsApx},
+		mutate: func(c *JSONCase) { c.MaxRegret = 1.2 }, fail: []string{"max_regret"}},
+	{kind: "epsilon", name: "re-tiered epsilon row fails", rows: []string{gateEpsApx},
+		mutate: func(c *JSONCase) { c.Epsilon, c.MaxRegret = 0.25, 1.2 }, fail: []string{"epsilon"}},
+	{kind: "epsilon", name: "exact epsilon plan drift fails", rows: []string{gateEpsExact},
+		mutate: func(c *JSONCase) { c.CreatedPlans = 41 }, fail: []string{"created_plans"}},
+	{kind: "epsilon", name: "missing epsilon row fails", rows: []string{gateEpsApx}, fail: []string{"missing"}},
+	{kind: "anytime", name: "anytime coarse drift within per-step contract passes", rows: []string{gateAnyCoarse},
+		mutate: func(c *JSONCase) { c.CreatedPlans, c.SolvedLPs, c.FinalPlans, c.MaxRegret = 15, 150, 2, 1.49 }},
+	{kind: "anytime", name: "anytime per-step regret beyond contract fails", rows: []string{gateAnyCoarse},
+		mutate: func(c *JSONCase) { c.MaxRegret = 1.51 }, fail: []string{"max_regret"}},
+	{kind: "anytime", name: "anytime final generation plan drift fails", rows: []string{gateAnyFinal},
+		mutate: func(c *JSONCase) { c.CreatedPlans = 41 }, fail: []string{"created_plans"}},
+	{kind: "anytime", name: "missing anytime rows fail", rows: []string{gateAnyCoarse, gateAnyFinal},
+		fail: []string{"missing", "missing"}},
+}
+
+// runGateCases runs the gate-table rows of the given kinds, failing the
+// test if any kind has no rows.
+func runGateCases(t *testing.T, kinds ...string) {
+	t.Helper()
+	fields := func(ds []Drift) []string {
+		var out []string
+		for _, d := range ds {
+			out = append(out, d.Field)
+		}
+		return out
+	}
+	seen := map[string]bool{}
+	for _, tc := range gateCases {
+		if !slices.Contains(kinds, tc.kind) {
+			continue
+		}
+		seen[tc.kind] = true
+		t.Run(tc.name, func(t *testing.T) {
+			cur := gateBaseline()
+			kept := cur.Cases[:0]
+			for _, c := range cur.Cases {
+				if slices.Contains(tc.rows, c.Case) {
+					if tc.mutate == nil {
+						continue
+					}
+					tc.mutate(&c)
+				}
+				kept = append(kept, c)
+			}
+			cur.Cases = kept
+			failures, warnings := Compare(gateBaseline(), cur, DefaultCompareOptions())
+			if !slices.Equal(fields(failures), tc.fail) || !slices.Equal(fields(warnings), tc.warn) {
+				t.Fatalf("failures %v, warnings %v; want %v, %v", failures, warnings, tc.fail, tc.warn)
+			}
+			for _, d := range failures {
+				if !slices.Contains(tc.rows, d.Case) {
+					t.Errorf("failure on untouched row: %v", d)
+				}
+			}
+		})
+	}
+	for _, k := range kinds {
+		if !seen[k] {
+			t.Errorf("gate table has no %s rows", k)
+		}
+	}
+}
+
+func TestCompareGatesFigure12AndPickCases(t *testing.T) { runGateCases(t, "figure12", "picks") }
+
+// TestCompareGatesFleetCases: fleet rows participate in the gate — a
+// missing row or a drifted hit rate fails, time drift only warns.
+func TestCompareGatesFleetCases(t *testing.T) { runGateCases(t, "fleet") }
+
+// TestCompareGatesEpsilonCases: ε = 0 rows gate on exact counts; ε > 0
+// rows gate on the certified regret contract and tolerate count drift.
+func TestCompareGatesEpsilonCases(t *testing.T) { runGateCases(t, "epsilon") }
+
+// TestCompareGatesAnytimeCases: anytime rows gate like epsilon rows —
+// the final exact generation on deterministic counts, the coarse
+// generations on the certified per-step regret contract.
+func TestCompareGatesAnytimeCases(t *testing.T) { runGateCases(t, "anytime") }

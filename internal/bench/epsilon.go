@@ -1,195 +1,159 @@
 package bench
 
 import (
-	"bytes"
+	"context"
 	"fmt"
-	"io"
-	"runtime"
 	"sort"
 	"time"
 
-	"mpq/internal/catalog"
-	"mpq/internal/cloud"
-	"mpq/internal/core"
 	"mpq/internal/geometry"
+	"mpq/internal/refine"
 	"mpq/internal/selection"
-	"mpq/internal/store"
-	"mpq/internal/workload"
 )
 
-// EpsilonConfig controls the ε-approximation experiment (mpqbench
-// -epsilon): for each spec, prepare the exact plan set once as the
-// reference, then re-prepare at each requested approximation factor,
-// certify the served frontier's regret against the exact frontier at
-// random points, and report the plan-set and LP savings the factor
-// bought.
-type EpsilonConfig struct {
-	Specs []PickSpec
-	// Epsilons are the approximation factors to measure. 0 rows report
-	// the exact reference itself (its regret certifies as exactly 1,
-	// a self-check of the certification). The exact reference is
-	// computed regardless of whether 0 is requested.
-	Epsilons []float64
-	// Points is the number of random certification points per plan
-	// set; zero selects 256.
-	Points int
-	// Seed offsets the workload generator and the point sampler (the
-	// same offsets as the picks experiment, so both observe the same
-	// queries).
-	Seed int64
-	// Progress, when non-nil, receives a line per completed case.
-	Progress io.Writer
-}
-
-// EpsilonMeasurement reports one (spec, ε) case.
-type EpsilonMeasurement struct {
-	Spec    PickSpec
-	Epsilon float64
-	// Prep is this tier's optimization statistics.
-	Prep core.Stats
-	// Candidates is the served plan-set size after the store round
-	// trip (equals Prep.FinalPlans).
-	Candidates int
-	// MaxRegret is the certified approximation quality: over all
-	// sampled points and all exact-frontier choices, the largest
-	// per-metric cost ratio of the best ε-frontier answer to the
-	// exact answer. The ε-dominance contract bounds it by (1+ε).
-	MaxRegret float64
-	// PlanReduction and LPReduction are the fractions of the exact
-	// run's final plans and solved LPs this tier avoided.
-	PlanReduction float64
-	LPReduction   float64
-	// Points certified; PickNs is the per-pick latency of the linear
-	// path over this tier's candidates (each pick = one point under
-	// one policy).
-	Points int
-	PickNs int64
-}
-
-// RunEpsilon executes the ε-approximation experiment.
-func RunEpsilon(cfg EpsilonConfig) ([]EpsilonMeasurement, error) {
-	if cfg.Points <= 0 {
-		cfg.Points = 256
+// EpsilonMode is the ε-approximation experiment (mpqbench -epsilon):
+// per spec, prepare the exact plan set as the reference (whether or not
+// 0 is among the factors) and one tier per factor, certify each tier's
+// served frontier against the exact one at random points, and report
+// the plan-set and LP savings the factor bought. It emits one
+// "eps=<ε>" row per factor in ascending order, timed by the tier's
+// per-pick latency. ε = 0 rows gate on exact counts (an exact row
+// certifies against itself as exactly 1); ε > 0 rows gate on the
+// certified regret staying within (1+ε).
+func EpsilonMode(epsilons []float64) Mode {
+	eps := append([]float64(nil), epsilons...)
+	sort.Float64s(eps)
+	m := Mode{Name: "epsilon"}
+	for _, e := range eps {
+		m.Steps = append(m.Steps, fmt.Sprintf("eps=%g", e))
 	}
-	epsilons := append([]float64(nil), cfg.Epsilons...)
-	sort.Float64s(epsilons)
-	var out []EpsilonMeasurement
-	for _, spec := range cfg.Specs {
-		ms, err := runEpsilonSpec(cfg, spec, epsilons)
+	m.run = func(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+		tiers, points, err := certifiedTiers(cfg, spec, eps)
 		if err != nil {
-			return nil, fmt.Errorf("bench: epsilon %s: %w", spec, err)
+			return nil, err
 		}
-		out = append(out, ms...)
-		if cfg.Progress != nil {
-			for _, m := range ms {
-				fmt.Fprintf(cfg.Progress,
-					"epsilon %s eps=%-5g cands=%-4d regret=%.6f planRed=%.1f%% lpRed=%.1f%% pick=%v\n",
-					spec, m.Epsilon, m.Candidates, m.MaxRegret,
-					100*m.PlanReduction, 100*m.LPReduction, time.Duration(m.PickNs))
-			}
-		}
-	}
-	return out, nil
-}
-
-// epsilonTier is one prepared precision tier of a spec: the served
-// candidates after the store round trip plus the run's statistics.
-type epsilonTier struct {
-	stats   core.Stats
-	cands   []selection.Candidate
-	metrics int
-}
-
-func runEpsilonSpec(cfg EpsilonConfig, spec PickSpec, epsilons []float64) ([]EpsilonMeasurement, error) {
-	schema, err := workload.Generate(workload.Config{
-		Tables: spec.Tables,
-		Params: spec.Params,
-		Shape:  spec.Shape,
-		Seed:   cfg.Seed + int64(spec.Tables),
-	})
-	if err != nil {
-		return nil, err
-	}
-	exact, space, err := prepareEpsilonTier(schema, 0)
-	if err != nil {
-		return nil, fmt.Errorf("exact reference: %w", err)
-	}
-	ctx := geometry.NewContext()
-	points, err := pickPoints(ctx, space, cfg.Points, cfg.Seed+int64(spec.Tables)*7919)
-	if err != nil {
-		return nil, err
-	}
-	params := newPolicyParams(exact.metrics)
-
-	var out []EpsilonMeasurement
-	for _, eps := range epsilons {
-		tier := exact
-		if eps > 0 {
-			tier, _, err = prepareEpsilonTier(schema, eps)
+		params := newPolicyParams(tiers[0].metrics)
+		rows := make([]JSONCase, len(tiers))
+		for i, t := range tiers {
+			ns, err := timeBest(len(points)*numPickPolicies,
+				pickSweep(points, func(x geometry.Vector, p int) { params.runPolicy(t.cands, x, p) }))
 			if err != nil {
-				return nil, fmt.Errorf("eps=%g: %w", eps, err)
+				return nil, err
 			}
+			rows[i] = t.row(spec, len(points), ns[0])
+			cfg.logf("epsilon %s eps=%-5g cands=%-4d regret=%.6f planRed=%.1f%% lpRed=%.1f%% pick=%v\n",
+				spec, t.epsilon, len(t.cands), t.regret, 100*t.planRed, 100*t.lpRed, time.Duration(ns[0]))
 		}
-		regret, err := certifyRegret(exact.cands, tier.cands, points)
+		return rows, nil
+	}
+	return m
+}
+
+// AnytimeMode is the anytime-refinement experiment (mpqbench
+// -anytime): per spec, walk the ladder a deadline-budgeted server
+// walks — the coarsest generation first, every finer step down to the
+// exact ε = 0 generation appended when absent (ladder.For(0)) — timing
+// what each step costs to prepare and certifying the regret of the
+// generation it would swap in against the final exact one. It emits
+// one "step=<i>/eps=<ε>" row per generation, timed by its prepare. The
+// final exact rows gate on exact counts, the coarse rows on their
+// per-step (1+ε) regret contract.
+func AnytimeMode(ladder refine.Ladder) (Mode, error) {
+	if err := ladder.Validate(); err != nil {
+		return Mode{}, fmt.Errorf("bench: anytime: %w", err)
+	}
+	eff := ladder.For(0)
+	m := Mode{Name: "anytime"}
+	for i, e := range eff {
+		m.Steps = append(m.Steps, fmt.Sprintf("step=%d/eps=%g", i, e))
+	}
+	m.run = func(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+		tiers, points, err := certifiedTiers(cfg, spec, eff)
 		if err != nil {
-			return nil, fmt.Errorf("eps=%g: %w", eps, err)
+			return nil, err
 		}
-		m := EpsilonMeasurement{
-			Spec:       spec,
-			Epsilon:    eps,
-			Prep:       tier.stats,
-			Candidates: len(tier.cands),
-			MaxRegret:  regret,
-			Points:     len(points),
-			PickNs: timePicks(points, func(x geometry.Vector, p int) {
-				params.runPolicy(tier.cands, x, p)
-			}),
+		rows := make([]JSONCase, len(tiers))
+		var cum time.Duration
+		for i, t := range tiers {
+			cum += t.prep
+			rows[i] = t.row(spec, len(points), t.prep.Nanoseconds())
+			cfg.logf("anytime %s step=%d eps=%-5g cands=%-4d regret=%.6f prep=%.1fms cum=%.1fms\n",
+				spec, i, t.epsilon, len(t.cands), t.regret,
+				float64(t.prep.Microseconds())/1000, float64(cum.Microseconds())/1000)
+		}
+		return rows, nil
+	}
+	return m, nil
+}
+
+// certifiedTier is one precision tier of a spec with its certificate
+// against the exact tier.
+type certifiedTier struct {
+	*tier
+	epsilon float64
+	// prep is the tier's own preparation time.
+	prep time.Duration
+	// regret is the certified approximation quality: over all sampled
+	// points and all exact-frontier choices, the largest per-metric
+	// cost ratio of the best answer of this tier to the exact answer.
+	// The ε-dominance contract bounds it by (1+ε).
+	regret float64
+	// planRed and lpRed are the fractions of the exact tier's final
+	// plans and solved LPs this tier avoided.
+	planRed, lpRed float64
+}
+
+// certifiedTiers prepares spec at each factor in order, timing each
+// prepare, plus the exact tier when 0 is not among them, and certifies
+// every tier against the exact one at random points.
+func certifiedTiers(cfg RunConfig, spec Spec, epsilons []float64) ([]certifiedTier, []geometry.Vector, error) {
+	wl := cfg.workload(spec)
+	tiers := make([]certifiedTier, len(epsilons))
+	var exact *tier
+	for i, eps := range epsilons {
+		start := time.Now() //mpq:wallclock benchmark timing is the measurement itself
+		t, err := prepareTier(wl, eps)
+		if err != nil {
+			return nil, nil, fmt.Errorf("eps=%g: %w", eps, err)
+		}
+		tiers[i] = certifiedTier{tier: t, epsilon: eps, prep: time.Since(start)} //mpq:wallclock benchmark timing is the measurement itself
+		if eps == 0 {
+			exact = t
+		}
+	}
+	if exact == nil {
+		t, err := prepareTier(wl, 0)
+		if err != nil {
+			return nil, nil, fmt.Errorf("exact reference: %w", err)
+		}
+		exact = t
+	}
+	points, err := cfg.points(exact.space, spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range tiers {
+		t := &tiers[i]
+		if t.regret, err = certifyRegret(exact.cands, t.cands, points); err != nil {
+			return nil, nil, fmt.Errorf("eps=%g: %w", t.epsilon, err)
 		}
 		if n := len(exact.cands); n > 0 {
-			m.PlanReduction = 1 - float64(len(tier.cands))/float64(n)
+			t.planRed = 1 - float64(len(t.cands))/float64(n)
 		}
 		if lps := exact.stats.Geometry.LPs; lps > 0 {
-			m.LPReduction = 1 - float64(tier.stats.Geometry.LPs)/float64(lps)
+			t.lpRed = 1 - float64(t.stats.Geometry.LPs)/float64(lps)
 		}
-		out = append(out, m)
 	}
-	return out, nil
+	return tiers, points, nil
 }
 
-// prepareEpsilonTier optimizes one precision tier sequentially (so the
-// plan and LP counters stay gate-comparable) and round-trips the result
-// through the store — the candidates a server of this tier would load.
-func prepareEpsilonTier(schema *catalog.Schema, epsilon float64) (epsilonTier, *geometry.Polytope, error) {
-	fail := func(err error) (epsilonTier, *geometry.Polytope, error) { return epsilonTier{}, nil, err }
-	ctx := geometry.NewContext()
-	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
-	if err != nil {
-		return fail(err)
-	}
-	opts := core.DefaultOptions()
-	opts.Context = ctx
-	opts.Workers = 1
-	opts.Epsilon = epsilon
-	res, err := core.Optimize(schema, model, opts)
-	if err != nil {
-		return fail(err)
-	}
-	var buf bytes.Buffer
-	if err := store.SaveIndexedEpsilon(&buf, model.MetricNames(), model.Space(), res.Plans, nil, epsilon); err != nil {
-		return fail(err)
-	}
-	ps, err := store.Load(&buf)
-	if err != nil {
-		return fail(err)
-	}
-	if ps.Epsilon != epsilon {
-		return fail(fmt.Errorf("store round trip changed epsilon %g to %g", epsilon, ps.Epsilon))
-	}
-	cands := make([]selection.Candidate, len(ps.Plans))
-	for i, lp := range ps.Plans {
-		cands[i] = selection.Candidate{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
-	}
-	return epsilonTier{stats: res.Stats, cands: cands, metrics: len(ps.Metrics)}, ps.Space, nil
+func (t certifiedTier) row(spec Spec, points int, ns int64) JSONCase {
+	c := specRow(spec, t.stats, points, ns)
+	c.Epsilon = t.epsilon
+	c.MaxRegret = t.regret
+	c.PlanReduction = t.planRed
+	c.LPReduction = t.lpRed
+	return c
 }
 
 // certifyRegret measures the approximation quality the ε tier actually
@@ -252,57 +216,4 @@ func regretRatio(cand, ref geometry.Vector) float64 {
 		}
 	}
 	return worst
-}
-
-// timePicks measures the per-pick latency of one candidate set over
-// all points and policies: three rounds with a collection in between,
-// keeping the fastest.
-func timePicks(points []geometry.Vector, fn func(x geometry.Vector, policy int)) int64 {
-	const rounds = 3
-	var best int64
-	for round := 0; round < rounds; round++ {
-		runtime.GC()
-		start := time.Now() //mpq:wallclock benchmark timing is the measurement itself
-		for _, x := range points {
-			for p := 0; p < numPickPolicies; p++ {
-				fn(x, p)
-			}
-		}
-		t := time.Since(start).Nanoseconds() / int64(len(points)*numPickPolicies) //mpq:wallclock benchmark timing is the measurement itself
-		if round == 0 || t < best {
-			best = t
-		}
-	}
-	return best
-}
-
-// EpsilonMeasurementCases converts the measurements into JSON cases:
-// one "epsilon/<spec>/eps=<ε>" row per tier. Exact rows (ε = 0) gate
-// like every other case — their plan and LP counts are deterministic
-// and must not drift. ε > 0 rows gate on the certified MaxRegret
-// instead: their counts shift whenever the prune order or the factor
-// allocation is tuned, and the invariant worth enforcing is the
-// approximation contract, not a particular plan count.
-func EpsilonMeasurementCases(ms []EpsilonMeasurement) []JSONCase {
-	var cases []JSONCase
-	for _, m := range ms {
-		cases = append(cases, JSONCase{
-			Case:          fmt.Sprintf("epsilon/%s/eps=%g", m.Spec, m.Epsilon),
-			Shape:         m.Spec.Shape.String(),
-			Params:        m.Spec.Params,
-			Tables:        m.Spec.Tables,
-			NsPerOp:       m.PickNs,
-			TimeMs:        float64(m.PickNs) / 1e6,
-			CreatedPlans:  m.Prep.CreatedPlans,
-			SolvedLPs:     m.Prep.Geometry.LPs,
-			FinalPlans:    m.Prep.FinalPlans,
-			Workers:       1,
-			Repetitions:   m.Points,
-			Epsilon:       m.Epsilon,
-			MaxRegret:     m.MaxRegret,
-			PlanReduction: m.PlanReduction,
-			LPReduction:   m.LPReduction,
-		})
-	}
-	return cases
 }

@@ -1,26 +1,32 @@
 package bench
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"mpq/internal/refine"
 	"mpq/internal/workload"
 )
 
 func TestRunEpsilon(t *testing.T) {
-	ms, err := RunEpsilon(EpsilonConfig{
-		Specs:    []PickSpec{{Shape: workload.Chain, Params: 1, Tables: 5}},
-		Epsilons: []float64{0, 0.1},
+	var progress bytes.Buffer
+	rows, err := EpsilonMode([]float64{0.1, 0}).Run(t.Context(), RunConfig{
+		Specs:    []Spec{{Shape: workload.Chain, Params: 1, Tables: 5}},
 		Points:   32,
 		Seed:     3,
+		Progress: &progress,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 2 {
-		t.Fatalf("got %d measurements, want 2", len(ms))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	exact, approx := ms[0], ms[1]
+	exact, approx := rows[0], rows[1]
+	if exact.Case != "epsilon/chain-1p/tables=5/eps=0" || approx.Case != "epsilon/chain-1p/tables=5/eps=0.1" {
+		t.Fatalf("rows %q/%q, want ascending eps=0 and eps=0.1", exact.Case, approx.Case)
+	}
 	if exact.Epsilon != 0 || approx.Epsilon != 0.1 {
 		t.Fatalf("epsilons %v/%v, want 0/0.1", exact.Epsilon, approx.Epsilon)
 	}
@@ -39,122 +45,69 @@ func TestRunEpsilon(t *testing.T) {
 	if bound := (1 + approx.Epsilon) * (1 + 1e-9); approx.MaxRegret > bound {
 		t.Errorf("certified regret %v exceeds bound %v", approx.MaxRegret, bound)
 	}
-	if approx.PlanReduction != 1-float64(approx.Candidates)/float64(exact.Candidates) {
-		t.Errorf("plan reduction %v does not match candidate counts %d/%d",
-			approx.PlanReduction, approx.Candidates, exact.Candidates)
+	// The reduction is computed from the served candidate counts, so it
+	// matching the optimizer's final plan counts shows the store round
+	// trip served every plan.
+	if approx.PlanReduction != 1-float64(approx.FinalPlans)/float64(exact.FinalPlans) {
+		t.Errorf("plan reduction %v does not match final plans %d/%d",
+			approx.PlanReduction, approx.FinalPlans, exact.FinalPlans)
 	}
-	for _, m := range ms {
-		if m.Prep.CreatedPlans == 0 || m.Prep.Geometry.LPs == 0 || m.PickNs <= 0 || m.Points != 32 {
-			t.Errorf("eps=%g measurement incomplete: %+v", m.Epsilon, m)
+	for _, c := range rows {
+		if c.CreatedPlans == 0 || c.SolvedLPs == 0 || c.NsPerOp <= 0 || c.Repetitions != 32 || c.Workers != 1 {
+			t.Errorf("%s incomplete: %+v", c.Case, c)
 		}
-		if m.Candidates != m.Prep.FinalPlans {
-			t.Errorf("eps=%g served %d candidates, optimizer reported %d",
-				m.Epsilon, m.Candidates, m.Prep.FinalPlans)
-		}
 	}
-
-	cases := EpsilonMeasurementCases(ms)
-	if len(cases) != 2 {
-		t.Fatalf("got %d cases", len(cases))
-	}
-	if got := cases[0].Case; got != "epsilon/chain-1p/tables=5/eps=0" {
-		t.Errorf("case name %q", got)
-	}
-	if got := cases[1].Case; !strings.HasSuffix(got, "/eps=0.1") {
-		t.Errorf("case name %q", got)
-	}
-	c := cases[1]
-	if c.Epsilon != 0.1 || c.MaxRegret != approx.MaxRegret ||
-		c.FinalPlans != approx.Candidates || c.Workers != 1 {
-		t.Errorf("case fields do not mirror the measurement: %+v", c)
+	if n := strings.Count(progress.String(), "regret="); n != 2 {
+		t.Errorf("progress has %d rows, want 2:\n%s", n, progress.String())
 	}
 }
 
-// TestCompareGatesEpsilonCases: ε = 0 rows gate on exact counts like
-// every other case; ε > 0 rows gate on the certified regret contract
-// and tolerate count drift.
-func TestCompareGatesEpsilonCases(t *testing.T) {
-	base := &JSONReport{
-		Cases: []JSONCase{{Case: "chain-1p/tables=3", Workers: 1, CreatedPlans: 10, SolvedLPs: 100, FinalPlans: 2, TimeMs: 1}},
-		EpsilonCases: []JSONCase{
-			{Case: "epsilon/chain-1p/tables=5/eps=0", Workers: 1,
-				CreatedPlans: 40, SolvedLPs: 400, FinalPlans: 8, TimeMs: 0.1, MaxRegret: 1},
-			{Case: "epsilon/chain-1p/tables=5/eps=0.1", Workers: 1,
-				CreatedPlans: 30, SolvedLPs: 300, FinalPlans: 4, TimeMs: 0.1,
-				Epsilon: 0.1, MaxRegret: 1.04},
-		},
+func TestRunAnytime(t *testing.T) {
+	mode, err := AnytimeMode(refine.Ladder{0.5, 0.1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ok := &JSONReport{
-		Cases: base.Cases,
-		EpsilonCases: []JSONCase{
-			base.EpsilonCases[0],
-			{Case: "epsilon/chain-1p/tables=5/eps=0.1", Workers: 1,
-				// Counts drifted — fine for an approximate row, the
-				// contract still holds.
-				CreatedPlans: 25, SolvedLPs: 250, FinalPlans: 3, TimeMs: 0.1,
-				Epsilon: 0.1, MaxRegret: 1.0999},
-		},
+	var progress bytes.Buffer
+	rows, err := mode.Run(t.Context(), RunConfig{
+		Specs:    []Spec{{Shape: workload.Chain, Params: 1, Tables: 5}},
+		Points:   32,
+		Seed:     3,
+		Progress: &progress,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if failures, _ := Compare(base, ok, DefaultCompareOptions()); len(failures) != 0 {
-		t.Errorf("in-contract epsilon rows failed the gate: %v", failures)
+	// The implicit final exact step extends the two-step ladder.
+	want := []string{
+		"anytime/chain-1p/tables=5/step=0/eps=0.5",
+		"anytime/chain-1p/tables=5/step=1/eps=0.1",
+		"anytime/chain-1p/tables=5/step=2/eps=0",
 	}
-
-	broken := &JSONReport{
-		Cases: base.Cases,
-		EpsilonCases: []JSONCase{
-			base.EpsilonCases[0],
-			{Case: "epsilon/chain-1p/tables=5/eps=0.1", Workers: 1,
-				CreatedPlans: 30, SolvedLPs: 300, FinalPlans: 4, TimeMs: 0.1,
-				Epsilon: 0.1, MaxRegret: 1.2},
-		},
+	if len(rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(want))
 	}
-	failures, _ := Compare(base, broken, DefaultCompareOptions())
-	found := false
-	for _, d := range failures {
-		if d.Field == "max_regret" {
-			found = true
+	for i, c := range rows {
+		if c.Case != want[i] {
+			t.Errorf("row %d = %q, want %q", i, c.Case, want[i])
+		}
+		if bound := (1 + c.Epsilon) * (1 + 1e-9); c.MaxRegret > bound {
+			t.Errorf("step %d certified regret %v exceeds bound %v", i, c.MaxRegret, bound)
+		}
+		if c.NsPerOp <= 0 || c.Repetitions != 32 || c.Workers != 1 || c.FinalPlans == 0 {
+			t.Errorf("step %d incomplete: %+v", i, c)
 		}
 	}
-	if !found {
-		t.Errorf("out-of-contract regret did not fail the gate: %v", failures)
+	final := rows[len(rows)-1]
+	if final.MaxRegret != 1 {
+		t.Errorf("final self-regret = %v, want exactly 1", final.MaxRegret)
 	}
-
-	retiered := &JSONReport{
-		Cases: base.Cases,
-		EpsilonCases: []JSONCase{
-			base.EpsilonCases[0],
-			{Case: "epsilon/chain-1p/tables=5/eps=0.1", Workers: 1,
-				CreatedPlans: 30, SolvedLPs: 300, FinalPlans: 4, TimeMs: 0.1,
-				Epsilon: 0.25, MaxRegret: 1.2},
-		},
+	if final.PlanReduction != 0 || final.LPReduction != 0 {
+		t.Errorf("final reductions %v/%v, want 0/0", final.PlanReduction, final.LPReduction)
 	}
-	failures, _ = Compare(base, retiered, DefaultCompareOptions())
-	found = false
-	for _, d := range failures {
-		if d.Field == "epsilon" {
-			found = true
-		}
+	if n := strings.Count(progress.String(), "cum="); n != 3 {
+		t.Errorf("progress has %d steps, want 3:\n%s", n, progress.String())
 	}
-	if !found {
-		t.Errorf("re-tiered epsilon row did not fail the gate: %v", failures)
-	}
-
-	drifted := &JSONReport{
-		Cases: base.Cases,
-		EpsilonCases: []JSONCase{
-			{Case: "epsilon/chain-1p/tables=5/eps=0", Workers: 1,
-				CreatedPlans: 41, SolvedLPs: 400, FinalPlans: 8, TimeMs: 0.1, MaxRegret: 1},
-			base.EpsilonCases[1],
-		},
-	}
-	failures, _ = Compare(base, drifted, DefaultCompareOptions())
-	found = false
-	for _, d := range failures {
-		if d.Field == "created_plans" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("exact-row plan drift did not fail the gate: %v", failures)
+	if _, err := AnytimeMode(refine.Ladder{0.1, 0.5}); err == nil {
+		t.Error("ascending ladder accepted")
 	}
 }

@@ -3,6 +3,12 @@
 // of generated plans, and number of solved linear programs for randomly
 // generated chain and star queries with one and two parameters, as
 // medians over repeated runs with different random queries.
+//
+// The serving-side experiments are spec-driven Modes (picks, fleet,
+// epsilon, anytime) over one path: a Spec is prepared into a tier
+// (sequential optimize plus store round trip), measured, and emitted as
+// JSONCase rows. Figure 12 points and mode rows share one gated list,
+// which Compare diffs against a baseline snapshot.
 package bench
 
 import (
@@ -14,7 +20,6 @@ import (
 
 	"mpq/internal/cloud"
 	"mpq/internal/core"
-	"mpq/internal/geometry"
 	"mpq/internal/workload"
 )
 
@@ -136,15 +141,30 @@ func QuickMaxTables(shape workload.Shape, params int) int {
 		return 5
 	case workload.Star:
 		if params <= 1 {
-			return 9
+			return 7
 		}
-		return 6
+		return 5
 	default: // chain
 		if params <= 1 {
-			return 10
+			return 8
 		}
-		return 7
+		return 6
 	}
+}
+
+// Specs lists the curve's points: MinTables (at least 2, and 3 for a
+// cycle) through MaxTables.
+func (cfg Config) Specs() []Spec {
+	minTables := max(cfg.MinTables, 2)
+	if cfg.Shape == workload.Cycle {
+		// A cycle needs at least three tables.
+		minTables = max(minTables, 3)
+	}
+	var specs []Spec
+	for n := minTables; n <= cfg.MaxTables; n++ {
+		specs = append(specs, Spec{Shape: cfg.Shape, Params: cfg.Params, Tables: n})
+	}
+	return specs
 }
 
 // RunSeries executes the experiment for one curve.
@@ -152,23 +172,16 @@ func RunSeries(cfg Config) (*Series, error) {
 	if cfg.Repetitions < 1 {
 		cfg.Repetitions = 1
 	}
-	if cfg.MinTables < 2 {
-		cfg.MinTables = 2
-	}
-	if cfg.Shape == workload.Cycle && cfg.MinTables < 3 {
-		// A cycle needs at least three tables.
-		cfg.MinTables = 3
-	}
 	s := &Series{Shape: cfg.Shape, Params: cfg.Params}
-	for n := cfg.MinTables; n <= cfg.MaxTables; n++ {
-		p, err := RunPoint(cfg, n)
+	for _, spec := range cfg.Specs() {
+		p, err := RunPoint(cfg, spec.Tables)
 		if err != nil {
 			return nil, err
 		}
 		s.Points = append(s.Points, *p)
 		if cfg.Progress != nil {
 			fmt.Fprintf(cfg.Progress, "%s %dp n=%-2d  time=%-12v plans=%-7d LPs=%-8d final=%d\n",
-				cfg.Shape, cfg.Params, n, p.MedianTime, p.MedianPlans, p.MedianLPs, p.MedianFinal)
+				cfg.Shape, cfg.Params, spec.Tables, p.MedianTime, p.MedianPlans, p.MedianLPs, p.MedianFinal)
 		}
 	}
 	return s, nil
@@ -215,33 +228,18 @@ func RunPoint(cfg Config, tables int) (*Point, error) {
 // RunOnce optimizes a single random query and returns the optimizer
 // statistics.
 func RunOnce(cfg Config, tables, params int, seed int64) (*core.Stats, error) {
-	schema, err := workload.Generate(workload.Config{
-		Tables: tables,
-		Params: params,
-		Shape:  cfg.Shape,
-		Seed:   seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx := geometry.NewContext()
 	cloudCfg := cloud.DefaultConfig()
 	if cfg.Cloud != nil {
 		cloudCfg = *cfg.Cloud
-	}
-	model, err := cloud.NewModel(schema, cloudCfg, ctx)
-	if err != nil {
-		return nil, err
 	}
 	opts := core.DefaultOptions()
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
-	opts.Context = ctx
 	if cfg.Workers != 0 {
 		opts.Workers = cfg.Workers
 	}
-	res, err := core.Optimize(schema, model, opts)
+	res, _, err := optimize(workload.Config{Tables: tables, Params: params, Shape: cfg.Shape, Seed: seed}, cloudCfg, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -319,36 +317,17 @@ type JSONCase struct {
 // JSONReport is the envelope FormatJSON emits, so snapshots carry their
 // provenance alongside the rows.
 type JSONReport struct {
-	Experiment string     `json:"experiment"`
-	Cases      []JSONCase `json:"cases"`
+	Experiment string `json:"experiment"`
+	// Cases are the gated rows: the Figure 12 points plus the rows of
+	// every spec-driven mode, whose names carry the mode as a prefix
+	// ("picks/", "fleet/", "epsilon/", "anytime/").
+	Cases []JSONCase `json:"cases"`
 	// ParallelCases are informational wall-clock reference points run at
 	// a parallel worker count (pipelining-sensitive shapes at Workers =
-	// GOMAXPROCS). The regression gate compares Cases and PickCases but
-	// not ParallelCases: parallel wall-clock depends on the machine's
-	// core count, while the plan and LP counts of these rows match the
-	// sequential cases by the scheduler's determinism contract.
+	// GOMAXPROCS), never compared: parallel wall-clock depends on the
+	// machine's core count, while the plan and LP counts of these rows
+	// match the sequential cases by the scheduler's determinism contract.
 	ParallelCases []JSONCase `json:"parallel_cases,omitempty"`
-	// PickCases are the pick-throughput rows (mpqbench -picks): per
-	// spec, a "/linear" and an "/index" row sharing the prepare's
-	// deterministic plan and LP counts (gated: drift fails) with the
-	// measured per-pick latency as the time field (drift warns).
-	PickCases []JSONCase `json:"pick_cases,omitempty"`
-	// FleetCases are the fleet-serving rows (mpqbench -fleet): per
-	// spec, one row with the single compute's deterministic plan and
-	// LP counts and the exact shared-store hit rate (gated: drift
-	// fails) plus the fleet-concurrent pick latency as the time field
-	// (drift warns).
-	FleetCases []JSONCase `json:"fleet_cases,omitempty"`
-	// EpsilonCases are the ε-approximation rows (mpqbench -epsilon):
-	// per (spec, ε) one row. ε = 0 rows gate like Cases (plan and LP
-	// drift fails); ε > 0 rows gate on the certified MaxRegret staying
-	// within the (1+ε) contract instead.
-	EpsilonCases []JSONCase `json:"epsilon_cases,omitempty"`
-	// AnytimeCases are the anytime-refinement rows (mpqbench -anytime):
-	// per (spec, ladder step) one row, in refinement order. They gate
-	// like EpsilonCases — the final ε = 0 generation on exact counts,
-	// the coarse generations on their certified per-step regret.
-	AnytimeCases []JSONCase `json:"anytime_cases,omitempty"`
 	// NumCPU records runtime.NumCPU() of the measuring machine
 	// (informational, never gated): parallel wall-clock numbers and
 	// utilization figures are vacuous on a single-CPU runner, and CI
@@ -386,7 +365,7 @@ func WriteJSONReport(w io.Writer, rep *JSONReport) error {
 // given name prefix.
 func PointCase(shape workload.Shape, params int, p *Point, prefix string) JSONCase {
 	return JSONCase{
-		Case:                fmt.Sprintf("%s%s-%dp/tables=%d", prefix, shape, params, p.Tables),
+		Case:                prefix + Spec{Shape: shape, Params: params, Tables: p.Tables}.String(),
 		Shape:               shape.String(),
 		Params:              params,
 		Tables:              p.Tables,

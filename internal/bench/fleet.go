@@ -3,119 +3,53 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
-	"mpq/internal/core"
 	"mpq/internal/fleet"
-	"mpq/internal/geometry"
 	"mpq/internal/serve"
-	"mpq/internal/workload"
 )
 
-// FleetConfig controls the fleet-serving experiment (mpqbench -fleet):
-// N in-process servers share one on-disk plan-set store; per spec, the
-// first server computes and publishes, the rest must be served from
-// the shared store, and all N then pick concurrently against the one
-// prepared set. The experiment fails when fewer than (N−1)/N of the
-// fleet's Prepares were served from the shared store — the
-// amortization the subsystem exists for.
-type FleetConfig struct {
-	// Servers is the fleet size; zero selects 3.
-	Servers int
-	// Specs are the templates to prepare and pick against.
-	Specs []PickSpec
-	// Points is the number of pick points per server per throughput
-	// round; zero selects 256.
-	Points int
-	// Seed offsets the workload generator and the point sampler
-	// (matching the -picks experiment, so a shared spec prepares the
-	// same template).
-	Seed int64
-	// Progress, when non-nil, receives a line per completed spec.
-	Progress io.Writer
+// FleetMode is the fleet-serving experiment (mpqbench -fleet): per
+// spec, the given number of in-process servers share one fresh on-disk
+// plan-set store; the first server computes and publishes, the rest
+// must be served from the shared store, and all of them then pick
+// concurrently against the one prepared set. The run fails when fewer
+// than (N−1)/N of the fleet's Prepares were served from the shared
+// store — the amortization the subsystem exists for. It emits one
+// "servers=<N>" row carrying the single compute's counts and the exact
+// shared-store hit rate (both gated), timed by the fleet-concurrent
+// per-pick latency.
+func FleetMode(servers int) Mode {
+	return Mode{
+		Name:  "fleet",
+		Steps: []string{fmt.Sprintf("servers=%d", servers)},
+		run: func(ctx context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+			return runFleet(ctx, cfg, spec, servers)
+		},
+	}
 }
 
-// FleetMeasurement reports one spec's fleet behavior.
-type FleetMeasurement struct {
-	Spec    PickSpec
-	Servers int
-	// Prep is the single computation's statistics (the gate's
-	// deterministic plan/LP quantities); Candidates the served
-	// plan-set size.
-	Prep       core.Stats
-	Candidates int
-	// Prepares counts the fleet's Prepare calls for the spec (one per
-	// server); SharedHits the subset served from the shared store.
-	// HitRate is SharedHits/Prepares — (N−1)/N when the store did its
-	// job.
-	Prepares   int64
-	SharedHits int64
-	HitRate    float64
-	// PickNs is the per-pick latency with all servers picking
-	// concurrently (batched weighted-sum picks, best of three rounds).
-	PickNs int64
-	// NumCPU records the measuring machine's CPU count — concurrent
-	// fleet throughput on a 1-CPU box is a serialization measurement,
-	// and this makes that caveat machine-checkable.
-	NumCPU int
-}
-
-// RunFleet executes the fleet-serving experiment over a fresh
-// temporary shared directory. ctx cancels or deadline-bounds the whole
-// experiment: it flows into every Prepare, Pick, and PickBatch issued
-// against the in-process servers.
-func RunFleet(ctx context.Context, cfg FleetConfig) ([]FleetMeasurement, error) {
-	if cfg.Servers <= 0 {
-		cfg.Servers = 3
+func runFleet(ctx context.Context, cfg RunConfig, spec Spec, n int) ([]JSONCase, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("fleet needs at least 2 servers")
 	}
-	if cfg.Servers < 2 {
-		return nil, fmt.Errorf("bench: fleet needs at least 2 servers")
-	}
-	if cfg.Points <= 0 {
-		cfg.Points = 256
-	}
+	// A fresh directory per spec: a repeated spec must measure a cold
+	// store again, not trip over its predecessor's documents.
 	dir, err := os.MkdirTemp("", "mpqfleet")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	var out []FleetMeasurement
-	for i, spec := range cfg.Specs {
-		// A fresh subdirectory per spec: a repeated spec must measure a
-		// cold store again, not trip over its predecessor's documents.
-		m, err := runFleetSpec(ctx, cfg, spec, filepath.Join(dir, fmt.Sprintf("spec%d", i)))
-		if err != nil {
-			return nil, fmt.Errorf("bench: fleet %s: %w", spec, err)
-		}
-		out = append(out, *m)
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress,
-				"fleet %s servers=%d cands=%d hit-rate=%.3f (%d/%d shared) pick=%v/pick cpus=%d\n",
-				spec, m.Servers, m.Candidates, m.HitRate, m.SharedHits, m.Prepares,
-				time.Duration(m.PickNs), m.NumCPU)
-		}
-	}
-	return out, nil
-}
-
-func runFleetSpec(ctx context.Context, cfg FleetConfig, spec PickSpec, dir string) (*FleetMeasurement, error) {
 	shared, err := fleet.NewDirStore(dir)
 	if err != nil {
 		return nil, err
 	}
-	tpl := serve.Template{Workload: workload.Config{
-		Tables: spec.Tables,
-		Params: spec.Params,
-		Shape:  spec.Shape,
-		Seed:   cfg.Seed + int64(spec.Tables),
-	}}
+	tpl := serve.Template{Workload: cfg.workload(spec)}
 
-	servers := make([]*serve.Server, cfg.Servers)
+	servers := make([]*serve.Server, n)
 	for i := range servers {
 		servers[i] = serve.New(serve.Options{Workers: 1, Index: true, Shared: shared})
 		defer servers[i].Close()
@@ -146,24 +80,15 @@ func runFleetSpec(ctx context.Context, cfg FleetConfig, spec PickSpec, dir strin
 		prepares += st.Prepares
 		sharedHits += st.SharedHits
 	}
-	m := &FleetMeasurement{
-		Spec:       spec,
-		Servers:    cfg.Servers,
-		Prep:       prep0.Stats,
-		Candidates: prep0.NumPlans,
-		Prepares:   prepares,
-		SharedHits: sharedHits,
-		NumCPU:     runtime.NumCPU(),
-	}
+	hitRate := 0.0
 	if prepares > 0 {
-		m.HitRate = float64(sharedHits) / float64(prepares)
+		hitRate = float64(sharedHits) / float64(prepares)
 	}
 	// The acceptance bar: at most one compute per fleet, i.e. at least
 	// (N−1)/N of the Prepares served from the shared store.
-	want := float64(cfg.Servers-1) / float64(cfg.Servers)
-	if m.HitRate < want-1e-9 {
+	if want := float64(n-1) / float64(n); hitRate < want-1e-9 {
 		return nil, fmt.Errorf("shared-store hit rate %.3f below (N-1)/N = %.3f (%d/%d prepares)",
-			m.HitRate, want, sharedHits, prepares)
+			hitRate, want, sharedHits, prepares)
 	}
 
 	// Sample points and verify cross-server byte-identity before
@@ -172,8 +97,7 @@ func runFleetSpec(ctx context.Context, cfg FleetConfig, spec PickSpec, dir strin
 	if !ok {
 		return nil, fmt.Errorf("server 0 lost its plan set")
 	}
-	solver := geometry.NewContext()
-	points, err := pickPoints(solver, ps.Space, cfg.Points, cfg.Seed+int64(spec.Tables)*7919)
+	points, err := cfg.points(ps.Space, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -202,17 +126,14 @@ func runFleetSpec(ctx context.Context, cfg FleetConfig, spec PickSpec, dir strin
 	}
 
 	// Throughput: all servers batch-pick the full point set
-	// concurrently; best of three rounds, a collection in between.
+	// concurrently.
 	batch := serve.PickBatchRequest{
 		Key:     key,
 		Points:  points,
 		Policy:  serve.PolicyWeightedSum,
 		Weights: params.weights,
 	}
-	const rounds = 3
-	for round := 0; round < rounds; round++ {
-		runtime.GC()
-		start := time.Now() //mpq:wallclock benchmark timing is the measurement itself
+	ns, err := timeBest(n*len(points), func() error {
 		var wg sync.WaitGroup
 		errCh := make(chan error, len(servers))
 		for _, s := range servers {
@@ -226,61 +147,18 @@ func runFleetSpec(ctx context.Context, cfg FleetConfig, spec PickSpec, dir strin
 		}
 		wg.Wait()
 		close(errCh)
-		for err := range errCh {
-			return nil, err
-		}
-		ns := time.Since(start).Nanoseconds() / int64(len(servers)*len(points)) //mpq:wallclock benchmark timing is the measurement itself
-		if round == 0 || ns < m.PickNs {
-			m.PickNs = ns
-		}
+		return <-errCh
+	})
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
-}
-
-// pickRequest builds the PickRequest for policy p with the
-// experiment's fixed preference parameters.
-func (p policyParams) pickRequest(key string, x geometry.Vector, policy int) serve.PickRequest {
-	req := serve.PickRequest{Key: key, Point: x}
-	switch policy {
-	case 0:
-		req.Policy = serve.PolicyFrontier
-	case 1:
-		req.Policy = serve.PolicyWeightedSum
-		req.Weights = p.weights
-	case 2:
-		req.Policy = serve.PolicyMinimizeSubjectTo
-		req.Minimize = 0
-		req.Bounds = p.bounds
-	default:
-		req.Policy = serve.PolicyLexicographic
-		req.Order = p.order
-	}
-	return req
-}
-
-// FleetMeasurementCases converts the measurements into gate-comparable
-// JSON cases: one row per spec carrying the compute's deterministic
-// plan and LP counts (drift fails), the exact shared-store hit rate
-// (drift fails), and the measured fleet pick latency as the time field
-// (drift warns). NumCPU is informational.
-func FleetMeasurementCases(ms []FleetMeasurement) []JSONCase {
-	var cases []JSONCase
-	for _, m := range ms {
-		cases = append(cases, JSONCase{
-			Case:          fmt.Sprintf("fleet/%s/servers=%d", m.Spec, m.Servers),
-			Shape:         m.Spec.Shape.String(),
-			Params:        m.Spec.Params,
-			Tables:        m.Spec.Tables,
-			NsPerOp:       m.PickNs,
-			TimeMs:        float64(m.PickNs) / 1e6,
-			CreatedPlans:  m.Prep.CreatedPlans,
-			SolvedLPs:     m.Prep.Geometry.LPs,
-			FinalPlans:    m.Prep.FinalPlans,
-			Workers:       1,
-			Repetitions:   m.Servers,
-			NumCPU:        m.NumCPU,
-			SharedHitRate: m.HitRate,
-		})
-	}
-	return cases
+	cpus := runtime.NumCPU()
+	cfg.logf("fleet %s servers=%d cands=%d hit-rate=%.3f (%d/%d shared) pick=%v/pick cpus=%d\n",
+		spec, n, prep0.NumPlans, hitRate, sharedHits, prepares, time.Duration(ns[0]), cpus)
+	row := specRow(spec, prep0.Stats, n, ns[0])
+	// NumCPU is informational: concurrent fleet throughput on a 1-CPU
+	// box is a serialization measurement.
+	row.NumCPU = cpus
+	row.SharedHitRate = hitRate
+	return []JSONCase{row}, nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -8,100 +9,30 @@ import (
 )
 
 func TestRunFleet(t *testing.T) {
-	ms, err := RunFleet(t.Context(), FleetConfig{
-		Servers: 2,
-		Specs:   []PickSpec{{Shape: workload.Star, Params: 1, Tables: 4}},
-		Points:  32,
-		Seed:    1,
+	var progress bytes.Buffer
+	rows, err := FleetMode(2).Run(t.Context(), RunConfig{
+		Specs:    []Spec{{Shape: workload.Star, Params: 1, Tables: 4}},
+		Points:   32,
+		Seed:     1,
+		Progress: &progress,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 1 {
-		t.Fatalf("got %d measurements", len(ms))
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows", len(rows))
 	}
-	m := ms[0]
-	if m.HitRate < 0.5 {
-		t.Errorf("hit rate %.3f below (N-1)/N = 0.5", m.HitRate)
-	}
-	if m.Prepares != 2 || m.SharedHits != 1 {
-		t.Errorf("prepares/shared = %d/%d, want 2/1", m.Prepares, m.SharedHits)
-	}
-	if m.Prep.CreatedPlans == 0 || m.Prep.Geometry.LPs == 0 {
-		t.Errorf("compute stats empty: %+v", m.Prep)
-	}
-	if m.PickNs <= 0 || m.NumCPU <= 0 {
-		t.Errorf("measurement incomplete: pick=%dns cpus=%d", m.PickNs, m.NumCPU)
-	}
-
-	cases := FleetMeasurementCases(ms)
-	if len(cases) != 1 {
-		t.Fatalf("got %d cases", len(cases))
-	}
-	c := cases[0]
-	if !strings.HasPrefix(c.Case, "fleet/star-1p/tables=4/servers=2") {
+	c := rows[0]
+	if c.Case != "fleet/star-1p/tables=4/servers=2" {
 		t.Errorf("case name %q", c.Case)
 	}
-	if c.SharedHitRate != m.HitRate || c.NumCPU != m.NumCPU || c.CreatedPlans != m.Prep.CreatedPlans {
-		t.Errorf("case fields do not mirror the measurement: %+v", c)
+	if c.SharedHitRate != 0.5 || !strings.Contains(progress.String(), "(1/2 shared)") {
+		t.Errorf("hit rate %.3f (%s), want 1 of 2 prepares shared", c.SharedHitRate, progress.String())
 	}
-}
-
-// TestCompareGatesFleetCases: fleet cases participate in the gate —
-// a missing case or a drifted hit rate fails, time drift only warns.
-func TestCompareGatesFleetCases(t *testing.T) {
-	base := &JSONReport{
-		Cases: []JSONCase{{Case: "chain-1p/tables=3", Workers: 1, CreatedPlans: 10, SolvedLPs: 100, FinalPlans: 2, TimeMs: 1}},
-		FleetCases: []JSONCase{{
-			Case: "fleet/star-1p/tables=4/servers=2", Workers: 1,
-			CreatedPlans: 20, SolvedLPs: 200, FinalPlans: 3, TimeMs: 0.1,
-			SharedHitRate: 0.5, NumCPU: 1,
-		}},
+	if c.CreatedPlans == 0 || c.SolvedLPs == 0 {
+		t.Errorf("compute stats empty: %+v", c)
 	}
-	ok := &JSONReport{
-		Cases: base.Cases,
-		FleetCases: []JSONCase{{
-			Case: "fleet/star-1p/tables=4/servers=2", Workers: 1,
-			CreatedPlans: 20, SolvedLPs: 200, FinalPlans: 3, TimeMs: 9,
-			SharedHitRate: 0.5, NumCPU: 64, // a different machine is fine
-		}},
-	}
-	failures, warnings := Compare(base, ok, DefaultCompareOptions())
-	if len(failures) != 0 {
-		t.Errorf("matching fleet case failed the gate: %v", failures)
-	}
-	if len(warnings) != 1 || warnings[0].Field != "time_ms" {
-		t.Errorf("time drift should warn once, got %v", warnings)
-	}
-
-	drifted := &JSONReport{
-		Cases: base.Cases,
-		FleetCases: []JSONCase{{
-			Case: "fleet/star-1p/tables=4/servers=2", Workers: 1,
-			CreatedPlans: 20, SolvedLPs: 200, FinalPlans: 3, TimeMs: 0.1,
-			SharedHitRate: 0.0, // the fleet stopped sharing
-		}},
-	}
-	failures, _ = Compare(base, drifted, DefaultCompareOptions())
-	found := false
-	for _, d := range failures {
-		if d.Field == "shared_hit_rate" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("hit-rate drift did not fail the gate: %v", failures)
-	}
-
-	missing := &JSONReport{Cases: base.Cases}
-	failures, _ = Compare(base, missing, DefaultCompareOptions())
-	found = false
-	for _, d := range failures {
-		if d.Case == "fleet/star-1p/tables=4/servers=2" && d.Field == "missing" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("missing fleet case did not fail the gate: %v", failures)
+	if c.NsPerOp <= 0 || c.NumCPU <= 0 || c.Repetitions != 2 {
+		t.Errorf("row incomplete: pick=%dns cpus=%d servers=%d", c.NsPerOp, c.NumCPU, c.Repetitions)
 	}
 }

@@ -1,206 +1,55 @@
 package bench
 
 import (
-	"bytes"
+	"context"
 	"fmt"
-	"io"
-	"math/rand" //mpq:rand pick points are drawn from a per-spec seeded generator; byte-reproducible per seed
-	"runtime"
 	"time"
 
-	"mpq/internal/cloud"
-	"mpq/internal/core"
 	"mpq/internal/geometry"
 	"mpq/internal/index"
 	"mpq/internal/selection"
-	"mpq/internal/store"
-	"mpq/internal/workload"
 )
 
-// PickSpec names one plan set of the pick-throughput experiment:
-// a generated workload to prepare once and then pick against.
-type PickSpec struct {
-	Shape  workload.Shape
-	Params int
-	Tables int
-}
-
-func (s PickSpec) String() string {
-	return fmt.Sprintf("%s-%dp/tables=%d", s.Shape, s.Params, s.Tables)
-}
-
-// PicksConfig controls the pick-throughput experiment (mpqbench
-// -picks): prepare each spec's plan set once (sequentially, so the
-// prepare counters stay gate-comparable), build the point-location
+// PicksMode is the pick-throughput experiment (mpqbench -picks): per
+// spec, prepare the exact plan set once, build the point-location
 // index, verify that all four selection policies return byte-identical
 // results through the index and through the linear scan at random
-// points, and measure both paths' pick latency.
-type PicksConfig struct {
-	Specs []PickSpec
-	// Points is the number of random pick points per plan set; every
-	// point is evaluated under all four policies on both paths. Zero
-	// selects 256.
-	Points int
-	// Seed offsets the workload generator and the point sampler.
-	Seed int64
-	// Index tunes the index build; zero fields take the defaults.
-	Index index.Options
-	// Progress, when non-nil, receives a line per completed spec.
-	Progress io.Writer
+// points, and measure both paths' per-pick latency. It emits a
+// "linear" and an "index" row sharing the prepare's counts.
+func PicksMode() Mode {
+	return Mode{Name: "picks", Steps: []string{"linear", "index"}, run: runPicks}
 }
 
-// PickMeasurement reports one spec's results.
-type PickMeasurement struct {
-	Spec PickSpec
-	// Prep is the one-time optimization's statistics (the gate's
-	// plan/LP quantities).
-	Prep core.Stats
-	// Candidates is the served plan-set size (equals Prep.FinalPlans).
-	Candidates int
-	// Index shape and build cost.
-	Leaves            int
-	AvgLeafCandidates float64
-	BuildTime         time.Duration
-	// Points measured; LinearNs and IndexNs are the per-pick latencies
-	// of the two paths (each pick = one point under one policy).
-	Points   int
-	LinearNs int64
-	IndexNs  int64
-	// Speedup is LinearNs / IndexNs.
-	Speedup float64
-}
-
-// policyParams fixes the experiment's preference parameters for a
-// metric count, built once per spec so the timed loops pay no
-// per-pick parameter allocations.
-type policyParams struct {
-	weights []float64
-	bounds  []selection.Bound
-	order   []int
-}
-
-func newPolicyParams(metrics int) policyParams {
-	p := policyParams{
-		weights: make([]float64, metrics),
-		bounds:  []selection.Bound{{Metric: metrics - 1, Max: 1e300}},
-		order:   make([]int, metrics),
-	}
-	p.weights[0] = 1
-	for i := 1; i < metrics; i++ {
-		p.weights[i] = 10000
-	}
-	for i := range p.order {
-		p.order[i] = metrics - 1 - i
-	}
-	return p
-}
-
-// runPolicy executes one of the four selection policies.
-func (p policyParams) runPolicy(cands []selection.Candidate, x geometry.Vector, policy int) ([]selection.Choice, error) {
-	switch policy {
-	case 0:
-		return selection.Frontier(cands, x), nil
-	case 1:
-		c, err := selection.WeightedSum(cands, x, p.weights)
-		return []selection.Choice{c}, err
-	case 2:
-		c, err := selection.MinimizeSubjectTo(cands, x, 0, p.bounds)
-		return []selection.Choice{c}, err
-	default:
-		c, err := selection.Lexicographic(cands, x, p.order)
-		return []selection.Choice{c}, err
-	}
-}
-
-const numPickPolicies = 4
-
-// RunPicks executes the pick-throughput experiment.
-func RunPicks(cfg PicksConfig) ([]PickMeasurement, error) {
-	if cfg.Points <= 0 {
-		cfg.Points = 256
-	}
-	var out []PickMeasurement
-	for _, spec := range cfg.Specs {
-		m, err := runPickSpec(cfg, spec)
-		if err != nil {
-			return nil, fmt.Errorf("bench: picks %s: %w", spec, err)
-		}
-		out = append(out, *m)
-		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress,
-				"picks %s cands=%d leaves=%d avgLeaf=%.1f build=%v linear=%v/pick index=%v/pick speedup=%.1fx\n",
-				spec, m.Candidates, m.Leaves, m.AvgLeafCandidates, m.BuildTime,
-				time.Duration(m.LinearNs), time.Duration(m.IndexNs), m.Speedup)
-		}
-	}
-	return out, nil
-}
-
-func runPickSpec(cfg PicksConfig, spec PickSpec) (*PickMeasurement, error) {
-	// Prepare once: optimize sequentially, round-trip through the store
-	// (the serving layer's exact bytes), build the index.
-	schema, err := workload.Generate(workload.Config{
-		Tables: spec.Tables,
-		Params: spec.Params,
-		Shape:  spec.Shape,
-		Seed:   cfg.Seed + int64(spec.Tables),
-	})
+func runPicks(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+	t, err := prepareTier(cfg.workload(spec), 0)
 	if err != nil {
 		return nil, err
 	}
-	ctx := geometry.NewContext()
-	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
+	ix, err := index.Build(geometry.NewContext(), t.space, t.cands, index.Options{})
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultOptions()
-	opts.Context = ctx
-	opts.Workers = 1
-	res, err := core.Optimize(schema, model, opts)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := store.Save(&buf, model.MetricNames(), model.Space(), res.Plans); err != nil {
-		return nil, err
-	}
-	ps, err := store.Load(&buf)
-	if err != nil {
-		return nil, err
-	}
-	cands := make([]selection.Candidate, len(ps.Plans))
-	for i, lp := range ps.Plans {
-		cands[i] = selection.Candidate{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
-	}
-	ix, err := index.Build(ctx, ps.Space, cands, cfg.Index)
-	if err != nil {
-		return nil, err
-	}
-	leafCands := ix.LeafCandidates(cands)
-
-	points, err := pickPoints(ctx, ps.Space, cfg.Points, cfg.Seed+int64(spec.Tables)*7919)
-	if err != nil {
-		return nil, err
-	}
-	params := newPolicyParams(len(ps.Metrics))
-
-	// Resolve every point's candidate subset (a pick still pays this
-	// Locate during timing below; resolving here too keeps the
-	// verification loop simple).
-	subs := make([][]selection.Candidate, len(points))
-	for i, x := range points {
-		subs[i] = cands
+	leafCands := ix.LeafCandidates(t.cands)
+	// sub is the candidate subset an indexed pick scans; timing pays its
+	// Locate on every pick.
+	sub := func(x geometry.Vector) []selection.Candidate {
 		if leaf, _, ok := ix.Locate(x); ok {
-			subs[i] = leafCands[leaf]
+			return leafCands[leaf]
 		}
+		return t.cands
 	}
+	points, err := cfg.points(t.space, spec)
+	if err != nil {
+		return nil, err
+	}
+	params := newPolicyParams(t.metrics)
 
 	// Verification sweep: all four policies, byte-identical results
 	// (including errors) on both paths.
-	for i, x := range points {
+	for _, x := range points {
 		for p := 0; p < numPickPolicies; p++ {
-			lin, linErr := params.runPolicy(cands, x, p)
-			idx, idxErr := params.runPolicy(subs[i], x, p)
+			lin, linErr := params.runPolicy(t.cands, x, p)
+			idx, idxErr := params.runPolicy(sub(x), x, p)
 			if fmt.Sprint(lin, linErr) != fmt.Sprint(idx, idxErr) {
 				return nil, fmt.Errorf("policy %d at %v: index result %v (%v) differs from linear %v (%v)",
 					p, x, idx, idxErr, lin, linErr)
@@ -208,116 +57,21 @@ func runPickSpec(cfg PicksConfig, spec PickSpec) (*PickMeasurement, error) {
 		}
 	}
 
-	// Throughput: time each path over all points × policies. Rounds are
-	// interleaved (linear, index, linear, ...) with a GC in between so
-	// machine noise and collector state hit both paths alike; the
-	// fastest round of each path counts.
-	linearNs, indexNs := timePickPaths(points,
-		func(i int, x geometry.Vector, p int) {
-			params.runPolicy(cands, x, p)
-		},
-		func(i int, x geometry.Vector, p int) {
-			sub := cands
-			if leaf, _, ok := ix.Locate(x); ok {
-				sub = leafCands[leaf]
-			}
-			params.runPolicy(sub, x, p)
-		})
-
-	m := &PickMeasurement{
-		Spec:              spec,
-		Prep:              res.Stats,
-		Candidates:        len(cands),
-		Leaves:            ix.Leaves(),
-		AvgLeafCandidates: ix.AvgLeafCandidates(),
-		BuildTime:         ix.BuildTime(),
-		Points:            len(points),
-		LinearNs:          linearNs,
-		IndexNs:           indexNs,
+	ns, err := timeBest(len(points)*numPickPolicies,
+		pickSweep(points, func(x geometry.Vector, p int) { params.runPolicy(t.cands, x, p) }),
+		pickSweep(points, func(x geometry.Vector, p int) { params.runPolicy(sub(x), x, p) }))
+	if err != nil {
+		return nil, err
 	}
-	if indexNs > 0 {
-		m.Speedup = float64(linearNs) / float64(indexNs)
+	speedup := 0.0
+	if ns[1] > 0 {
+		speedup = float64(ns[0]) / float64(ns[1])
 	}
-	return m, nil
-}
-
-// timePickPaths measures the per-pick latency of the two paths over
-// all points and policies: three interleaved rounds per path with a
-// collection in between, keeping each path's fastest round.
-func timePickPaths(points []geometry.Vector, linear, indexed func(i int, x geometry.Vector, policy int)) (linearNs, indexNs int64) {
-	const rounds = 3
-	oneRound := func(fn func(i int, x geometry.Vector, policy int)) int64 {
-		runtime.GC()
-		start := time.Now() //mpq:wallclock benchmark timing is the measurement itself
-		for i, x := range points {
-			for p := 0; p < numPickPolicies; p++ {
-				fn(i, x, p)
-			}
-		}
-		return time.Since(start).Nanoseconds() / int64(len(points)*numPickPolicies) //mpq:wallclock benchmark timing is the measurement itself
-	}
-	for round := 0; round < rounds; round++ {
-		if t := oneRound(linear); round == 0 || t < linearNs {
-			linearNs = t
-		}
-		if t := oneRound(indexed); round == 0 || t < indexNs {
-			indexNs = t
-		}
-	}
-	return linearNs, indexNs
-}
-
-// pickPoints samples deterministic pseudo-random points inside the
-// parameter space.
-func pickPoints(ctx *geometry.Context, space *geometry.Polytope, n int, seed int64) ([]geometry.Vector, error) {
-	lo, hi, ok := ctx.BoundingBox(space)
-	if !ok {
-		return nil, fmt.Errorf("parameter space without bounding box")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geometry.Vector, 0, n)
-	for attempts := 0; len(pts) < n && attempts < 1000*n; attempts++ {
-		x := geometry.NewVector(space.Dim())
-		for d := range x {
-			x[d] = lo[d] + rng.Float64()*(hi[d]-lo[d])
-		}
-		if space.ContainsPoint(x, geometry.CompareEps) {
-			pts = append(pts, x)
-		}
-	}
-	if len(pts) < n {
-		return nil, fmt.Errorf("could not sample %d points inside the parameter space", n)
-	}
-	return pts, nil
-}
-
-// PickMeasurementCases converts the measurements into gate-comparable
-// JSON cases: one "/linear" and one "/index" row per spec, both
-// carrying the prepare's deterministic plan and LP counts (plan drift
-// fails the gate) and the measured per-pick latency as the time field
-// (drift warns).
-func PickMeasurementCases(ms []PickMeasurement) []JSONCase {
-	var cases []JSONCase
-	for _, m := range ms {
-		base := JSONCase{
-			Shape:        m.Spec.Shape.String(),
-			Params:       m.Spec.Params,
-			Tables:       m.Spec.Tables,
-			CreatedPlans: m.Prep.CreatedPlans,
-			SolvedLPs:    m.Prep.Geometry.LPs,
-			FinalPlans:   m.Prep.FinalPlans,
-			Workers:      1,
-			Repetitions:  m.Points,
-		}
-		linear := base
-		linear.Case = fmt.Sprintf("picks/%s/linear", m.Spec)
-		linear.NsPerOp = m.LinearNs
-		linear.TimeMs = float64(m.LinearNs) / 1e6
-		idx := base
-		idx.Case = fmt.Sprintf("picks/%s/index", m.Spec)
-		idx.NsPerOp = m.IndexNs
-		idx.TimeMs = float64(m.IndexNs) / 1e6
-		cases = append(cases, linear, idx)
-	}
-	return cases
+	cfg.logf("picks %s cands=%d leaves=%d avgLeaf=%.1f build=%v linear=%v/pick index=%v/pick speedup=%.1fx\n",
+		spec, len(t.cands), ix.Leaves(), ix.AvgLeafCandidates(), ix.BuildTime(),
+		time.Duration(ns[0]), time.Duration(ns[1]), speedup)
+	return []JSONCase{
+		specRow(spec, t.stats, len(points), ns[0]),
+		specRow(spec, t.stats, len(points), ns[1]),
+	}, nil
 }

@@ -39,6 +39,10 @@ func TestLadderForAndJobs(t *testing.T) {
 	if eff.String() != "0.5,0.1,0" {
 		t.Fatalf("For(0) = %q", eff.String())
 	}
+	// A ladder that already ends exact keeps its final step.
+	if got := (Ladder{0.5, 0}).For(0).String(); got != "0.5,0" {
+		t.Errorf("Ladder{0.5,0}.For(0) = %q, want 0.5,0", got)
+	}
 	// A template whose own ε sits inside the ladder truncates it.
 	if got := l.For(0.25).String(); got != "0.5,0.25" {
 		t.Errorf("For(0.25) = %q, want 0.5,0.25", got)
