@@ -191,7 +191,8 @@ func main() {
 	s.RegisterMetrics(ob.reg)
 	if ob.tel != nil {
 		// Registered before the Close defer so it runs after it: the
-		// final flush sees every pick the drained queue recorded.
+		// final flush sees every pick recorded by the drained requests
+		// and queue.
 		defer func() {
 			if err := ob.tel.Flush(); err != nil {
 				log.Printf("mpqserve: final telemetry flush: %v", err)
@@ -314,31 +315,6 @@ type pickBatchReqJS struct {
 	DeadlineMs int64       `json:"deadline_ms,omitempty"`
 }
 
-type choiceJS struct {
-	Plan string    `json:"plan"`
-	Cost []float64 `json:"cost"`
-}
-
-type pickRespJS struct {
-	Metrics []string   `json:"metrics"`
-	Choices []choiceJS `json:"choices"`
-	// Epsilon/Generation/Final describe the generation that answered;
-	// see prepareRespJS.
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
-}
-
-type pickBatchRespJS struct {
-	Metrics []string     `json:"metrics"`
-	Choices [][]choiceJS `json:"choices"`
-	// Epsilon/Generation/Final describe the generation that answered
-	// the whole batch (a batch never straddles a refinement swap).
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
-}
-
 type errorJS struct {
 	Error string `json:"error"`
 }
@@ -422,18 +398,12 @@ func doPrepare(ctx context.Context, s *serve.Server, body prepareReqJS) (prepare
 	}, nil
 }
 
-func doPick(ctx context.Context, s *serve.Server, body pickReqJS) (pickRespJS, error) {
+// doPick answers a pick; the reply encoder (reply.go) renders the
+// result.
+func doPick(ctx context.Context, s *serve.Server, body pickReqJS) (serve.PickResult, error) {
 	ctx, cancel := reqContext(ctx, body.DeadlineMs, 0)
 	defer cancel()
-	res, err := s.Pick(ctx, body.request())
-	if err != nil {
-		return pickRespJS{}, err
-	}
-	out := pickRespJS{
-		Metrics: res.Metrics, Choices: choicesJS(res.Choices),
-		Epsilon: res.Epsilon, Generation: res.Generation, Final: res.Final,
-	}
-	return out, nil
+	return s.Pick(ctx, body.request())
 }
 
 func (r pickBatchReqJS) request() serve.PickBatchRequest {
@@ -454,29 +424,10 @@ func (r pickBatchReqJS) request() serve.PickBatchRequest {
 	return req
 }
 
-func doPickBatch(ctx context.Context, s *serve.Server, body pickBatchReqJS) (pickBatchRespJS, error) {
+func doPickBatch(ctx context.Context, s *serve.Server, body pickBatchReqJS) (serve.PickBatchResult, error) {
 	ctx, cancel := reqContext(ctx, body.DeadlineMs, 0)
 	defer cancel()
-	res, err := s.PickBatch(ctx, body.request())
-	if err != nil {
-		return pickBatchRespJS{}, err
-	}
-	out := pickBatchRespJS{
-		Metrics: res.Metrics, Choices: [][]choiceJS{},
-		Epsilon: res.Epsilon, Generation: res.Generation, Final: res.Final,
-	}
-	for _, cs := range res.Choices {
-		out.Choices = append(out.Choices, choicesJS(cs))
-	}
-	return out, nil
-}
-
-func choicesJS(cs []selection.Choice) []choiceJS {
-	out := []choiceJS{}
-	for _, c := range cs {
-		out = append(out, choiceJS{Plan: c.Plan.String(), Cost: c.Cost})
-	}
-	return out
+	return s.PickBatch(ctx, body.request())
 }
 
 // newMux wires the server behind HTTP. Queue saturation maps to
@@ -499,8 +450,7 @@ func newMux(s *serve.Server) *http.ServeMux {
 			accessLog.record("http", "prepare", "", statusOf(err), start, err, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		accessLog.record("http", "prepare", resp.Key, http.StatusOK, start, nil, &genInfo{resp.Epsilon, resp.Generation})
+		answer(w, "prepare", resp.Key, start, resp, &genInfo{resp.Epsilon, resp.Generation})
 	})
 	mux.HandleFunc("POST /pick", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -516,8 +466,7 @@ func newMux(s *serve.Server) *http.ServeMux {
 			accessLog.record("http", "pick", body.Key, statusOf(err), start, err, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		accessLog.record("http", "pick", body.Key, http.StatusOK, start, nil, &genInfo{resp.Epsilon, resp.Generation})
+		answer(w, "pick", body.Key, start, resp, &genInfo{resp.Epsilon, resp.Generation})
 	})
 	mux.HandleFunc("POST /pickbatch", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -533,8 +482,7 @@ func newMux(s *serve.Server) *http.ServeMux {
 			accessLog.record("http", "pickbatch", body.Key, statusOf(err), start, err, nil)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		accessLog.record("http", "pickbatch", body.Key, http.StatusOK, start, nil, &genInfo{resp.Epsilon, resp.Generation})
+		answer(w, "pickbatch", body.Key, start, resp, &genInfo{resp.Epsilon, resp.Generation})
 	})
 	mux.HandleFunc("GET /planset/{key}", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -589,10 +537,14 @@ func statusOf(err error) int {
 	return http.StatusBadRequest
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+// answer writes a successful HTTP reply and logs it; a reply that
+// cannot be encoded is answered and logged as a 500.
+func answer(w http.ResponseWriter, op, key string, start time.Time, v any, gen *genInfo) {
+	if err := writeJSON(w, http.StatusOK, v); err != nil {
+		accessLog.record("http", op, key, http.StatusInternalServerError, start, err, nil)
+		return
+	}
+	accessLog.record("http", op, key, http.StatusOK, start, nil, gen)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -646,7 +598,6 @@ func readLine(br *bufio.Reader, max int) (stdinLine, error) {
 // the -max-line cap are answered with a structured error object
 // in-band; the loop keeps serving.
 func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer) error {
-	enc := json.NewEncoder(out)
 	lines := make(chan stdinLine)
 	scanErr := make(chan error, 1)
 	go func() {
@@ -688,7 +639,7 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 					// The session context is already done; answer the
 					// pending line on its own context so the grace
 					// window actually serves it.
-					if err := handleLine(context.Background(), s, enc, line); err != nil {
+					if err := handleLine(context.Background(), s, out, line); err != nil {
 						return err
 					}
 				case <-time.After(50 * time.Millisecond):
@@ -706,7 +657,7 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 					return nil
 				}
 			}
-			if err := handleLine(ctx, s, enc, line); err != nil {
+			if err := handleLine(ctx, s, out, line); err != nil {
 				return err
 			}
 		}
@@ -714,22 +665,23 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 }
 
 // handleLine answers one stdin-protocol request; the returned error is
-// an output-encoding failure (request errors, including oversized and
-// malformed lines, are answered in-band). The access log gets the same
-// op/key/status/latency fields as the HTTP transport, with statuses
-// mapped as statusOf would map them.
-func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line stdinLine) error {
+// an output-write failure (request errors, including oversized and
+// malformed lines and replies that cannot be encoded, are answered
+// in-band). The access log gets the same op/key/status/latency fields
+// as the HTTP transport, with statuses mapped as statusOf would map
+// them.
+func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinLine) error {
 	start := time.Now()
 	if line.tooLong {
 		accessLog.record("stdin", "", "", http.StatusBadRequest, start, errors.New("line too long"), nil)
-		return enc.Encode(errorJS{Error: fmt.Sprintf("line exceeds %d bytes", stdinMaxLine)})
+		return writeLine(out, errorJS{Error: fmt.Sprintf("line exceeds %d bytes", stdinMaxLine)})
 	}
 	var op struct {
 		Op string `json:"op"`
 	}
 	if err := json.Unmarshal(line.data, &op); err != nil {
 		accessLog.record("stdin", "", "", http.StatusBadRequest, start, err, nil)
-		return enc.Encode(errorJS{Error: err.Error()})
+		return writeLine(out, errorJS{Error: err.Error()})
 	}
 	var resp any
 	var err error
@@ -749,7 +701,7 @@ func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line st
 		var body pickReqJS
 		if err = json.Unmarshal(line.data, &body); err == nil {
 			key = body.Key
-			var r pickRespJS
+			var r serve.PickResult
 			if r, err = doPick(ctx, s, body); err == nil {
 				resp = r
 				gen = &genInfo{r.Epsilon, r.Generation}
@@ -759,7 +711,7 @@ func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line st
 		var body pickBatchReqJS
 		if err = json.Unmarshal(line.data, &body); err == nil {
 			key = body.Key
-			var r pickBatchRespJS
+			var r serve.PickBatchResult
 			if r, err = doPickBatch(ctx, s, body); err == nil {
 				resp = r
 				gen = &genInfo{r.Epsilon, r.Generation}
@@ -772,8 +724,15 @@ func handleLine(ctx context.Context, s *serve.Server, enc *json.Encoder, line st
 	}
 	if err != nil {
 		accessLog.record("stdin", op.Op, key, statusOf(err), start, err, nil)
-		return enc.Encode(errorJS{Error: err.Error()})
+		return writeLine(out, errorJS{Error: err.Error()})
 	}
-	accessLog.record("stdin", op.Op, key, http.StatusOK, start, nil, gen)
-	return enc.Encode(resp)
+	bp, err := renderReply(resp)
+	defer releaseReply(bp)
+	if err != nil {
+		accessLog.record("stdin", op.Op, key, http.StatusInternalServerError, start, err, nil)
+	} else {
+		accessLog.record("stdin", op.Op, key, http.StatusOK, start, nil, gen)
+	}
+	_, err = out.Write(*bp)
+	return err
 }

@@ -12,7 +12,8 @@
 // keyed by a hash of schema, cost-model configuration and optimizer
 // configuration, and a bounded request queue providing backpressure:
 // when the queue is full, requests fail fast with ErrQueueFull instead
-// of piling up. See DESIGN.md, "Serving layer".
+// of piling up. Picks on resident plan sets need no worker and skip the
+// queue. See DESIGN.md, "Serving layer".
 //
 // The fleet subsystem (mpq/internal/fleet) extends one server to a
 // fleet: Options.CacheBytes bounds the cache with size-aware LRU
@@ -60,6 +61,7 @@ import (
 	"mpq/internal/geometry"
 	"mpq/internal/index"
 	"mpq/internal/obs"
+	"mpq/internal/plan"
 	"mpq/internal/pwl"
 	"mpq/internal/refine"
 	"mpq/internal/region"
@@ -310,6 +312,34 @@ type PickResult struct {
 	Epsilon    float64
 	Generation int
 	Final      bool
+
+	texts planTexts
+}
+
+// PlanJSON returns a chosen plan's text JSON-quoted — the bytes
+// json.Marshal(n.String()) produces — pre-rendered once per resident
+// plan set. The caller must not modify them.
+func (r PickResult) PlanJSON(n *plan.Node) []byte { return r.texts.quoted(n) }
+
+// planTexts maps each plan of a resident plan set to its JSON-quoted
+// text, rendered once when the entry is built so picks never render
+// plans. Read-only after construction.
+type planTexts map[*plan.Node][]byte
+
+// quoted returns n's pre-rendered text, or renders it for a node the
+// plan set does not hold.
+func (t planTexts) quoted(n *plan.Node) []byte {
+	if b, ok := t[n]; ok {
+		return b
+	}
+	return quotePlan(n)
+}
+
+// quotePlan renders n's text through encoding/json, so its escaping
+// (HTML characters included) is exactly the transport's.
+func quotePlan(n *plan.Node) []byte {
+	b, _ := json.Marshal(n.String()) // a string always marshals
+	return b
 }
 
 // Stats is a snapshot of the server's counters.
@@ -456,6 +486,7 @@ type Server struct {
 	cache     *fleet.Cache
 	admission *fleet.Admission
 	busy      atomic.Int64 // pool workers currently inside a job
+	picks     pickCounters
 
 	mu        sync.RWMutex
 	closed    bool
@@ -470,6 +501,34 @@ type Server struct {
 	refineWorker *worker
 	refineMu     sync.Mutex
 	refineStates map[string]*refineState
+
+	// keys memoizes generated templates' plan-set keys (see
+	// templateKey).
+	keyMu sync.Mutex
+	keys  map[keyMemoKey]string
+}
+
+// pickCounters are the per-pick Stats counters, kept off mu because
+// every pick bumps them; Stats copies them into its snapshot.
+type pickCounters struct {
+	points        atomic.Int64 // Stats.Picks
+	index         atomic.Int64 // Stats.Index.IndexPicks
+	fallback      atomic.Int64 // Stats.Index.FallbackPicks
+	batchRequests atomic.Int64 // Stats.Index.BatchRequests
+	batchPoints   atomic.Int64 // Stats.Index.BatchPoints
+	coarse        atomic.Int64 // Stats.Refine.CoarsePicks
+}
+
+// keyMemoCap bounds the key memo; a full memo is cleared, not evicted
+// entry by entry.
+const keyMemoCap = 4096
+
+// keyMemoKey identifies a generated template: the generator
+// configuration and the resolved ε's bits (planSetKey encodes -0 and 0
+// differently, so the memo must too).
+type keyMemoKey struct {
+	workload workload.Config
+	epsBits  uint64
 }
 
 // refineState is the per-key record the refinement subsystem needs to
@@ -496,6 +555,7 @@ type entry struct {
 	set        *store.PlanSet
 	doc        []byte
 	candidates []selection.Candidate
+	texts      planTexts
 	idx        *index.Index
 	leafCands  [][]selection.Candidate
 	// telLo/telHi is the parameter-space bounding box pick-point
@@ -643,6 +703,7 @@ func New(opts Options) *Server {
 		admission: fleet.NewAdmission(opts.MaxConcurrentPrepares),
 		inflight:  make(flights[PrepareResult]),
 		reloading: make(flights[*entry]),
+		keys:      make(map[keyMemoKey]string),
 	}
 	if len(opts.RefineLadder) > 0 {
 		if err := refine.Ladder(opts.RefineLadder).Validate(); err != nil {
@@ -735,6 +796,12 @@ func (s *Server) Stats() Stats {
 	s.mu.RLock()
 	st := s.stats
 	s.mu.RUnlock()
+	st.Picks = s.picks.points.Load()
+	st.Index.IndexPicks = s.picks.index.Load()
+	st.Index.FallbackPicks = s.picks.fallback.Load()
+	st.Index.BatchRequests = s.picks.batchRequests.Load()
+	st.Index.BatchPoints = s.picks.batchPoints.Load()
+	st.Refine.CoarsePicks = s.picks.coarse.Load()
 	st.Cache = s.cache.Stats()
 	st.CachedPlanSets = st.Cache.ResidentEntries
 	st.Admission = s.admission.Stats()
@@ -826,15 +893,46 @@ func (s *Server) Document(key string) ([]byte, error) {
 // the store format version, since the cached sets round-trip through
 // it).
 func (s *Server) Key(tpl Template) (string, error) {
-	schema, cloudCfg, err := tpl.resolve()
-	if err != nil {
-		return "", err
+	key, _, _, _, err := s.templateKey(tpl)
+	return key, err
+}
+
+// templateKey returns tpl's plan-set key and resolved ε, plus the
+// resolved schema and cost-model configuration that hashed to the key.
+// A generated template (no explicit Schema or Cloud) seen before takes
+// its key from the memo instead, skipping workload generation and the
+// key hash; schema is then nil, and a caller that needs it resolves tpl
+// itself.
+func (s *Server) templateKey(tpl Template) (key string, epsilon float64, schema *catalog.Schema, cloudCfg cloud.Config, err error) {
+	epsilon, epsErr := s.resolveEpsilon(tpl)
+	memo := tpl.Schema == nil && tpl.Cloud == nil && epsErr == nil
+	mk := keyMemoKey{workload: tpl.Workload, epsBits: math.Float64bits(epsilon)}
+	if memo {
+		s.keyMu.Lock()
+		k, ok := s.keys[mk]
+		s.keyMu.Unlock()
+		if ok {
+			return k, epsilon, nil, cloud.Config{}, nil
+		}
 	}
-	epsilon, err := s.resolveEpsilon(tpl)
-	if err != nil {
-		return "", err
+	if schema, cloudCfg, err = tpl.resolve(); err != nil {
+		return "", 0, nil, cloud.Config{}, err
 	}
-	return planSetKey(schema, cloudCfg, s.opts.Optimizer, s.opts.Solver, epsilon)
+	if epsErr != nil {
+		return "", 0, nil, cloud.Config{}, epsErr
+	}
+	if key, err = planSetKey(schema, cloudCfg, s.opts.Optimizer, s.opts.Solver, epsilon); err != nil {
+		return "", 0, nil, cloud.Config{}, err
+	}
+	if memo {
+		s.keyMu.Lock()
+		if len(s.keys) >= keyMemoCap {
+			clear(s.keys)
+		}
+		s.keys[mk] = key
+		s.keyMu.Unlock()
+	}
+	return key, epsilon, schema, cloudCfg, nil
 }
 
 // resolveEpsilon returns the approximation factor a template prepares
@@ -906,21 +1004,22 @@ func orBackground(ctx context.Context) context.Context {
 // requests for the same key, which simply retry the flight.
 func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, error) {
 	ctx = orBackground(ctx)
-	schema, cloudCfg, err := tpl.resolve()
-	if err != nil {
-		return PrepareResult{}, err
-	}
-	epsilon, err := s.resolveEpsilon(tpl)
-	if err != nil {
-		return PrepareResult{}, err
-	}
-	key, err := planSetKey(schema, cloudCfg, s.opts.Optimizer, s.opts.Solver, epsilon)
+	key, epsilon, schema, cloudCfg, err := s.templateKey(tpl)
 	if err != nil {
 		return PrepareResult{}, err
 	}
 	res, won, err := s.inflight.do(ctx, s, key, func(e *entry) PrepareResult {
 		return s.prepared(key, e, core.Stats{}, true)
 	}, func() (PrepareResult, error) {
+		if schema == nil {
+			// A memoized key: the template is resolved only now that
+			// its plan set is not resident, so a warm Prepare consults
+			// the cache exactly as often as before the memo.
+			var err error
+			if schema, cloudCfg, err = tpl.resolve(); err != nil {
+				return PrepareResult{}, err
+			}
+		}
 		return s.runPrepare(ctx, key, schema, cloudCfg, epsilon)
 	})
 	if err != nil {
@@ -1083,6 +1182,10 @@ func (s *Server) run(ctx context.Context, fn func(w *worker)) error {
 func (s *Server) mergeSolverStats(w *worker, before geometry.Stats) {
 	diff := w.solver.Stats
 	diff.Sub(before)
+	if diff == (geometry.Stats{}) {
+		// Picks solve nothing; they skip the server lock.
+		return
+	}
 	s.mu.Lock()
 	s.stats.Geometry.Add(diff)
 	s.mu.Unlock()
@@ -1507,7 +1610,7 @@ func (s *Server) recordPipeline(st core.Stats) {
 }
 
 // newEntry deserializes a document and precomputes the selection
-// candidates. With the pick index enabled, the document's persisted
+// candidates and their plans' reply text. With the pick index enabled, the document's persisted
 // index is used when present; otherwise (older documents, documents
 // written by index-less servers) one is rebuilt on load. Either way the
 // per-leaf candidate subsets are materialized once here, so a pick is a
@@ -1518,10 +1621,12 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 		return nil, err
 	}
 	cands := make([]selection.Candidate, len(set.Plans))
+	texts := make(planTexts, len(set.Plans))
 	for i, lp := range set.Plans {
 		cands[i] = selection.Candidate{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
+		texts[lp.Plan] = quotePlan(lp.Plan)
 	}
-	e := &entry{set: set, candidates: cands}
+	e := &entry{set: set, candidates: cands, texts: texts}
 	if s.retainDocs() {
 		e.doc = doc
 	}
@@ -1577,32 +1682,66 @@ func (s *Server) persist(key string, doc []byte) error {
 }
 
 // Pick evaluates a selection policy at a parameter point against a
-// prepared plan set. ctx cancels or deadline-bounds the request (a
-// Pick abandoned while queued never starts).
+// prepared plan set. ctx cancels or deadline-bounds the request: a Pick
+// whose ctx is done never starts, and neither does one abandoned while
+// queued for a reload.
 func (s *Server) Pick(ctx context.Context, req PickRequest) (PickResult, error) {
-	return pickOnPool(ctx, s, func(ctx context.Context, w *worker) (PickResult, error) {
-		return s.pickOn(ctx, w, req)
+	return pickOn(ctx, s, req.Key, func(e *entry) (PickResult, error) {
+		return s.pickEntry(e, req)
 	})
 }
 
-// pickOnPool runs one pick-shaped request on a pool worker and counts a
-// failure on its context once, at the API boundary.
-func pickOnPool[R any](ctx context.Context, s *Server, on func(ctx context.Context, w *worker) (R, error)) (R, error) {
+// pickOn runs one pick-shaped request against key's entry and counts a
+// failure on its context once, at the API boundary. A resident entry is
+// pinned and picked on the caller's goroutine: selection on the
+// immutable entry needs no solver, so it never waits in the queue
+// behind optimizer work. Only an entry that must be reloaded (decoded,
+// perhaps indexed) takes a pool worker, through the reload
+// singleflight.
+func pickOn[R any](ctx context.Context, s *Server, key string, on func(e *entry) (R, error)) (R, error) {
 	ctx = orBackground(ctx)
 	var res R
-	var jerr error
-	err := s.run(ctx, func(w *worker) {
-		res, jerr = on(ctx, w)
-	})
+	err := s.accepting(ctx)
 	if err == nil {
-		err = jerr
+		if v, ok := s.cache.Get(key, true); ok {
+			func() {
+				defer s.cache.Unpin(key)
+				res, err = on(v.(*entry))
+			}()
+		} else {
+			var jerr error
+			err = s.run(ctx, func(w *worker) {
+				e, release, rerr := s.reload(ctx, key, w)
+				if rerr != nil {
+					jerr = rerr
+					return
+				}
+				defer release()
+				res, jerr = on(e)
+			})
+			if err == nil {
+				err = jerr
+			}
+		}
 	}
 	if err != nil {
-		// res is the zero value here: either the job never ran, or it
+		// res is the zero value here: either the pick never ran, or it
 		// failed and returned none.
 		s.noteCtxFailure(err)
 	}
 	return res, err
+}
+
+// accepting reports why a request may not start: the server is closed,
+// or ctx is already done.
+func (s *Server) accepting(ctx context.Context) error {
+	s.mu.RLock()
+	closed := s.closed
+	s.mu.RUnlock()
+	if closed {
+		return ErrServerClosed
+	}
+	return ctx.Err()
 }
 
 // PickBatchRequest evaluates one selection policy at many parameter
@@ -1639,7 +1778,12 @@ type PickBatchResult struct {
 	Epsilon    float64
 	Generation int
 	Final      bool
+
+	texts planTexts
 }
+
+// PlanJSON is PickResult.PlanJSON for the batch's plans.
+func (r PickBatchResult) PlanJSON(n *plan.Node) []byte { return r.texts.quoted(n) }
 
 // PickBatch evaluates a selection policy at every point of the request
 // against a prepared plan set, as one queued unit of work. Points are
@@ -1648,18 +1792,13 @@ type PickBatchResult struct {
 // byte-identical to issuing the Picks one by one. Any invalid point or
 // selection failure fails the whole batch (the error names the point).
 func (s *Server) PickBatch(ctx context.Context, req PickBatchRequest) (PickBatchResult, error) {
-	return pickOnPool(ctx, s, func(ctx context.Context, w *worker) (PickBatchResult, error) {
-		return s.pickBatchOn(ctx, w, req)
+	return pickOn(ctx, s, req.Key, func(e *entry) (PickBatchResult, error) {
+		return s.pickBatchEntry(e, req)
 	})
 }
 
-// pickBatchOn executes a batch on a pool worker.
-func (s *Server) pickBatchOn(ctx context.Context, w *worker, req PickBatchRequest) (PickBatchResult, error) {
-	e, release, err := s.entryFor(ctx, req.Key, w)
-	if err != nil {
-		return PickBatchResult{}, err
-	}
-	defer release()
+// pickBatchEntry executes a batch against e.
+func (s *Server) pickBatchEntry(e *entry, req PickBatchRequest) (PickBatchResult, error) {
 	if !validPolicy(req.Policy) {
 		// Request-shape problems are reported as such, before any
 		// per-point validation, and even for empty batches.
@@ -1713,22 +1852,15 @@ func (s *Server) pickBatchOn(ctx context.Context, w *worker, req PickBatchReques
 	}
 	gen, final := s.notePicks(req.Key, e, indexPicks, true, req.Points...)
 	return PickBatchResult{Metrics: e.set.Metrics, Choices: choices,
-		Epsilon: e.set.Epsilon, Generation: gen, Final: final}, nil
+		Epsilon: e.set.Epsilon, Generation: gen, Final: final, texts: e.texts}, nil
 }
 
-// pickOn executes a Pick on a pool worker. Selection is pure point
-// evaluation (the relevance-region fast path needs no LPs), so the
-// worker's solver is untouched; the queue trip still bounds the
-// server's concurrent work. With a pick index on the entry, the point
-// is routed to its cell and only the cell's candidate subset is
-// scanned — byte-identical to the linear fallback by the index's
-// conservative construction.
-func (s *Server) pickOn(ctx context.Context, w *worker, req PickRequest) (PickResult, error) {
-	e, release, err := s.entryFor(ctx, req.Key, w)
-	if err != nil {
-		return PickResult{}, err
-	}
-	defer release()
+// pickEntry executes a Pick against e. Selection is pure point
+// evaluation (the relevance-region fast path needs no LPs), so it needs
+// no solver. With a pick index on the entry, the point is routed to its
+// cell and only the cell's candidate subset is scanned — byte-identical
+// to the linear fallback by the index's conservative construction.
+func (s *Server) pickEntry(e *entry, req PickRequest) (PickResult, error) {
 	if err := e.validatePoint(req.Point); err != nil {
 		return PickResult{}, err
 	}
@@ -1743,7 +1875,7 @@ func (s *Server) pickOn(ctx context.Context, w *worker, req PickRequest) (PickRe
 	}
 	gen, final := s.notePicks(req.Key, e, indexPicks, false, req.Point)
 	return PickResult{Metrics: e.set.Metrics, Choices: choices,
-		Epsilon: e.set.Epsilon, Generation: gen, Final: final}, nil
+		Epsilon: e.set.Epsilon, Generation: gen, Final: final, texts: e.texts}, nil
 }
 
 // notePicks records pick points served from e — indexPicks of them
@@ -1752,35 +1884,30 @@ func (s *Server) pickOn(ctx context.Context, w *worker, req PickRequest) (PickRe
 func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, points ...geometry.Vector) (gen int, final bool) {
 	gen, final = s.generationOf(key, e.set.Epsilon)
 	n := int64(len(points))
-	s.mu.Lock()
-	s.stats.Picks += n
-	s.stats.Index.IndexPicks += int64(indexPicks)
-	s.stats.Index.FallbackPicks += n - int64(indexPicks)
+	s.picks.points.Add(n)
+	s.picks.index.Add(int64(indexPicks))
+	s.picks.fallback.Add(n - int64(indexPicks))
 	if batch {
-		s.stats.Index.BatchRequests++
-		s.stats.Index.BatchPoints += n
+		s.picks.batchRequests.Add(1)
+		s.picks.batchPoints.Add(n)
 	}
 	if !final {
-		s.stats.Refine.CoarsePicks += n
+		s.picks.coarse.Add(n)
 	}
-	s.mu.Unlock()
 	for _, x := range points {
 		s.recordPickPoint(key, e, x)
 	}
 	return gen, final
 }
 
-// entryFor resolves a plan-set key, transparently reloading evicted
-// (or never-seen) entries from the non-compute sources (Dir, shared
-// store, peers) through the reload singleflight; a reload never
-// computes. It accepts the document's own approximation factor: the
-// request addressed the tier by key, and the key hash already binds ε.
-// The resident entry is pinned against eviction for the duration of
-// the request; callers must call the returned release exactly once.
-func (s *Server) entryFor(ctx context.Context, key string, w *worker) (*entry, func(), error) {
-	if v, ok := s.cache.Get(key, true); ok {
-		return v.(*entry), func() { s.cache.Unpin(key) }, nil
-	}
+// reload brings an evicted (or never-seen) plan set back from the
+// non-compute sources (Dir, shared store, peers) through the reload
+// singleflight; a reload never computes. It accepts the document's own
+// approximation factor: the request addressed the tier by key, and the
+// key hash already binds ε. The entry is pinned against eviction for
+// the duration of the request; callers must call the returned release
+// exactly once.
+func (s *Server) reload(ctx context.Context, key string, w *worker) (*entry, func(), error) {
 	e, _, err := s.reloading.do(ctx, s, key, func(e *entry) *entry { return e }, func() (*entry, error) {
 		e, _, _, err := s.resolve(ctx, w, key, nil, nil, false, nil)
 		if err == nil {

@@ -549,6 +549,77 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
+// TestResidentPicksSkipQueue: with every pool worker wedged and the
+// queue full, a Pick and a PickBatch on a resident plan set still
+// answer, byte-identical to the sequential path, while a pick that
+// needs a reload is shed with ErrQueueFull. A done context and a closed
+// server still refuse resident picks.
+func TestResidentPicksSkipQueue(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1, Index: true})
+	defer s.Close()
+	tpl := testTemplate(21)
+	prep, err := s.Prepare(context.Background(), tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequentialPicks(t, tpl)
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var unwedge sync.Once
+	defer unwedge.Do(func() { close(release) }) // before Close, which joins the worker
+	blocker := &job{done: make(chan struct{}), run: func(w *worker) {
+		close(started)
+		<-release
+	}}
+	if err := s.submit(blocker); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	queued := &job{done: make(chan struct{}), run: func(w *worker) {}}
+	if err := s.submit(queued); err != nil {
+		t.Fatal(err)
+	}
+
+	x := testPoints[2]
+	res, err := s.Pick(context.Background(), PickRequest{Key: prep.Key, Point: x, Policy: PolicyFrontier})
+	if err != nil {
+		t.Fatalf("resident Pick with the pool wedged: %v", err)
+	}
+	if got := fmt.Sprint(renderAll(res.Choices)); got != fmt.Sprint(want[expectKey("frontier", x)]) {
+		t.Errorf("resident Pick = %v, sequential %v", got, want[expectKey("frontier", x)])
+	}
+	bres, err := s.PickBatch(context.Background(), PickBatchRequest{
+		Key: prep.Key, Points: testPoints, Policy: PolicyWeightedSum, Weights: []float64{1, 10000},
+	})
+	if err != nil {
+		t.Fatalf("resident PickBatch with the pool wedged: %v", err)
+	}
+	for i, p := range testPoints {
+		if got := fmt.Sprint(renderAll(bres.Choices[i])); got != fmt.Sprint(want[expectKey("weighted", p)]) {
+			t.Errorf("resident batch at %v = %v, sequential %v", p, got, want[expectKey("weighted", p)])
+		}
+	}
+	if _, err := s.Pick(context.Background(), PickRequest{Key: "nope", Point: x}); !errors.Is(err, ErrQueueFull) {
+		t.Errorf("Pick needing a reload under a full queue = %v, want ErrQueueFull", err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Pick(done, PickRequest{Key: prep.Key, Point: x}); !errors.Is(err, context.Canceled) {
+		t.Errorf("resident Pick on a done context = %v, want context.Canceled", err)
+	}
+	if st := s.Stats(); st.Picks != int64(1+len(testPoints)) || st.Cancellations != 1 {
+		t.Errorf("picks = %d, cancellations = %d; want %d and 1", st.Picks, st.Cancellations, 1+len(testPoints))
+	}
+
+	unwedge.Do(func() { close(release) })
+	<-queued.done
+	s.Close()
+	if _, err := s.Pick(context.Background(), PickRequest{Key: prep.Key, Point: x}); !errors.Is(err, ErrServerClosed) {
+		t.Errorf("resident Pick after Close = %v, want ErrServerClosed", err)
+	}
+}
+
 func TestPickErrors(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
