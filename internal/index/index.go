@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"mpq/internal/geometry"
-	"mpq/internal/pwl"
 	"mpq/internal/selection"
 )
 
@@ -135,17 +134,26 @@ func Build(s *geometry.Solver, space *geometry.Polytope, cands []selection.Candi
 		lo[i] -= pad
 		hi[i] += pad
 	}
-	ids := make([]int32, len(cands))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
 	b := &builder{cands: cands, opts: opts}
 	// Spawn goroutines only near the root: ~log2(Workers)+1 levels keep
 	// every worker busy without flooding the scheduler.
 	for d := 1; d < opts.Workers; d *= 2 {
 		b.parDepth++
 	}
-	root := b.build(lo, hi, ids, 0, opts.MaxLeaves)
+	sc := &scratch{}
+	top := sc.cell(0)
+	for i, c := range cands {
+		if prunableCandidate(c) {
+			for _, cut := range c.RR.Cutouts() {
+				if !boxDisjoint(lo, hi, cut) {
+					top.cuts = append(top.cuts, cut)
+				}
+			}
+		}
+		top.ids = append(top.ids, int32(i))
+		top.ends = append(top.ends, int32(len(top.cuts)))
+	}
+	root := b.build(lo, hi, top, 0, opts.MaxLeaves, sc)
 	ix := &Index{dim: dim, lo: lo, hi: hi, opts: opts}
 	ix.flatten(root, 0)
 	ix.buildTime = time.Since(start) //mpq:wallclock build-time stat; never reaches the tree shape
@@ -168,77 +176,117 @@ type bnode struct {
 	cands       []int32
 }
 
-// build recursively decomposes the closed cell [lo,hi]. budget is the
-// maximum number of leaves this subtree may produce (split evenly
-// between children, so the bound is schedule-independent).
-func (b *builder) build(lo, hi geometry.Vector, ids []int32, depth, budget int) *bnode {
+// cell is the candidate list of one tree cell: the kept candidate ids
+// in ascending plan order and, per id, the cutouts of its relevance
+// region not provably disjoint from the cell (cuts between the
+// previous id's end and its own). boxDisjoint is monotone under box
+// shrinking, so a cutout disjoint from a cell is disjoint from every
+// descendant cell and can never exclude the candidate or make a split
+// worthwhile there: children rescan only their parent's overlapping
+// cutouts.
+type cell struct {
+	ids  []int32
+	cuts []*geometry.Polytope
+	ends []int32
+}
+
+// cutouts returns the overlapping cutouts of the cell's i-th candidate.
+func (c *cell) cutouts(i int) []*geometry.Polytope {
+	lo := int32(0)
+	if i > 0 {
+		lo = c.ends[i-1]
+	}
+	return c.cuts[lo:c.ends[i]]
+}
+
+// scratch is one build goroutine's reusable buffers: the cell of each
+// tree depth (a node's children are filtered and built one after the
+// other, so one cell per depth serves the whole sequential subtree),
+// the cutout lists of each union-coverage probe depth, and the probe's
+// box.
+type scratch struct {
+	cells  []*cell
+	probes [coverProbeDepth][]*geometry.Polytope
+	lo, hi geometry.Vector
+}
+
+// cell returns the depth's cell buffer.
+func (sc *scratch) cell(depth int) *cell {
+	for len(sc.cells) <= depth {
+		sc.cells = append(sc.cells, &cell{})
+	}
+	return sc.cells[depth]
+}
+
+// build recursively decomposes the closed cell [lo,hi] holding the
+// candidates of cl, a buffer of sc. budget is the maximum number of
+// leaves this subtree may produce (split evenly between children, so
+// the bound is schedule-independent).
+func (b *builder) build(lo, hi geometry.Vector, cl *cell, depth, budget int, sc *scratch) *bnode {
 	prunable := 0
-	for _, id := range ids {
+	for _, id := range cl.ids {
 		if prunableCandidate(b.cands[id]) {
 			prunable++
 		}
 	}
+	// Splitting can still shed a candidate only if some kept candidate
+	// has a cutout overlapping the cell (a cutout containing the whole
+	// cell would already have excluded the candidate). Purely a
+	// termination heuristic — it cannot affect soundness, only tree
+	// size.
+	refinable := len(cl.cuts) > 0
 	if prunable <= b.opts.LeafTarget || depth >= b.opts.MaxDepth ||
-		budget < 2 || !b.refinable(lo, hi, ids) {
-		return &bnode{cands: ids}
+		budget < 2 || !refinable {
+		return &bnode{cands: append(make([]int32, 0, len(cl.ids)), cl.ids...)}
 	}
 	// Split the widest dimension at its midpoint (lowest dimension on
 	// ties — deterministic).
+	d := widest(lo, hi)
+	split := (lo[d] + hi[d]) / 2
+	if !(split > lo[d] && split < hi[d]) {
+		// Degenerate cell (zero width or non-finite bounds): stop.
+		return &bnode{cands: append(make([]int32, 0, len(cl.ids)), cl.ids...)}
+	}
+	leftHi := hi.Clone()
+	leftHi[d] = split
+	rightLo := lo.Clone()
+	rightLo[d] = split
+	lb := (budget + 1) / 2
+	rb := budget - lb
+	n := &bnode{dim: d, split: split}
+	if depth < b.parDepth {
+		lsc := &scratch{}
+		left := lsc.cell(depth + 1)
+		b.filter(lo, leftHi, cl, left, lsc)
+		right := sc.cell(depth + 1)
+		b.filter(rightLo, hi, cl, right, sc)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.left = b.build(lo, leftHi, left, depth+1, lb, lsc)
+		}()
+		n.right = b.build(rightLo, hi, right, depth+1, rb, sc)
+		wg.Wait()
+	} else {
+		child := sc.cell(depth + 1)
+		b.filter(lo, leftHi, cl, child, sc)
+		n.left = b.build(lo, leftHi, child, depth+1, lb, sc)
+		b.filter(rightLo, hi, cl, child, sc)
+		n.right = b.build(rightLo, hi, child, depth+1, rb, sc)
+	}
+	return n
+}
+
+// widest returns the box's widest dimension (lowest on ties).
+func widest(lo, hi geometry.Vector) int {
 	d := 0
 	for i := 1; i < len(lo); i++ {
 		if hi[i]-lo[i] > hi[d]-lo[d] {
 			d = i
 		}
 	}
-	split := (lo[d] + hi[d]) / 2
-	if !(split > lo[d] && split < hi[d]) {
-		// Degenerate cell (zero width or non-finite bounds): stop.
-		return &bnode{cands: ids}
-	}
-	leftHi := hi.Clone()
-	leftHi[d] = split
-	rightLo := lo.Clone()
-	rightLo[d] = split
-	leftIDs := b.filter(lo, leftHi, ids)
-	rightIDs := b.filter(rightLo, hi, ids)
-	lb := (budget + 1) / 2
-	rb := budget - lb
-	n := &bnode{dim: d, split: split}
-	if depth < b.parDepth {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.left = b.build(lo, leftHi, leftIDs, depth+1, lb)
-		}()
-		n.right = b.build(rightLo, hi, rightIDs, depth+1, rb)
-		wg.Wait()
-	} else {
-		n.left = b.build(lo, leftHi, leftIDs, depth+1, lb)
-		n.right = b.build(rightLo, hi, rightIDs, depth+1, rb)
-	}
-	return n
-}
-
-// refinable reports whether splitting the cell further can still shed a
-// candidate: some kept candidate must have a cutout that overlaps the
-// cell (a cutout provably disjoint from the cell can never contain a
-// descendant cell, and a cutout containing the whole cell would already
-// have excluded the candidate). Purely a termination heuristic — it
-// cannot affect soundness, only tree size.
-func (b *builder) refinable(lo, hi geometry.Vector, ids []int32) bool {
-	for _, id := range ids {
-		c := b.cands[id]
-		if !prunableCandidate(c) {
-			continue
-		}
-		for _, cut := range c.RR.Cutouts() {
-			if !boxDisjoint(lo, hi, cut) {
-				return true
-			}
-		}
-	}
-	return false
+	return d
 }
 
 // boxDisjoint reports whether the cutout is provably disjoint from the
@@ -260,25 +308,35 @@ func boxDisjoint(lo, hi geometry.Vector, c *geometry.Polytope) bool {
 	return false
 }
 
-// filter keeps the candidates whose relevance region may intersect the
-// closed cell box, preserving order.
-func (b *builder) filter(lo, hi geometry.Vector, ids []int32) []int32 {
-	out := make([]int32, 0, len(ids))
-	for _, id := range ids {
-		c := b.cands[id]
-		if prunableCandidate(c) && cellExcluded(c.RR.Cutouts(), lo, hi) {
+// filter writes to out the candidates of the parent cell whose
+// relevance region may intersect the closed sub-box [lo,hi], preserving
+// order, each with its cutouts overlapping the sub-box. A candidate is
+// dropped when its cutouts strictly cover the whole sub-box — then
+// every point routed there fails the policies' containment test and
+// the candidate cannot influence any pick there.
+func (b *builder) filter(lo, hi geometry.Vector, parent, out *cell, sc *scratch) {
+	out.ids, out.cuts, out.ends = out.ids[:0], out.cuts[:0], out.ends[:0]
+	for i, id := range parent.ids {
+		from := len(out.cuts)
+		for _, cut := range parent.cutouts(i) {
+			if !boxDisjoint(lo, hi, cut) {
+				out.cuts = append(out.cuts, cut)
+			}
+		}
+		if sc.covered(out.cuts[from:], lo, hi) {
+			out.cuts = out.cuts[:from]
 			continue
 		}
-		out = append(out, id)
+		out.ids = append(out.ids, id)
+		out.ends = append(out.ends, int32(len(out.cuts)))
 	}
-	return out
 }
 
 // coverProbeDepth bounds the recursive union-coverage refinement of
-// cellExcluded: a cell is also excluded when, after up to this many
-// binary subdivisions, every sub-box is strictly inside some single
-// cutout — catching the common case of a cell covered by the union of
-// several dominance cutouts, none of which contains it alone.
+// the exclusion test: a cell is also excluded when, after up to this
+// many binary subdivisions, every sub-box is strictly inside some
+// single cutout — catching the common case of a cell covered by the
+// union of several dominance cutouts, none of which contains it alone.
 const coverProbeDepth = 4
 
 // prunableCandidate reports whether the candidate can ever be excluded
@@ -289,56 +347,61 @@ func prunableCandidate(c selection.Candidate) bool {
 	return c.RR != nil && c.RR.NumCutouts() > 0
 }
 
-// cellExcluded reports whether the cutouts strictly cover the whole
-// closed cell box — then every point routed to the cell fails the
-// policies' containment test and the candidate cannot influence any
-// pick there. A single containing cutout decides immediately;
-// otherwise the cell is subdivided up to coverProbeDepth times and
-// every sub-box must end up strictly inside some cutout (union
-// coverage). Cutouts provably disjoint from a sub-box are dropped from
-// its recursion.
-func cellExcluded(cutouts []*geometry.Polytope, lo, hi geometry.Vector) bool {
-	return unionCovers(cutouts, lo, hi, coverProbeDepth)
+// covered reports whether cutouts, all overlapping the closed box
+// [lo,hi], strictly cover the whole box. A single containing cutout
+// decides immediately; otherwise the box is subdivided up to
+// coverProbeDepth times and every sub-box must end up strictly inside
+// some cutout (union coverage). Cutouts provably disjoint from a
+// sub-box are dropped from its recursion.
+func (sc *scratch) covered(cutouts []*geometry.Polytope, lo, hi geometry.Vector) bool {
+	sc.lo = append(sc.lo[:0], lo...)
+	sc.hi = append(sc.hi[:0], hi...)
+	return sc.coveredAt(cutouts, coverProbeDepth)
 }
 
-func unionCovers(cutouts []*geometry.Polytope, lo, hi geometry.Vector, depth int) bool {
-	overlapping := 0
+// coveredAt is covered on the probe box sc.lo/sc.hi, which it
+// subdivides in place and restores; depth subdivisions remain.
+func (sc *scratch) coveredAt(cutouts []*geometry.Polytope, depth int) bool {
+	lo, hi := sc.lo, sc.hi
 	for _, c := range cutouts {
 		if boxStrictlyInside(lo, hi, c) {
 			return true
 		}
-		if !boxDisjoint(lo, hi, c) {
-			overlapping++
-		}
 	}
-	if depth == 0 || overlapping < 2 {
+	if depth == 0 || len(cutouts) < 2 {
 		// One overlapping cutout cannot cover a box it does not contain.
 		return false
 	}
-	rest := make([]*geometry.Polytope, 0, overlapping)
-	for _, c := range cutouts {
-		if !boxDisjoint(lo, hi, c) {
-			rest = append(rest, c)
-		}
-	}
-	d := 0
-	for i := 1; i < len(lo); i++ {
-		if hi[i]-lo[i] > hi[d]-lo[d] {
-			d = i
-		}
-	}
+	d := widest(lo, hi)
 	mid := (lo[d] + hi[d]) / 2
 	if !(mid > lo[d] && mid < hi[d]) {
 		return false
 	}
-	leftHi := hi.Clone()
-	leftHi[d] = mid
-	if !unionCovers(rest, lo, leftHi, depth-1) {
+	save := hi[d]
+	hi[d] = mid
+	ok := sc.coveredAt(sc.overlapping(cutouts, depth-1), depth-1)
+	hi[d] = save
+	if !ok {
 		return false
 	}
-	rightLo := lo.Clone()
-	rightLo[d] = mid
-	return unionCovers(rest, rightLo, hi, depth-1)
+	save = lo[d]
+	lo[d] = mid
+	ok = sc.coveredAt(sc.overlapping(cutouts, depth-1), depth-1)
+	lo[d] = save
+	return ok
+}
+
+// overlapping returns the cutouts not provably disjoint from the probe
+// box, in the probe buffer of the given depth.
+func (sc *scratch) overlapping(cutouts []*geometry.Polytope, depth int) []*geometry.Polytope {
+	out := sc.probes[depth][:0]
+	for _, c := range cutouts {
+		if !boxDisjoint(sc.lo, sc.hi, c) {
+			out = append(out, c)
+		}
+	}
+	sc.probes[depth] = out
+	return out
 }
 
 // boxStrictlyInside reports whether every point of the box satisfies
@@ -455,169 +518,4 @@ func (ix *Index) MemBytes() int64 {
 	return int64(len(ix.nodes))*nodeBytes +
 		ix.leafCandTotal*4 + // candidate ids (int32)
 		int64(2*ix.dim)*8 // lo/hi box vectors
-}
-
-// LeafCandidates materializes, for every leaf id, the candidate subset
-// to run the selection policies on: the leaf's candidates with their
-// cost functions restricted to the pieces that may contain a point of
-// the leaf cell (pwl.Restrict — dropped pieces are provably outside
-// the cell beyond the evaluation tolerance, and the view falls back to
-// the full scan when no hinted piece contains the point, so policy
-// results through these subsets are byte-identical to the full linear
-// scan). The returned slice is indexed by leaf id (non-leaf slots are
-// nil).
-func (ix *Index) LeafCandidates(cands []selection.Candidate) [][]selection.Candidate {
-	out := make([][]selection.Candidate, len(ix.nodes))
-	ix.walkLeaves(0, ix.lo.Clone(), ix.hi.Clone(), func(leaf int32, lo, hi geometry.Vector) {
-		ids := ix.nodes[leaf].cands
-		sub := make([]selection.Candidate, len(ids))
-		for i, id := range ids {
-			sub[i] = restrictCandidate(cands[id], lo, hi)
-		}
-		out[leaf] = sub
-	})
-	return out
-}
-
-// walkLeaves visits every leaf with its cell box. The boxes are
-// recomputed from the splits, so lo/hi are scratch and mutated in
-// place.
-func (ix *Index) walkLeaves(i int32, lo, hi geometry.Vector, fn func(leaf int32, lo, hi geometry.Vector)) {
-	n := &ix.nodes[i]
-	if n.right == 0 {
-		fn(i, lo, hi)
-		return
-	}
-	d := n.dim
-	save := hi[d]
-	hi[d] = n.split
-	ix.walkLeaves(n.left, lo, hi, fn)
-	hi[d] = save
-	save = lo[d]
-	lo[d] = n.split
-	ix.walkLeaves(n.right, lo, hi, fn)
-	lo[d] = save
-}
-
-// restrictCandidate returns the candidate with each cost component
-// restricted to the pieces that may contain a point of the cell, and
-// its relevance region restricted to the cutouts that can decide a
-// containment test inside the cell.
-func restrictCandidate(c selection.Candidate, lo, hi geometry.Vector) selection.Candidate {
-	if c.RR != nil {
-		cutouts := c.RR.Cutouts()
-		kept := make([]*geometry.Polytope, 0, len(cutouts))
-		for _, cut := range cutouts {
-			if trimmed, decidable := trimCutout(cut, lo, hi); decidable {
-				kept = append(kept, trimmed)
-			}
-		}
-		if len(kept) == 0 {
-			// No cutout can decide containment in this cell, and every
-			// served point is inside the space: the candidate is always
-			// relevant here — selection's nil fast path skips the test
-			// entirely.
-			c.RR = nil
-		} else {
-			// The view drops the per-candidate space test (served points
-			// are validated in-space before selection) and scans only the
-			// kept cutouts with their undecided constraints.
-			c.RR = c.RR.ContainmentView(kept)
-		}
-	}
-	m := c.Cost
-	comps := make([]*pwl.Function, m.NumMetrics())
-	changed := false
-	for k := 0; k < m.NumMetrics(); k++ {
-		f := m.Component(k)
-		pieces := f.Pieces()
-		keep := make([]int, 0, len(pieces))
-		for i := range pieces {
-			if !pieceExcluded(&pieces[i], lo, hi) {
-				keep = append(keep, i)
-			}
-		}
-		if len(keep) < len(pieces) {
-			comps[k] = f.Restrict(keep)
-			changed = true
-		} else {
-			comps[k] = f
-		}
-	}
-	if changed {
-		c.Cost = pwl.NewMulti(comps...)
-	}
-	return c
-}
-
-// trimCutout restricts a cutout to the constraints still undecided in
-// the cell. decidable is false when the cutout provably cannot decide
-// a containment test anywhere in the cell: some constraint's box
-// minimum already exceeds its bound by more than the strict
-// containment tolerance, so no cell point is strictly inside the
-// cutout and dropping it from the scan cannot change any Contains
-// outcome. Constraints *strictly satisfied* everywhere in the cell
-// (box maximum below the bound by more than the tolerance) can never
-// flip a cell point's containment test to false and are dropped from
-// the kept cutout; at least one constraint always survives (a cutout
-// with every constraint strictly satisfied contains the cell, so the
-// candidate was excluded during the build).
-func trimCutout(c *geometry.Polytope, lo, hi geometry.Vector) (trimmed *geometry.Polytope, decidable bool) {
-	hs := c.Constraints()
-	kept := make([]geometry.Halfspace, 0, len(hs))
-	for _, h := range hs {
-		mn, mx := 0.0, 0.0
-		scale := math.Abs(h.B)
-		for i, w := range h.W {
-			if w > 0 {
-				mn += w * lo[i]
-				mx += w * hi[i]
-			} else {
-				mn += w * hi[i]
-				mx += w * lo[i]
-			}
-			scale += math.Abs(w) * math.Max(math.Abs(lo[i]), math.Abs(hi[i]))
-		}
-		margin := cellStrictEps + cellRelEps*scale
-		if mn-h.B > margin {
-			return nil, false // violated everywhere: cutout undecidable
-		}
-		if mx <= h.B-margin {
-			continue // satisfied everywhere: constraint never decides
-		}
-		kept = append(kept, h)
-	}
-	if len(kept) == len(hs) {
-		return c, true
-	}
-	return geometry.NewPolytope(c.Dim(), kept...), true
-}
-
-// pieceExcluded reports whether the piece's region provably excludes
-// the whole cell: some normalized constraint is violated by more than
-// pwl's evaluation tolerance at every point of the box (the box
-// minimum of the normalized W·x stays above B by the strict margin).
-func pieceExcluded(p *pwl.Piece, lo, hi geometry.Vector) bool {
-	for _, h := range p.Region.Constraints() {
-		nrm := h.W.NormInf()
-		if nrm < 1e-300 {
-			continue
-		}
-		s := 1 / nrm
-		mn := 0.0
-		scale := math.Abs(h.B) * s
-		for i, w := range h.W {
-			w *= s
-			if w > 0 {
-				mn += w * lo[i]
-			} else {
-				mn += w * hi[i]
-			}
-			scale += math.Abs(w) * math.Max(math.Abs(lo[i]), math.Abs(hi[i]))
-		}
-		if mn-h.B*s > cellStrictEps+cellRelEps*scale {
-			return true
-		}
-	}
-	return false
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"mpq/internal/cloud"
@@ -37,10 +38,29 @@ func buildWorkers(t *testing.T) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// loaded memoizes loadSet per workload: several tests index the same
+// plan sets, and optimizing them dominates the package's run time under
+// -race. The sets are read-only once loaded.
+var loaded struct {
+	sync.Mutex
+	sets map[workload.Config]loadedSet
+}
+
+type loadedSet struct {
+	ps     *store.PlanSet
+	cands  []selection.Candidate
+	solver *geometry.Solver
+}
+
 // loadSet optimizes a workload and round-trips it through the store
 // format, returning the serving-side candidate set.
-func loadSet(t *testing.T, cfg workload.Config) (*store.PlanSet, []selection.Candidate, *geometry.Solver) {
+func loadSet(t testing.TB, cfg workload.Config) (*store.PlanSet, []selection.Candidate, *geometry.Solver) {
 	t.Helper()
+	loaded.Lock()
+	defer loaded.Unlock()
+	if l, ok := loaded.sets[cfg]; ok {
+		return l.ps, l.cands, l.solver
+	}
 	schema, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +89,10 @@ func loadSet(t *testing.T, cfg workload.Config) (*store.PlanSet, []selection.Can
 	for i, lp := range ps.Plans {
 		cands[i] = selection.Candidate{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
 	}
+	if loaded.sets == nil {
+		loaded.sets = make(map[workload.Config]loadedSet)
+	}
+	loaded.sets[cfg] = loadedSet{ps, cands, ctx}
 	return ps, cands, ctx
 }
 

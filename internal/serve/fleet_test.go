@@ -180,6 +180,34 @@ func TestFleetPickEquivalence(t *testing.T) {
 	}
 }
 
+// TestIndexedFootprintChargesLeafViews: the memory-accounted cache
+// charges an indexed entry its document, its tree and its per-leaf
+// views — the part that dominates a resident indexed plan set.
+func TestIndexedFootprintChargesLeafViews(t *testing.T) {
+	s := New(Options{Workers: 1, Index: true, CacheBytes: 64 << 20})
+	defer s.Close()
+	prep, err := s.Prepare(context.Background(), Template{Workload: workload.Config{
+		Tables: 3, Params: 2, Shape: workload.Chain, Seed: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := s.cache.Get(prep.Key, false)
+	if !ok {
+		t.Fatal("prepared plan set not resident")
+	}
+	e := v.(*entry)
+	_, views := e.idx.LeafViews(e.candidates)
+	if views <= 0 || e.viewBytes != views {
+		t.Fatalf("entry charges %d view bytes, LeafViews reports %d", e.viewBytes, views)
+	}
+	want := int64(len(e.doc)) + e.idx.MemBytes() + views
+	if got := s.Stats().Cache.ResidentBytes; got != want {
+		t.Errorf("resident bytes %d, want document %d + tree %d + views %d = %d",
+			got, len(e.doc), e.idx.MemBytes(), views, want)
+	}
+}
+
 // TestServeStatsAccountingBalance is the cache-accounting regression
 // test: with a budget small enough to force evictions and a shared
 // store to reload from, admitted − evicted must equal resident (bytes

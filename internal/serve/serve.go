@@ -121,12 +121,13 @@ type Options struct {
 	IndexOptions index.Options
 	// CacheBytes bounds the in-memory plan-set cache: every cached
 	// entry is charged its serialized document size plus its pick
-	// index's footprint, and least-recently-used entries are evicted
-	// when the total exceeds the budget. Evicted plan sets are not
-	// forgotten — a Pick for an evicted key transparently reloads the
-	// document from Dir, the shared store, or a peer. Zero keeps the
-	// historical unbounded cache. Entries in use are pinned, so the
-	// resident total can transiently exceed the budget.
+	// index's footprint (the tree and its per-leaf candidate views),
+	// and least-recently-used entries are evicted when the total
+	// exceeds the budget. Evicted plan sets are not forgotten — a Pick
+	// for an evicted key transparently reloads the document from Dir,
+	// the shared store, or a peer. Zero keeps the historical unbounded
+	// cache. Entries in use are pinned, so the resident total can
+	// transiently exceed the budget.
 	CacheBytes int64
 	// Shared, when non-nil, is the fleet's shared plan-set store:
 	// Prepare consults it (after the in-memory cache and Dir) before
@@ -549,8 +550,8 @@ type refineState struct {
 // the accounted footprint; plain in-memory servers drop it after
 // deserializing, keeping the historical memory profile. With the pick
 // index enabled, idx is the point-location index and leafCands the
-// per-leaf candidate subsets (piece-restricted cost views) Picks scan
-// instead of candidates.
+// per-leaf candidate subsets (shared restricted views) Picks scan
+// instead of candidates; viewBytes estimates what those views hold.
 type entry struct {
 	set        *store.PlanSet
 	doc        []byte
@@ -558,6 +559,7 @@ type entry struct {
 	texts      planTexts
 	idx        *index.Index
 	leafCands  [][]selection.Candidate
+	viewBytes  int64
 	// telLo/telHi is the parameter-space bounding box pick-point
 	// telemetry bins against, computed once at entry construction (only
 	// when telemetry is enabled); nil when the space is unbounded.
@@ -565,13 +567,15 @@ type entry struct {
 }
 
 // footprint is the bytes the memory-accounted cache charges for the
-// entry: the serialized document plus the pick index structure. The
-// deserialized plan set and the leaf views share most of their memory
-// with what these two measure.
+// entry: the serialized document, the pick index structure, and the
+// per-leaf views (their slices and every distinct restricted region,
+// cutout, cost and component, index.LeafViews' estimate). The document
+// stands in for the deserialized plan set, which the views point into
+// but do not copy.
 func (e *entry) footprint() int64 {
 	b := int64(len(e.doc))
 	if e.idx != nil {
-		b += e.idx.MemBytes()
+		b += e.idx.MemBytes() + e.viewBytes
 	}
 	return b
 }
@@ -1645,7 +1649,7 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 			}
 		}
 		if e.idx != nil {
-			e.leafCands = e.idx.LeafCandidates(cands)
+			e.leafCands, e.viewBytes = e.idx.LeafViews(cands)
 		}
 	}
 	if s.opts.Telemetry != nil {
