@@ -221,3 +221,68 @@ func TestPostponeCartesianReducesWork(t *testing.T) {
 		}
 	}
 }
+
+// TestBemporadCoverGroundTruth guards the Bemporad emptiness check
+// against its false negative: a relevance region whose cutouts cover
+// the space with a non-convex union (or a convex union that does not
+// contain the space up to tolerance) is empty, and answering "not
+// empty" kept plans that no point needs. The templates below are the
+// ones whose plan sets shrank when the check was fixed; the smaller
+// plan sets must still weakly dominate every enumerated plan at every
+// point of an 8×8 grid.
+func TestBemporadCoverGroundTruth(t *testing.T) {
+	for _, tc := range []struct {
+		shape          workload.Shape
+		tables, params int
+		seed           int64
+	}{
+		{workload.Chain, 4, 2, 2},
+		{workload.Clique, 3, 2, 2},
+		{workload.Clique, 4, 2, 2},
+	} {
+		t.Run(fmt.Sprintf("%s-%dp-%dt-s%d", tc.shape, tc.params, tc.tables, tc.seed), func(t *testing.T) {
+			checkGroundTruth(t, tc.shape, tc.tables, tc.params, tc.seed, 8)
+		})
+	}
+}
+
+// checkGroundTruth optimizes one generated template with the default
+// options and requires every plan of the full bushy plan space to be
+// weakly dominated by a kept plan at every point of a perDim^params
+// grid.
+func checkGroundTruth(t *testing.T, shape workload.Shape, tables, params int, seed int64, perDim int) {
+	t.Helper()
+	schema, model, ctx := cloudSetup(t, tables, params, shape, seed)
+	opts := core.DefaultOptions()
+	opts.Context = ctx
+	opts.Workers = 1
+	res, err := core.Optimize(schema, model, opts)
+	if err != nil {
+		t.Fatalf("optimize: %v", err)
+	}
+	points := sampleParams(schema, perDim)
+	pointwise := &baseline.PointwiseAlgebra{Points: points}
+	all := baseline.EnumerateAll(schema, model, pointwise, true)
+	pwlAlg := core.NewPWLAlgebra(geometry.NewContext(), 2)
+	for _, x := range points {
+		keptCosts := make([]geometry.Vector, len(res.Plans))
+		for i, kept := range res.Plans {
+			keptCosts[i] = pwlAlg.Eval(kept.Cost, x)
+		}
+		for _, p := range all {
+			pc := pointwise.Eval(p.Cost, x)
+			covered := false
+			for _, kc := range keptCosts {
+				if weaklyDominatesTol(kc, pc, 1e-6) {
+					covered = true
+					break
+				}
+			}
+			if !covered {
+				t.Fatalf("plan %v with cost %v at x=%v not dominated by any of %d kept plans",
+					p.Plan, pc, x, len(res.Plans))
+			}
+		}
+	}
+	t.Logf("%d kept plans cover %d enumerated plans at %d points", len(res.Plans), len(all), len(points))
+}

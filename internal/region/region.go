@@ -251,36 +251,24 @@ func (r *Region) IsEmpty(ctx *geometry.Context) bool {
 	if len(r.cutouts) == 0 {
 		return !ctx.IsFullDim(r.space)
 	}
-	switch r.opts.Strategy {
-	case StrategyCoverDiff:
-		w := ctx.UncoveredWitness(r.space, r.cutouts)
-		if w == nil {
+	if r.opts.Strategy == StrategyBemporad {
+		// Theorem 5: a convex union (Bemporad et al. convexity
+		// recognition) covers the space iff it contains it. The test is
+		// only a shortcut: cutouts may extend past the space, so a
+		// non-convex union — or a convex one that does not contain the
+		// space up to tolerance — can still cover it. Region difference
+		// below decides those cases.
+		if u, convex := ctx.UnionConvex(r.cutouts); convex && ctx.Contains(u, r.space) {
 			return true
 		}
-		r.regeneratePoint(ctx, w)
-		return false
-	default: // StrategyBemporad
-		u, convex := ctx.UnionConvex(r.cutouts)
-		if !convex {
-			// A non-convex union cannot equal the (convex) parameter
-			// space, hence cannot cover it entirely (Theorem 5). Find a
-			// witness so the next checks are point-based.
-			if w := ctx.UncoveredWitness(r.space, r.cutouts); w != nil {
-				r.regeneratePoint(ctx, w)
-			}
-			return false
-		}
-		if u == nil {
-			return !ctx.IsFullDim(r.space)
-		}
-		if ctx.Contains(u, r.space) {
-			return true
-		}
-		if w := ctx.UncoveredWitness(r.space, r.cutouts); w != nil {
-			r.regeneratePoint(ctx, w)
-		}
-		return false
 	}
+	w := ctx.UncoveredWitness(r.space, r.cutouts)
+	if w == nil {
+		return true
+	}
+	// Keep the witness so the next checks are point-based.
+	r.regeneratePoint(ctx, w)
+	return false
 }
 
 // regeneratePoint records the Chebyshev center of an uncovered residual

@@ -87,6 +87,27 @@ func TestIsEmptyNonConvexCover(t *testing.T) {
 	}
 }
 
+// TestIsEmptyNonConvexUnionCoveringSpace: one dominance region that
+// covers the whole space, split at a piece boundary whose halves reach
+// past the space to different heights, is a non-convex union that
+// still covers the space. Theorem 5's convexity test is only a
+// shortcut: both strategies must report the region empty.
+func TestIsEmptyNonConvexUnionCoveringSpace(t *testing.T) {
+	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
+		ctx := geometry.NewContext()
+		left := geometry.Box(geometry.Vector{-1, -1}, geometry.Vector{0.5, 1.5})
+		right := geometry.Box(geometry.Vector{0.5, -1}, geometry.Vector{2, 1.2})
+		if _, convex := ctx.UnionConvex([]*geometry.Polytope{left, right}); convex {
+			t.Fatal("test setup: the cutout union must be non-convex")
+		}
+		r := New(ctx, geometry.UnitBox(2), noRefinements(strat))
+		r.Subtract(ctx, left, right)
+		if !r.IsEmpty(ctx) {
+			t.Errorf("%v: a non-convex union covering the space must empty the region", strat)
+		}
+	}
+}
+
 func TestRelevancePointsSkipGeometry(t *testing.T) {
 	ctx := geometry.NewContext()
 	opts := Options{Strategy: StrategyBemporad, RelevancePoints: 16}
