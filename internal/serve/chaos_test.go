@@ -253,11 +253,18 @@ func TestFleetChaos(t *testing.T) {
 	t.Logf("picks: %d succeeded, %d failed (allowed kinds)", successes.Load(), failures.Load())
 
 	// Peers came back up: a fresh pick on every server must succeed
-	// (bounded retries through residual injected store errors).
+	// (bounded retries through residual injected store errors). Retries
+	// are spaced by the breaker cooldown: a server whose only source is
+	// its peers skips every peer while their breakers are still open
+	// from the killer's last round, so back-to-back attempts could all
+	// land inside one cooldown.
 	for si, s := range servers {
 		for ti := range templates {
 			var err error
 			for attempt := 0; attempt < 20; attempt++ {
+				if attempt > 0 {
+					time.Sleep(peerOpts.BreakerCooldown)
+				}
 				_, err = s.Pick(context.Background(), PickRequest{
 					Key: keys[ti], Point: geometry.Vector{0.5}, Policy: PolicyFrontier,
 				})
