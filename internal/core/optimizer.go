@@ -117,6 +117,10 @@ type PlanInfo struct {
 	Plan *plan.Node
 	Cost Cost
 	RR   *region.Region
+	// samples caches Algebra.Eval of Cost at the run's screening
+	// samples (optimizer.samples), for the whole-space dominance screen
+	// of pruneInsert, which fills it for every plan it inserts.
+	samples []geometry.Vector
 }
 
 // Stats reports the work of an optimizer run; CreatedPlans and the LP
@@ -245,6 +249,12 @@ type optimizer struct {
 	// exceeds Options.MaxPlansPerSet; the scheduler aborts and run()
 	// reports ErrPlanBudget.
 	budgetExceeded atomic.Bool
+	// samples is the deterministic point grid of the whole-space
+	// dominance screen (see pruneInsert): 3 points per dimension over
+	// the parameter space's bounding box, computed once per run on the
+	// run's own solver before any worker starts, so the LP count does
+	// not depend on the worker count.
+	samples []geometry.Vector
 }
 
 // noteSetSize records a completed table set's plan count against
@@ -317,6 +327,7 @@ func (o *optimizer) run() (*Result, error) {
 	}
 	storeMasks = append(storeMasks, masks...)
 	o.store = newPlanStore(n, storeMasks)
+	o.samples = screenSamples(o.ctx, o.model.Space())
 
 	// ε-approximate runs allocate the (1+ε) factor over the lattice
 	// depth up front, so every prune at every level applies identical
@@ -459,11 +470,47 @@ func (w *worker) pruneExact(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanIn
 
 // pruneInsert is the body of the exact prune, shared verbatim by the
 // exact path and the post-gate half of the ε path.
+//
+// Before building the newcomer's relevance region it tries whole-space
+// dominance: every old plan whose cost is at most the newcomer's at
+// every screening sample gets its Dom computed first, and a Dom that
+// is the parameter space itself drops the newcomer outright. Most
+// dropped newcomers are dominated on the whole space by one old plan,
+// so this skips the region construction and its emptiness checks. The
+// Dom results are kept and reused at their own position in the
+// ordered loop, so a surviving newcomer's cutouts — and the plan set —
+// are exactly those of the plain loop. The test goes through
+// Algebra.Dom and Algebra.Eval only; whole-space dominance is a Dom
+// result equal to the space (see pwl.Dom and DESIGN.md, "Prune fast
+// path").
 func (w *worker) pruneInsert(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanInfo {
 	o := w.o
-	rr := region.New(w.solver, o.model.Space(), o.opts.Region)
-	for _, old := range cur {
-		rr.Subtract(w.solver, w.algebra.Dom(old.Cost, cost)...)
+	space := o.model.Space()
+	samples := w.evalSamples(cost)
+	var doms [][]*geometry.Polytope
+	var known []bool
+	for i, old := range cur {
+		if len(samples) == 0 || !atMostAtSamples(old.samples, samples) {
+			continue
+		}
+		if doms == nil {
+			doms, known = make([][]*geometry.Polytope, len(cur)), make([]bool, len(cur))
+		}
+		doms[i], known[i] = w.algebra.Dom(old.Cost, cost), true
+		if len(doms[i]) == 1 && doms[i][0] == space {
+			w.pruned++
+			return cur // dominated on the whole space by one old plan
+		}
+	}
+	rr := region.New(w.solver, space, o.opts.Region)
+	for i, old := range cur {
+		var dom []*geometry.Polytope
+		if known != nil && known[i] {
+			dom = doms[i]
+		} else {
+			dom = w.algebra.Dom(old.Cost, cost)
+		}
+		rr.Subtract(w.solver, dom...)
 		if rr.IsEmpty(w.solver) {
 			w.pruned++
 			return cur // do not insert the new plan
@@ -479,7 +526,55 @@ func (w *worker) pruneInsert(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanI
 		}
 		kept = append(kept, old)
 	}
-	return append(kept, &PlanInfo{Plan: pn, Cost: cost, RR: rr})
+	return append(kept, &PlanInfo{Plan: pn, Cost: cost, RR: rr, samples: samples})
+}
+
+// screenSamples returns the whole-space dominance screen's points: a
+// 3-per-dimension grid over the bounding box of space, filtered to the
+// space. It returns nil (no screening) when the box cannot be computed.
+func screenSamples(s *geometry.Solver, space *geometry.Polytope) []geometry.Vector {
+	lo, hi, ok := s.BoundingBox(space)
+	if !ok {
+		return nil
+	}
+	total := 1
+	for range lo {
+		total *= 3
+	}
+	var pts []geometry.Vector
+	for _, p := range geometry.SamplePointsInBox(lo, hi, 3, total) {
+		if space.ContainsPoint(p, geometry.CompareEps) {
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// evalSamples evaluates cost at the run's screening samples.
+func (w *worker) evalSamples(cost Cost) []geometry.Vector {
+	if len(w.o.samples) == 0 {
+		return nil
+	}
+	vals := make([]geometry.Vector, len(w.o.samples))
+	for i, x := range w.o.samples {
+		vals[i] = w.algebra.Eval(cost, x)
+	}
+	return vals
+}
+
+// atMostAtSamples reports whether the cost vectors a are at most b on
+// every metric at every sample, up to a relative CompareEps: the cheap
+// necessary condition for whole-space dominance.
+func atMostAtSamples(a, b []geometry.Vector) bool {
+	for i := range a {
+		for m, v := range a[i] {
+			bound := b[i][m]
+			if v > bound+geometry.CompareEps*(1+math.Abs(bound)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // pruneEps is the ε-approximate prune: the exact prune behind an

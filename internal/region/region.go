@@ -210,6 +210,14 @@ func (r *Region) Subtract(ctx *geometry.Context, polys ...*geometry.Polytope) {
 }
 
 func (r *Region) addCutout(ctx *geometry.Context, c *geometry.Polytope) {
+	if c == r.space {
+		// A cutout that is the space itself (whole-space dominance, see
+		// pwl.Dom) empties the region outright: no point survives it and
+		// every other cutout is redundant.
+		r.points = nil
+		r.cutouts = []*geometry.Polytope{c}
+		return
+	}
 	// Filter relevance points.
 	if len(r.points) > 0 {
 		kept := r.points[:0]
@@ -248,6 +256,9 @@ func (r *Region) IsEmpty(ctx *geometry.Context) bool {
 	if len(r.points) > 0 {
 		return false
 	}
+	if r.coveredBySpace() {
+		return true
+	}
 	if len(r.cutouts) == 0 {
 		return !ctx.IsFullDim(r.space)
 	}
@@ -269,6 +280,12 @@ func (r *Region) IsEmpty(ctx *geometry.Context) bool {
 	// Keep the witness so the next checks are point-based.
 	r.regeneratePoint(ctx, w)
 	return false
+}
+
+// coveredBySpace reports whether the region's cutout is the space
+// itself, the empty region addCutout leaves after a whole-space cutout.
+func (r *Region) coveredBySpace() bool {
+	return len(r.cutouts) == 1 && r.cutouts[0] == r.space
 }
 
 // regeneratePoint records the Chebyshev center of an uncovered residual

@@ -108,6 +108,29 @@ func TestIsEmptyNonConvexUnionCoveringSpace(t *testing.T) {
 	}
 }
 
+// TestSpaceCutoutEmptiesWithoutLP: a cutout that is the space itself
+// (pwl.Dom's whole-space dominance) empties the region, relevance
+// points and earlier cutouts included, without solving an LP.
+func TestSpaceCutoutEmptiesWithoutLP(t *testing.T) {
+	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
+		ctx := geometry.NewContext()
+		space := geometry.UnitBox(2)
+		r := New(ctx, space, Options{Strategy: strat, RelevancePoints: 16, EliminateRedundantCutouts: true})
+		r.Subtract(ctx, geometry.Box(geometry.Vector{0, 0}, geometry.Vector{0.3, 0.3}))
+		lps := ctx.Stats.LPs
+		r.Subtract(ctx, space)
+		if !r.IsEmpty(ctx) {
+			t.Errorf("%v: region not empty after a whole-space cutout", strat)
+		}
+		if ctx.Stats.LPs != lps {
+			t.Errorf("%v: whole-space cutout solved %d LPs, want 0", strat, ctx.Stats.LPs-lps)
+		}
+		if r.NumCutouts() != 1 {
+			t.Errorf("%v: %d cutouts kept, want the space alone", strat, r.NumCutouts())
+		}
+	}
+}
+
 func TestRelevancePointsSkipGeometry(t *testing.T) {
 	ctx := geometry.NewContext()
 	opts := Options{Strategy: StrategyBemporad, RelevancePoints: 16}
