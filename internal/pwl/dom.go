@@ -220,6 +220,9 @@ func (d *domPairs) of(m int) []domPair {
 func piecePairs(ctx *geometry.Context, f, g *Function, s1, s2 float64) []domPair {
 	var pairs []domPair
 	add := func(r *geometry.Polytope, fp, gp Piece) {
+		// The conversions round each product before the subtraction (no
+		// fused multiply-add), so scales (1, 1) give exactly w_f − w_g
+		// and b_g − b_f: Dom's bytes are those of an unscaled build.
 		w := make(geometry.Vector, len(fp.W))
 		for i := range w {
 			w[i] = float64(s1*fp.W[i]) - float64(s2*gp.W[i])
