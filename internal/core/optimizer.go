@@ -537,12 +537,8 @@ func screenSamples(s *geometry.Solver, space *geometry.Polytope) []geometry.Vect
 	if !ok {
 		return nil
 	}
-	total := 1
-	for range lo {
-		total *= 3
-	}
 	var pts []geometry.Vector
-	for _, p := range geometry.SamplePointsInBox(lo, hi, 3, total) {
+	for _, p := range geometry.SamplePointsInBox(lo, hi, 3, math.MaxInt32) {
 		if space.ContainsPoint(p, geometry.CompareEps) {
 			pts = append(pts, p)
 		}
