@@ -100,10 +100,12 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 				return nil, ctx.Err()
 			}
 		}
+		// Not in the queue, so a release already closed our channel: we
+		// hold a slot we no longer want. Hand it onward immediately; the
+		// acquisition still ends cancelled, not admitted.
+		a.stats.Admitted--
 		a.stats.Cancelled++
 		a.mu.Unlock()
-		// Not in the queue, so a release already closed our channel: we
-		// hold a slot we no longer want. Hand it onward immediately.
 		a.releaseOnce()()
 		return nil, ctx.Err()
 	}
