@@ -63,7 +63,9 @@ type Options struct {
 	MaxDepth int
 	// MaxLeaves bounds the leaf count; the budget is divided evenly
 	// between subtrees at every split, so the bound is deterministic and
-	// independent of build parallelism. Zero selects 4096.
+	// independent of build parallelism. Zero sizes the budget by the
+	// plan set: leavesPerCandidate leaves per prunable candidate, at
+	// most maxLeavesCap.
 	MaxLeaves int
 	// Workers is the build parallelism: subtrees near the root are built
 	// by concurrent goroutines. The resulting tree is identical for any
@@ -79,13 +81,34 @@ func (o Options) withDefaults() Options {
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 16
 	}
-	if o.MaxLeaves <= 0 {
-		o.MaxLeaves = 4096
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}
 	return o
+}
+
+// The default leaf budget. A candidate stays in every cell that a seam
+// between two of its own cutouts crosses, so along the seams of a set
+// with more than LeafTarget prunable candidates the target is never
+// reached, and a fixed budget is spent splitting seams to its depth
+// limit whatever the set's size. Budgeting per prunable candidate keeps
+// the tree proportional to the plan set instead.
+const (
+	leavesPerCandidate = 16
+	maxLeavesCap       = 4096
+)
+
+// defaultMaxLeaves returns the leaf budget of a build whose
+// Options.MaxLeaves is zero: leavesPerCandidate per prunable candidate,
+// between 1 and maxLeavesCap.
+func defaultMaxLeaves(cands []selection.Candidate) int {
+	prunable := 0
+	for _, c := range cands {
+		if prunableCandidate(c) {
+			prunable++
+		}
+	}
+	return min(max(1, leavesPerCandidate*prunable), maxLeavesCap)
 }
 
 // Index is a built point-location index. It is immutable and safe for
@@ -93,7 +116,7 @@ func (o Options) withDefaults() Options {
 type Index struct {
 	dim    int
 	lo, hi geometry.Vector // padded bounding box of the parameter space
-	opts   Options         // build options (normalized; Workers not persisted)
+	opts   Options         // build options (normalized, effective MaxLeaves; Workers not persisted)
 	nodes  []node          // preorder, nodes[0] is the root
 
 	leaves        int
@@ -122,6 +145,9 @@ type node struct {
 func Build(s *geometry.Solver, space *geometry.Polytope, cands []selection.Candidate, opts Options) (*Index, error) {
 	start := time.Now() //mpq:wallclock build-time stat (Stats.Index.BuildTime); never reaches the tree shape
 	opts = opts.withDefaults()
+	if opts.MaxLeaves <= 0 {
+		opts.MaxLeaves = defaultMaxLeaves(cands)
+	}
 	dim := space.Dim()
 	lo, hi, ok := s.BoundingBox(space)
 	if !ok {

@@ -267,3 +267,99 @@ func TestIndexPrunes(t *testing.T) {
 		t.Errorf("avg %.1f candidates per leaf, full set has %d — index prunes nothing", avg, len(cands))
 	}
 }
+
+// TestIndexSizeTracksPlanSet: at the default options the leaf budget
+// follows the plan set — at most 16 leaves per prunable candidate, not
+// a fixed 4,096 spent on splitting the seams between cutouts — and the
+// smaller tree keeps every index contract: it is the same at any build
+// parallelism, it round-trips through the store byte for byte, and
+// every policy picks exactly what the linear scan picks. A document
+// written with the former fixed 4,096-leaf budget still loads and
+// serves the same picks.
+func TestIndexSizeTracksPlanSet(t *testing.T) {
+	cases := []workload.Config{{Tables: 4, Params: 2, Shape: workload.Chain, Seed: 2}}
+	for _, cfg := range viewCases {
+		if cfg.Params == 2 {
+			cases = append(cases, cfg)
+		}
+	}
+	for _, cfg := range cases {
+		t.Run(caseName(cfg), func(t *testing.T) {
+			ps, cands, solver := loadSet(t, cfg)
+			prunable := 0
+			for _, c := range cands {
+				if c.RR != nil && c.RR.NumCutouts() > 0 {
+					prunable++
+				}
+			}
+			ix, err := index.Build(solver, ps.Space, cands, index.Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := index.Build(solver, ps.Space, cands, index.Options{MaxLeaves: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d plans, %d prunable: %d leaves (4,096 budget: %d)", len(cands), prunable, ix.Leaves(), old.Leaves())
+			if ix.Leaves() > 16*prunable {
+				t.Errorf("%d leaves for %d prunable candidates, want at most 16 per candidate", ix.Leaves(), prunable)
+			}
+			for _, workers := range []int{2, 4} {
+				par, err := index.Build(solver, ps.Space, cands, index.Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ix.Snapshot(), par.Snapshot()) {
+					t.Errorf("workers=%d: tree differs from the sequential build", workers)
+				}
+			}
+			doc := saveIndexed(t, ps, ix)
+			loaded, err := store.Load(bytes.NewReader(doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again := saveIndexed(t, loaded, loaded.Index); !bytes.Equal(doc, again) {
+				t.Errorf("Save∘Load∘Save is not the identity: %d vs %d bytes", len(doc), len(again))
+			}
+			oldSet, err := store.Load(bytes.NewReader(saveIndexed(t, ps, old)))
+			if err != nil {
+				t.Fatalf("4,096-budget document: %v", err)
+			}
+			if got := oldSet.Index.Snapshot().MaxLeaves; got != 4096 {
+				t.Errorf("4,096-budget document loads with max_leaves %d", got)
+			}
+			points := randomPoints(t, solver, ps.Space, 2000, 31+cfg.Seed)
+			for _, tree := range []struct {
+				name string
+				ix   *index.Index
+			}{{"default", loaded.Index}, {"4096", oldSet.Index}} {
+				leafCands := tree.ix.LeafCandidates(cands)
+				for _, x := range points {
+					leaf, _, ok := tree.ix.Locate(x)
+					if !ok {
+						t.Fatalf("%s tree: in-space point %v outside the index box", tree.name, x)
+					}
+					for p := range policyNames {
+						if lin, idx := renderPolicy(cands, x, p), renderPolicy(leafCands[leaf], x, p); lin != idx {
+							t.Fatalf("%s tree, %s at %v: linear %s, index %s", tree.name, policyNames[p], x, lin, idx)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// saveIndexed writes ps's plans with ix as the index stanza.
+func saveIndexed(t *testing.T, ps *store.PlanSet, ix *index.Index) []byte {
+	t.Helper()
+	plans := make([]*core.PlanInfo, len(ps.Plans))
+	for i, lp := range ps.Plans {
+		plans[i] = &core.PlanInfo{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
+	}
+	var buf bytes.Buffer
+	if err := store.SaveIndexed(&buf, ps.Metrics, ps.Space, plans, ix); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
