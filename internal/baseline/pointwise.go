@@ -49,6 +49,12 @@ func (a *PointwiseAlgebra) Eval(c core.Cost, x geometry.Vector) geometry.Vector 
 	panic(fmt.Sprintf("baseline: point %v is not a registered sample point", x))
 }
 
+// EvalAt returns the cost vector of c at Points[i], without Eval's
+// search for the point.
+func (a *PointwiseAlgebra) EvalAt(c core.Cost, i int) geometry.Vector {
+	return a.toPointwise(c).vals[i]
+}
+
 // Dom is unsupported.
 func (a *PointwiseAlgebra) Dom(c1, c2 core.Cost) []*geometry.Polytope {
 	panic("baseline: PointwiseAlgebra does not support dominance regions")

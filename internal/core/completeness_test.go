@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"mpq/internal/baseline"
@@ -32,6 +34,19 @@ func sampleParams(schema *catalog.Schema, perDim int) []geometry.Vector {
 	return geometry.SamplePointsInBox(lo, hi, perDim, 64)
 }
 
+// theorem3Cases are the templates of TestTheorem3Completeness, each run
+// at seeds 1 to 3.
+var theorem3Cases = []struct {
+	tables, params int
+	shape          workload.Shape
+}{
+	{3, 1, workload.Chain},
+	{4, 1, workload.Chain},
+	{4, 1, workload.Star},
+	{3, 2, workload.Chain},
+	{4, 2, workload.Star},
+}
+
 // TestTheorem3Completeness is the executable form of the paper's main
 // correctness result: the plan set produced by PWL-RRPA must contain,
 // for every possible plan p and every parameter point x, a plan that
@@ -39,17 +54,7 @@ func sampleParams(schema *catalog.Schema, perDim int) []geometry.Vector {
 // the full bushy plan space on randomly generated chain and star
 // queries.
 func TestTheorem3Completeness(t *testing.T) {
-	cases := []struct {
-		tables, params int
-		shape          workload.Shape
-	}{
-		{3, 1, workload.Chain},
-		{4, 1, workload.Chain},
-		{4, 1, workload.Star},
-		{3, 2, workload.Chain},
-		{4, 2, workload.Star},
-	}
-	for _, tc := range cases {
+	for _, tc := range theorem3Cases {
 		for seed := int64(1); seed <= 3; seed++ {
 			name := fmt.Sprintf("%s-%dt-%dp-seed%d", tc.shape, tc.tables, tc.params, seed)
 			t.Run(name, func(t *testing.T) {
@@ -92,6 +97,88 @@ func TestTheorem3Completeness(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestRelevanceRegionGroundTruth checks the relevance mapping, not just
+// the plan set: at 200 seeded uniform points inside the parameter space,
+// the kept plans whose relevance region contains the point must weakly
+// dominate every plan of the full bushy plan space there. A point where
+// they do not is one where run-time selection (selection.Frontier)
+// offers nothing or only dominated plans, even though the plan set
+// itself may be complete. Cases: TestTheorem3Completeness's templates
+// plus cycle-2p/4t at seeds 1 to 4.
+func TestRelevanceRegionGroundTruth(t *testing.T) {
+	type rrCase struct {
+		shape          workload.Shape
+		tables, params int
+		seed           int64
+	}
+	var cases []rrCase
+	for _, tc := range theorem3Cases {
+		for seed := int64(1); seed <= 3; seed++ {
+			cases = append(cases, rrCase{tc.shape, tc.tables, tc.params, seed})
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		cases = append(cases, rrCase{workload.Cycle, 4, 2, seed})
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s-%dp-%dt-s%d", tc.shape, tc.params, tc.tables, tc.seed), func(t *testing.T) {
+			schema, model, ctx := cloudSetup(t, tc.tables, tc.params, tc.shape, tc.seed)
+			opts := core.DefaultOptions()
+			opts.Context = ctx
+			opts.Workers = 1
+			res, err := core.Optimize(schema, model, opts)
+			if err != nil {
+				t.Fatalf("optimize: %v", err)
+			}
+			points := inSpacePoints(schema, model.Space(), 200, tc.seed)
+			pointwise := &baseline.PointwiseAlgebra{Points: points}
+			all := baseline.EnumerateAll(schema, model, pointwise, true)
+			pwlAlg := core.NewPWLAlgebra(geometry.NewContext(), 2)
+			bad := 0
+			var first string
+			for i, x := range points {
+				var relevant []geometry.Vector
+				for _, kept := range res.Plans {
+					if kept.RR.Contains(x, 1e-9) {
+						relevant = append(relevant, pwlAlg.Eval(kept.Cost, x))
+					}
+				}
+				for _, p := range all {
+					pc := pointwise.EvalAt(p.Cost, i)
+					if !slices.ContainsFunc(relevant, func(kc geometry.Vector) bool { return weaklyDominatesTol(kc, pc, 1e-6) }) {
+						if bad == 0 {
+							first = fmt.Sprintf("plan %v with cost %v at x=%v (%d relevant kept plans)", p.Plan, pc, x, len(relevant))
+						}
+						bad++
+						break
+					}
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%d of %d points have an enumerated plan no relevant kept plan dominates; first: %s", bad, len(points), first)
+			}
+		})
+	}
+}
+
+// inSpacePoints draws n points uniformly from the parameter box of
+// schema, keeping only points inside space.
+func inSpacePoints(schema *catalog.Schema, space *geometry.Polytope, n int, seed int64) []geometry.Vector {
+	lo, hi := schema.ParameterBounds()
+	rng := rand.New(rand.NewSource(seed))
+	var pts []geometry.Vector
+	for len(pts) < n {
+		x := geometry.NewVector(len(lo))
+		for j := range x {
+			x[j] = lo[j] + (hi[j]-lo[j])*rng.Float64()
+		}
+		if space.ContainsPoint(x, 0) {
+			pts = append(pts, x)
+		}
+	}
+	return pts
 }
 
 func weaklyDominatesTol(a, b geometry.Vector, rtol float64) bool {

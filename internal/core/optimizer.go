@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -14,6 +15,14 @@ import (
 	"mpq/internal/plan"
 	"mpq/internal/region"
 )
+
+// Revision numbers the optimizer's plan-set semantics: equal inputs
+// give byte-identical plan sets under one Revision. Any change that
+// alters a plan set (prune order, dominance, tolerances) bumps it, so
+// caches keyed by it (serve's plan-set keys) never hand out another
+// revision's sets. Revision 2 prunes each join mask's candidates in
+// presort order (DESIGN.md, "Candidate presort").
+const Revision = 2
 
 // Options configures an optimizer run.
 type Options struct {
@@ -76,8 +85,9 @@ type Options struct {
 	// gate-only design is what makes this sound. Zero runs the exact
 	// algorithm, bit-for-bit the historical path. Negative values are
 	// rejected; positive values require an EpsilonAlgebra. Plans for
-	// each table set arrive in deterministic enumeration order, so the
-	// worker-count determinism contract holds at every Epsilon.
+	// each table set arrive in the deterministic presort order (see
+	// DESIGN.md, "Candidate presort"), so the worker-count determinism
+	// contract holds at every Epsilon.
 	Epsilon float64
 	// MaxPlansPerSet aborts the run with ErrPlanBudget as soon as any
 	// table set's Pareto plan set exceeds this size — the guard that
@@ -90,12 +100,13 @@ type Options struct {
 	MaxPlansPerSet int
 	// SplitCandidates is the estimated-work threshold at which a single
 	// wide mask is planned with intra-mask split parallelism (multiple
-	// workers accumulate candidate costs, one reduction prunes them in
-	// sequential order). Work is cost-aware: candidate plans weighted
-	// by a piece-pair estimate — for PWL costs, the summed per-metric
-	// products of the joined sides' piece counts — so cheap wide masks
-	// (many candidates, few pieces) split less eagerly than piece-rich
-	// ones; the estimate is always at least the candidate count. Zero
+	// workers accumulate candidate costs and presort keys, one
+	// reduction prunes them in presort order). Work is cost-aware:
+	// candidate plans weighted by a piece-pair estimate — for PWL
+	// costs, the summed per-metric products of the joined sides' piece
+	// counts — so cheap wide masks (many candidates, few pieces) split
+	// less eagerly than piece-rich ones; the estimate is always at
+	// least the candidate count. Zero
 	// selects a default threshold and splits only when workers are
 	// idle; an explicit value forces splitting whenever the estimate
 	// meets it. Results are identical either way — this knob only
@@ -121,6 +132,15 @@ type PlanInfo struct {
 	// samples (optimizer.samples), for the whole-space dominance screen
 	// of pruneInsert, which fills it for every plan it inserts.
 	samples []geometry.Vector
+}
+
+// candidate is a plan on its way into the prune: its cost, the cost at
+// the run's screening samples, and its presort key.
+type candidate struct {
+	plan    *plan.Node
+	cost    Cost
+	samples []geometry.Vector
+	key     float64
 }
 
 // Stats reports the work of an optimizer run; CreatedPlans and the LP
@@ -349,7 +369,7 @@ func (o *optimizer) run() (*Result, error) {
 		q := catalog.SetOf(t)
 		var cur []*PlanInfo
 		for _, alt := range o.model.ScanAlternatives(t) {
-			cur = w0.prune(cur, plan.Scan(t, alt.Op), alt.Cost)
+			cur = w0.prune(cur, w0.newCandidate(plan.Scan(t, alt.Op), alt.Cost))
 		}
 		if len(cur) == 0 {
 			return nil, fmt.Errorf("core: no scan plan for table %d", i)
@@ -446,14 +466,53 @@ func (o *optimizer) scheduleMasks() []catalog.TableSet {
 
 // prune dispatches one candidate plan through the pruning function:
 // the historical exact prune, or the ε-approximate prune when
-// Options.Epsilon > 0. Both call sites (the per-mask loop and the
-// split-job reduction) and the base-table loop go through this one
-// method, so the dispatch can never diverge between paths.
-func (w *worker) prune(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanInfo {
+// Options.Epsilon > 0. The presorted reduction of every join mask and
+// the base-table loop go through this one method, so the dispatch can
+// never diverge between paths.
+func (w *worker) prune(cur []*PlanInfo, c candidate) []*PlanInfo {
 	if w.o.epsLevel > 0 {
-		return w.pruneEps(cur, pn, cost)
+		return w.pruneEps(cur, c)
 	}
-	return w.pruneExact(cur, pn, cost)
+	return w.pruneExact(cur, c)
+}
+
+// newCandidate evaluates cost at the run's screening samples and
+// derives the presort key from those values.
+func (w *worker) newCandidate(pn *plan.Node, cost Cost) candidate {
+	c := candidate{plan: pn, cost: cost}
+	if len(w.o.samples) == 0 {
+		return c
+	}
+	c.samples = make([]geometry.Vector, len(w.o.samples))
+	for i, x := range w.o.samples {
+		c.samples[i] = w.algebra.Eval(cost, x)
+		for _, v := range c.samples[i] {
+			c.key += math.Log(math.Max(v, math.SmallestNonzeroFloat64))
+		}
+	}
+	return c
+}
+
+// presortCmp orders the candidates of a join mask for the prune: by
+// presort key, NaN keys last; a stable sort from canonical order keeps
+// ties in canonical index order. The key is the sum of log(v) over
+// every metric at every screening sample, so a plan that is at most
+// another at every sample has at most its key: likely dominators reach
+// the prune before the plans they evict, and fewer relevance regions
+// are built only to be emptied later (sort-filter-skyline presorting;
+// DESIGN.md, "Candidate presort").
+func presortCmp(a, b candidate) int {
+	an, bn := math.IsNaN(a.key), math.IsNaN(b.key)
+	switch {
+	case an != bn:
+		if an {
+			return 1
+		}
+		return -1
+	case an:
+		return 0
+	}
+	return cmp.Compare(a.key, b.key)
 }
 
 // pruneExact implements the pruning function of Algorithm 1 (lines
@@ -463,9 +522,9 @@ func (w *worker) prune(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanInfo {
 // is discarded. Otherwise the existing plans' relevance regions are
 // reduced by the new plan's dominance regions and plans with empty
 // regions are dropped; finally the new plan is inserted.
-func (w *worker) pruneExact(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanInfo {
+func (w *worker) pruneExact(cur []*PlanInfo, c candidate) []*PlanInfo {
 	w.created++
-	return w.pruneInsert(cur, pn, cost)
+	return w.pruneInsert(cur, c)
 }
 
 // pruneInsert is the body of the exact prune, shared verbatim by the
@@ -483,10 +542,10 @@ func (w *worker) pruneExact(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanIn
 // Algebra.Dom and Algebra.Eval only; whole-space dominance is a Dom
 // result equal to the space (see pwl.Dom and DESIGN.md, "Prune fast
 // path").
-func (w *worker) pruneInsert(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanInfo {
+func (w *worker) pruneInsert(cur []*PlanInfo, c candidate) []*PlanInfo {
 	o := w.o
 	space := o.model.Space()
-	samples := w.evalSamples(cost)
+	cost, samples := c.cost, c.samples
 	var doms [][]*geometry.Polytope
 	var known []bool
 	for i, old := range cur {
@@ -526,7 +585,7 @@ func (w *worker) pruneInsert(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanI
 		}
 		kept = append(kept, old)
 	}
-	return append(kept, &PlanInfo{Plan: pn, Cost: cost, RR: rr, samples: samples})
+	return append(kept, &PlanInfo{Plan: c.plan, Cost: cost, RR: rr, samples: samples})
 }
 
 // screenSamples returns the whole-space dominance screen's points: a
@@ -544,18 +603,6 @@ func screenSamples(s *geometry.Solver, space *geometry.Polytope) []geometry.Vect
 		}
 	}
 	return pts
-}
-
-// evalSamples evaluates cost at the run's screening samples.
-func (w *worker) evalSamples(cost Cost) []geometry.Vector {
-	if len(w.o.samples) == 0 {
-		return nil
-	}
-	vals := make([]geometry.Vector, len(w.o.samples))
-	for i, x := range w.o.samples {
-		vals[i] = w.algebra.Eval(cost, x)
-	}
-	return vals
 }
 
 // atMostAtSamples reports whether the cost vectors a are at most b on
@@ -595,24 +642,24 @@ func atMostAtSamples(a, b []geometry.Vector) bool {
 // therefore covered by a survivor within a single (1+ε_l) factor, and
 // the factors compound only across the L lattice levels, which the
 // ε_l = (1+ε)^(1/L)−1 allocation accounts for. Candidates for one
-// table set arrive in split-enumeration order on a single worker
-// regardless of the worker count (the determinism contract), so the
-// gate's drops — and with them the whole plan set — are bit-for-bit
-// identical for any worker count.
-func (w *worker) pruneEps(cur []*PlanInfo, pn *plan.Node, cost Cost) []*PlanInfo {
+// table set arrive in presort order on a single worker regardless of
+// the worker count (the determinism contract), so the gate's drops —
+// and with them the whole plan set — are bit-for-bit identical for any
+// worker count.
+func (w *worker) pruneEps(cur []*PlanInfo, c candidate) []*PlanInfo {
 	o := w.o
 	w.created++
 	alg := w.algebra.(EpsilonAlgebra) // validated by OptimizeCtx
 	scale := 1 + o.epsLevel
 	var relaxed []*geometry.Polytope
 	for _, old := range cur {
-		relaxed = append(relaxed, alg.DomScaled(old.Cost, cost, 1, scale)...)
+		relaxed = append(relaxed, alg.DomScaled(old.Cost, c.cost, 1, scale)...)
 	}
 	if len(relaxed) > 0 && w.solver.UnionCovers(o.model.Space(), relaxed) {
 		w.pruned++
 		return cur // absorbed: some established plan is ε-close everywhere
 	}
-	return w.pruneInsert(cur, pn, cost)
+	return w.pruneInsert(cur, c)
 }
 
 // ParetoFrontAt evaluates the result's plan set at a concrete parameter

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,8 +89,8 @@ func (s SchedulerStats) Utilization(workers int) float64 {
 
 // splitGroup is one split of a table set: the Pareto sets of the two
 // sides and the join alternatives connecting them. Candidate plans of a
-// group are ordered exactly like the historical triple loop — first
-// side's plans outermost, join alternatives innermost.
+// group are numbered like the historical triple loop — first side's
+// plans outermost, join alternatives innermost (splitJob.candidate).
 type splitGroup struct {
 	p1s, p2s []*PlanInfo
 	alts     []Alternative
@@ -176,71 +177,48 @@ func (o *optimizer) collectSplits(q catalog.TableSet, requireEdge bool) ([]split
 	return groups, produced
 }
 
-// forEachCandidate invokes fn for every candidate of the split groups
-// in the canonical order: split order, then first side's plans, second
-// side's plans, join alternatives (the historical triple loop). Both
-// the sequential path and the split-job reduction iterate through this
-// one function, so their candidate orders can never diverge — the
-// byte-identity contract depends on that. splitJob.candidate decodes
-// the same order for random access; keep the two in sync.
-func forEachCandidate(groups []splitGroup, fn func(idx int, i1, i2 *PlanInfo, alt Alternative)) {
-	idx := 0
-	for gi := range groups {
-		g := &groups[gi]
-		for _, i1 := range g.p1s {
-			for _, i2 := range g.p2s {
-				for _, alt := range g.alts {
-					fn(idx, i1, i2, alt)
-					idx++
-				}
-			}
-		}
-	}
-}
-
-// planGroups generates and prunes every candidate plan of the split
-// groups in order — the historical GenerateParetoPlanSet loop body,
-// operating on a worker-local candidate set.
+// planGroups plans one table set on w alone: it accumulates every
+// candidate of the split groups, then runs the same presorted reduction
+// as a split job, so both paths prune in one order.
 func (w *worker) planGroups(groups []splitGroup) []*PlanInfo {
-	var cur []*PlanInfo
-	forEachCandidate(groups, func(_ int, i1, i2 *PlanInfo, alt Alternative) {
-		pn := plan.Join(alt.Op, i1.Plan, i2.Plan)
-		cur = w.prune(cur, pn, w.algebra.Accumulate(alt.Cost, i1.Cost, i2.Cost))
-	})
-	return cur
+	j := newSplitJob(0, groups, 1)
+	j.accumulate(w, 0, len(j.cands))
+	return j.reduce(w)
 }
 
-// splitJob is the intra-mask split parallelism of one wide mask. Phase
-// A: workers claim chunks of the candidate sequence and accumulate each
-// candidate's cost on their own algebra fork (candidate accumulation is
-// self-contained — it reads only immutable subset costs — so the chunk
-// partition cannot change any result or counter; memoized geometry is
-// computed and counted exactly once per polytope in every schedule).
-// Phase B: whichever worker finishes the last chunk prunes all
-// candidates in the exact sequential order against a single evolving
-// candidate set — the order-preserving reduction that makes the merged
-// result byte-identical to the sequential one.
+// splitJob is the candidate sequence of one table set. Phase A
+// accumulates each candidate's cost and evaluates it at the run's
+// screening samples (candidate accumulation is self-contained — it
+// reads only immutable subset costs — so the chunk partition cannot
+// change any result or counter; memoized geometry is computed and
+// counted exactly once per polytope in every schedule). For a wide mask
+// workers claim chunks of phase A in parallel; otherwise planGroups
+// runs it as one range. Phase B, run once by whichever worker finishes
+// the last chunk, presorts the candidates and prunes them in that order
+// against a single evolving candidate set — the order-preserving
+// reduction that makes the result byte-identical for every schedule.
 type splitJob struct {
 	q       catalog.TableSet
 	groups  []splitGroup
-	offsets []int  // offsets[i] = first candidate index of groups[i]
-	costs   []Cost // per-candidate accumulated costs (phase A output)
-	chunk   int    // candidates per chunk
+	offsets []int       // offsets[i] = first candidate index of groups[i]
+	cands   []candidate // per-candidate plans, costs and keys (phase A output)
+	chunk   int         // candidates per chunk
 	chunks  int
 	next    atomic.Int64 // next unclaimed chunk
 	left    atomic.Int64 // chunks not yet finished
 }
 
-func newSplitJob(q catalog.TableSet, groups []splitGroup, total, workers int) *splitJob {
+func newSplitJob(q catalog.TableSet, groups []splitGroup, workers int) *splitJob {
 	j := &splitJob{
 		q:       q,
 		groups:  groups,
 		offsets: make([]int, len(groups)+1),
-		costs:   make([]Cost, total),
 	}
 	for i := range groups {
 		j.offsets[i+1] = j.offsets[i] + groups[i].candidates()
 	}
+	total := j.offsets[len(groups)]
+	j.cands = make([]candidate, total)
 	// Aim for a few chunks per worker so late joiners still find work,
 	// without shrinking chunks into scheduling overhead.
 	j.chunk = total / (4 * workers)
@@ -254,9 +232,11 @@ func newSplitJob(q catalog.TableSet, groups []splitGroup, total, workers int) *s
 
 func (j *splitJob) exhausted() bool { return j.next.Load() >= int64(j.chunks) }
 
-// candidate returns the decoded candidate at index idx of group gi:
-// its sub-plans and the join alternative, following the triple-loop
-// order (i1 outer, i2 middle, alt inner).
+// candidate returns the decoded candidate at canonical index idx of
+// group gi: its sub-plans and the join alternative, in the historical
+// triple-loop order (split order, then first side's plans outermost,
+// second side's plans, join alternatives innermost). The canonical
+// index breaks presort-key ties.
 func (j *splitJob) candidate(gi, idx int) (i1, i2 *PlanInfo, alt Alternative) {
 	g := &j.groups[gi]
 	r := idx - j.offsets[gi]
@@ -268,34 +248,33 @@ func (j *splitJob) candidate(gi, idx int) (i1, i2 *PlanInfo, alt Alternative) {
 	return g.p1s[a], g.p2s[b], g.alts[ai]
 }
 
-// runChunk accumulates the costs of chunk c on worker w.
+// runChunk runs phase A for chunk c on worker w.
 func (j *splitJob) runChunk(w *worker, c int) {
 	lo := c * j.chunk
-	hi := lo + j.chunk
-	if hi > len(j.costs) {
-		hi = len(j.costs)
-	}
+	j.accumulate(w, lo, min(lo+j.chunk, len(j.cands)))
+}
+
+// accumulate builds the candidates with canonical indices [lo, hi).
+func (j *splitJob) accumulate(w *worker, lo, hi int) {
 	gi := 0
-	for j.offsets[gi+1] <= lo {
-		gi++
-	}
 	for idx := lo; idx < hi; idx++ {
 		for j.offsets[gi+1] <= idx {
 			gi++
 		}
 		i1, i2, alt := j.candidate(gi, idx)
-		j.costs[idx] = w.algebra.Accumulate(alt.Cost, i1.Cost, i2.Cost)
+		j.cands[idx] = w.newCandidate(plan.Join(alt.Op, i1.Plan, i2.Plan), w.algebra.Accumulate(alt.Cost, i1.Cost, i2.Cost))
 	}
 }
 
-// reduce prunes every candidate in sequential order using the costs of
-// phase A. It runs exactly once, after the last chunk completes.
+// reduce is phase B: it presorts the candidates (see presortCmp) and
+// prunes them in that order. It runs exactly once, after the last chunk
+// completes.
 func (j *splitJob) reduce(w *worker) []*PlanInfo {
+	slices.SortStableFunc(j.cands, presortCmp)
 	var cur []*PlanInfo
-	forEachCandidate(j.groups, func(idx int, i1, i2 *PlanInfo, alt Alternative) {
-		pn := plan.Join(alt.Op, i1.Plan, i2.Plan)
-		cur = w.prune(cur, pn, j.costs[idx])
-	})
+	for _, c := range j.cands {
+		cur = w.prune(cur, c)
+	}
 	return cur
 }
 
@@ -533,9 +512,8 @@ func (s *scheduler) next() (*splitJob, int32) {
 func (s *scheduler) planMask(w *worker, q catalog.TableSet) {
 	s.tasks.Add(1)
 	groups := s.o.enumerateSplits(q)
-	total, work := 0, 0
+	work := 0
 	for i := range groups {
-		total += groups[i].candidates()
 		work += groups[i].workEstimate()
 	}
 	threshold := s.o.opts.SplitCandidates
@@ -548,7 +526,7 @@ func (s *scheduler) planMask(w *worker, q catalog.TableSet) {
 		// Chunk for the parallelism actually in reach: the pool plus
 		// whatever the donor estimates it could lend (chunking only
 		// shapes scheduling; results are identical for any chunking).
-		j := newSplitJob(q, groups, total, len(s.o.workers)+donorIdle)
+		j := newSplitJob(q, groups, len(s.o.workers)+donorIdle)
 		s.splitJobs.Add(1)
 		s.publishJob(j)
 		s.tryDonate(j, donorIdle)

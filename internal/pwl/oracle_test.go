@@ -3,7 +3,6 @@ package pwl_test
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"mpq/internal/catalog"
@@ -16,48 +15,26 @@ import (
 )
 
 // oracleAlgebra is the PWL algebra with Dom replaced by the per-piece
-// construction, so the optimizer never sees a whole-space Dom. Its Eval
-// gives every cost its own incomparable vector (id, −id), so the
-// prune's sample screen never picks a candidate either: an oracle run
-// is the plain ordered prune loop with the per-piece Dom. Eval is not
-// used anywhere else in an optimizer run.
+// construction, so the optimizer never sees a whole-space Dom. Eval is
+// the real one, so candidates reach the prune in production's presort
+// order and the sample screen selects the same old plans; the per-piece
+// Dom never returns the space itself, so the screen never drops a
+// newcomer and an oracle run is the plain ordered prune loop with the
+// per-piece Dom.
 type oracleAlgebra struct {
 	*core.PWLAlgebra
-	ids *costIDs
 }
 
 func newOracleAlgebra(ctx *geometry.Context, metrics int) oracleAlgebra {
-	return oracleAlgebra{core.NewPWLAlgebra(ctx, metrics), &costIDs{m: map[core.Cost]float64{}}}
+	return oracleAlgebra{core.NewPWLAlgebra(ctx, metrics)}
 }
 
 func (a oracleAlgebra) Dom(c1, c2 core.Cost) []*geometry.Polytope {
 	return pwl.DomPieces(a.Ctx, c1.(*pwl.Multi), c2.(*pwl.Multi))
 }
 
-func (a oracleAlgebra) Eval(c core.Cost, x geometry.Vector) geometry.Vector {
-	id := a.ids.of(c)
-	return geometry.Vector{id, -id}
-}
-
 func (a oracleAlgebra) Fork(s *geometry.Solver) core.Algebra {
-	return oracleAlgebra{a.PWLAlgebra.Fork(s).(*core.PWLAlgebra), a.ids}
-}
-
-// costIDs numbers costs in first-seen order, safely across workers.
-type costIDs struct {
-	mu sync.Mutex
-	m  map[core.Cost]float64
-}
-
-func (c *costIDs) of(cost core.Cost) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id, ok := c.m[cost]
-	if !ok {
-		id = float64(len(c.m) + 1)
-		c.m[cost] = id
-	}
-	return id
+	return oracleAlgebra{a.PWLAlgebra.Fork(s).(*core.PWLAlgebra)}
 }
 
 // recordingAlgebra is the PWL algebra that remembers the arguments of

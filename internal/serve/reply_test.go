@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"mpq/internal/cloud"
+	"mpq/internal/core"
 	"mpq/internal/selection"
 	"mpq/internal/workload"
 )
@@ -93,8 +95,15 @@ func TestPlanTextMatchesString(t *testing.T) {
 		checkTexts(t, "reloaded", pr.texts, res.NumPlans, pr.Choices)
 	})
 	t.Run("refined", func(t *testing.T) {
-		s := New(Options{Workers: 2, Index: true, RefineLadder: []float64{0.5}})
+		// Refinement waits at the shared store until the coarse
+		// generation has been picked from, so the pick cannot see the
+		// final generation instead.
+		gate := make(chan struct{})
+		var open sync.Once
+		release := func() { open.Do(func() { close(gate) }) }
+		s := New(Options{Workers: 2, Index: true, RefineLadder: []float64{0.5}, Shared: &gatedShared{inner: newMemShared(), gate: gate}})
 		defer s.Close()
+		defer release()
 		dctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 		defer cancel()
 		res, err := s.Prepare(dctx, testTemplate(21))
@@ -109,6 +118,7 @@ func TestPlanTextMatchesString(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkTexts(t, "coarse", coarse.texts, res.NumPlans, coarse.Choices)
+		release()
 		if err := s.WaitRefinement(dctx); err != nil {
 			t.Fatal(err)
 		}
@@ -122,6 +132,31 @@ func TestPlanTextMatchesString(t *testing.T) {
 		}
 		checkTexts(t, "refined", final.texts, len(set.Plans), final.Choices)
 	})
+}
+
+// TestPlanSetKeyCarriesRevision: the plan-set key depends on the
+// optimizer revision, so sets stored by a build that prunes differently
+// are never served under this build's keys.
+func TestPlanSetKeyCarriesRevision(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	schema, cfg, err := testTemplate(21).resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := planSetKey(schema, cfg, s.opts.Optimizer, s.opts.Solver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rev, wantSame := range map[int]bool{core.Revision: true, core.Revision - 1: false, core.Revision + 1: false} {
+		got, err := planSetKeyAt(rev, schema, cfg, s.opts.Optimizer, s.opts.Solver, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got == key) != wantSame {
+			t.Errorf("revision %d: key %s, current revision's %s (want equal: %v)", rev, got, key, wantSame)
+		}
+	}
 }
 
 // TestKeyMemo: a generated template's memoized key is the full path's

@@ -957,13 +957,21 @@ func (s *Server) resolveEpsilon(tpl Template) (float64, error) {
 // configuration that changes results (region refinements, Cartesian
 // postponement, and the approximation factor — the worker count does
 // not, by the determinism guarantee of the parallel wavefront), the
-// geometry tolerances (which steer pruning decisions), and the store
-// format version the cached sets round-trip through. The epsilon field
-// is what lets precision tiers share one fleet: the same template at a
-// different ε is simply a different key.
+// geometry tolerances (which steer pruning decisions), the optimizer
+// revision (core.Revision, so a directory, shared store or peer filled
+// by a build that prunes differently never answers for this one), and
+// the store format version the cached sets round-trip through. The
+// epsilon field is what lets precision tiers share one fleet: the same
+// template at a different ε is simply a different key.
 func planSetKey(schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, solverCfg geometry.Config, epsilon float64) (string, error) {
+	return planSetKeyAt(core.Revision, schema, cloudCfg, opts, solverCfg, epsilon)
+}
+
+// planSetKeyAt is planSetKey for the given optimizer revision.
+func planSetKeyAt(revision int, schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, solverCfg geometry.Config, epsilon float64) (string, error) {
 	keyDoc := struct {
 		Format            int
+		Optimizer         int
 		Schema            *catalog.Schema
 		Cloud             cloud.Config
 		Region            region.Options
@@ -972,6 +980,7 @@ func planSetKey(schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options
 		Solver            geometry.Config
 	}{
 		Format:            store.FormatVersion,
+		Optimizer:         revision,
 		Schema:            schema,
 		Cloud:             cloudCfg,
 		Region:            opts.Region,
