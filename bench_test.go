@@ -135,7 +135,7 @@ func BenchmarkCompactionAblation(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				ctx := geometry.NewContext()
+				ctx := geometry.NewSolver(geometry.Config{})
 				model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 				if err != nil {
 					b.Fatal(err)
@@ -167,7 +167,7 @@ func BenchmarkPQBlowup(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				algebra := core.NewPWLAlgebra(geometry.NewContext(), 2)
+				algebra := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 				mpqSize = len(res.Plans)
 				pqSize = baseline.PQEncodedSetSize(alts, algebra, geometry.Vector{0.5})
 			}
@@ -205,7 +205,7 @@ func BenchmarkBaselines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		b.Fatal(err)
@@ -215,7 +215,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.Run("mpq-rrpa", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := core.DefaultOptions()
-			opts.Context = geometry.NewContext()
+			opts.Context = geometry.NewSolver(geometry.Config{})
 			if _, err := core.Optimize(schema, model, opts); err != nil {
 				b.Fatal(err)
 			}
@@ -236,7 +236,7 @@ func BenchmarkBaselines(b *testing.B) {
 // BenchmarkGeometry micro-benchmarks the LP-level operations dominating
 // the optimizer profile.
 func BenchmarkGeometry(b *testing.B) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	box := geometry.Box(geometry.Vector{0, 0}, geometry.Vector{1, 1})
 	cut := box.With(geometry.Halfspace{W: geometry.Vector{1, 1}, B: 1.2})
 	b.Run("chebyshev", func(b *testing.B) {
@@ -271,7 +271,7 @@ func BenchmarkGeometry(b *testing.B) {
 // BenchmarkPWLDom micro-benchmarks the dominance-region computation on
 // grid-aligned functions (the optimizer's hottest pwl operation).
 func BenchmarkPWLDom(b *testing.B) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	lo, hi := geometry.Vector{0, 0}, geometry.Vector{1, 1}
 	grid := pwl.NewGrid(lo, hi, 2)
 	f := func(x geometry.Vector) float64 { return 1 + x[0]*x[1] }

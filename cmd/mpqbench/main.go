@@ -507,7 +507,7 @@ func runPQBlowup() {
 		if err != nil {
 			fatal(err)
 		}
-		algebra := core.NewPWLAlgebra(geometry.NewContext(), 2)
+		algebra := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 		pqSize := baseline.PQEncodedSetSize(alts, algebra, geometry.Vector{0.5})
 		fmt.Printf("%-12d %-12d %-16d %.1fx\n", k, len(res.Plans), pqSize, float64(pqSize)/float64(len(res.Plans)))
 	}

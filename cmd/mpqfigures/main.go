@@ -71,7 +71,7 @@ func figure1() {
 		},
 		NumParams: 2,
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -109,7 +109,7 @@ func example2() {
 	p1 := pwl.NewMulti(pwl.Linear(space, geometry.Vector{2}, 0), pwl.Constant(space, 3))
 	p2 := pwl.NewMulti(pwl.Linear(space, geometry.Vector{1}, 0.5), pwl.Constant(space, 2))
 	p3 := pwl.NewMulti(pwl.Linear(space, geometry.Vector{1}, 0.5), pwl.Constant(space, 2))
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	show := func(name string, polys []*geometry.Polytope) {
 		fmt.Printf("  %s:", name)
 		if len(polys) == 0 {
@@ -148,7 +148,7 @@ func tabulate1D(res *core.Result, algebra core.Algebra, points []float64, dim in
 }
 
 func staticOptimize(space *geometry.Polytope, alts []core.Alternative) (*core.Result, core.Algebra) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	lo, hi, _ := ctx.BoundingBox(space)
 	schema := core.StaticSchema(space.Dim(), lo, hi)
 	model := &core.StaticModel{ParamSpace: space, Metrics: []string{"m1", "m2"}, Plans: alts}
@@ -245,7 +245,7 @@ func figure7() {
 		pwl.Linear(space, geometry.Vector{1}, 0.75), // parallel: startup + less slope
 		pwl.Linear(space, geometry.Vector{2}, 0.5),  // fees always higher
 	)
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	dom := pwl.Dom(ctx, plan1, plan2)
 	fmt.Println("  RR of plan 2 after creation: [0.00, 1.00]")
 	for _, p := range dom {

@@ -57,7 +57,7 @@ func main() {
 		fmt.Printf("  %-4s %10.0f rows%s\n", t.Name, t.Card, pred)
 	}
 
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

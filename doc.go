@@ -16,7 +16,7 @@
 //	schema, _ := mpq.GenerateWorkload(mpq.WorkloadConfig{
 //		Tables: 4, Params: 1, Shape: mpq.Chain, Seed: 1,
 //	})
-//	ctx := mpq.NewContext()
+//	ctx := mpq.NewSolver(mpq.SolverConfig{})
 //	model, _ := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 //	opts := mpq.DefaultOptions()
 //	opts.Context = ctx

@@ -128,7 +128,7 @@ func main() {
 
 	// Run time: the selectivity is now known; apply two different
 	// policies.
-	algebra := mpq.NewPWLAlgebra(mpq.NewContext(), 2)
+	algebra := mpq.NewPWLAlgebra(mpq.NewSolver(mpq.SolverConfig{}), 2)
 	x := mpq.Vector{0.4}
 	front := result.ParetoFrontAt(algebra, x)
 	fmt.Printf("Pareto tradeoffs at selectivity %.1f:\n", x[0])

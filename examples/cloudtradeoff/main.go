@@ -34,7 +34,7 @@ func main() {
 	}
 
 	fmt.Println("Preprocessing the query template (computing all relevant plans)...")
-	ctx := mpq.NewContext()
+	ctx := mpq.NewSolver(mpq.SolverConfig{})
 	model, err := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 	if err != nil {
 		log.Fatal(err)

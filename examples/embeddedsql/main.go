@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := mpq.NewContext()
+	ctx := mpq.NewSolver(mpq.SolverConfig{})
 	model, err := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	// Optimize once, before run time (Figure 2 of the paper).
-	ctx := mpq.NewContext()
+	ctx := mpq.NewSolver(mpq.SolverConfig{})
 	model, err := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,7 @@ func TestFacadePersistAndSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := mpq.NewContext()
+	ctx := mpq.NewSolver(mpq.SolverConfig{})
 	model, err := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

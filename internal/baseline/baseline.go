@@ -283,7 +283,7 @@ func ParetoMQ(schema *catalog.Schema, model core.CostModel, algebra core.Algebra
 // plan's cost function is at most its own over the entire parameter
 // space. The result is a parametric optimal set for the chosen metric
 // (possibly non-minimal), the PQ baseline of Section 1.1.
-func PQSingleMetric(schema *catalog.Schema, model core.CostModel, ctx *geometry.Context, metric int, postponeCartesian bool) []EnumPlan {
+func PQSingleMetric(schema *catalog.Schema, model core.CostModel, ctx *geometry.Solver, metric int, postponeCartesian bool) []EnumPlan {
 	space := model.Space()
 	memo := make(map[catalog.TableSet][]EnumPlan)
 	dominatedEverywhere := func(a, b *pwl.Function) bool {

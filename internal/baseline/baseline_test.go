@@ -11,13 +11,13 @@ import (
 	"mpq/internal/workload"
 )
 
-func testSetup(t *testing.T, tables, params int, shape workload.Shape, seed int64) (*catalog.Schema, *cloud.Model, *core.PWLAlgebra, *geometry.Context) {
+func testSetup(t *testing.T, tables, params int, shape workload.Shape, seed int64) (*catalog.Schema, *cloud.Model, *core.PWLAlgebra, *geometry.Solver) {
 	t.Helper()
 	schema, err := workload.Generate(workload.Config{Tables: tables, Params: params, Shape: shape, Seed: seed})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatalf("model: %v", err)
@@ -137,7 +137,7 @@ func TestBlowupInstance(t *testing.T) {
 	if len(alts) != k {
 		t.Fatalf("got %d alternatives, want %d", len(alts), k)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	algebra := core.NewPWLAlgebra(ctx, 2)
 
 	// MPQ keeps exactly p1..pmStar.

@@ -127,7 +127,7 @@ func optimize(wl workload.Config, cloudCfg cloud.Config, opts core.Options) (*co
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloudCfg, ctx)
 	if err != nil {
 		return nil, nil, err
@@ -218,7 +218,7 @@ func pickSweep(points []geometry.Vector, pick func(x geometry.Vector, policy int
 // points samples cfg.Points deterministic pseudo-random points inside
 // spec's parameter space.
 func (cfg RunConfig) points(space *geometry.Polytope, spec Spec) ([]geometry.Vector, error) {
-	lo, hi, ok := geometry.NewContext().BoundingBox(space)
+	lo, hi, ok := geometry.NewSolver(geometry.Config{}).BoundingBox(space)
 	if !ok {
 		return nil, fmt.Errorf("parameter space without bounding box")
 	}

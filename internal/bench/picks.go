@@ -25,7 +25,7 @@ func runPicks(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := index.Build(geometry.NewContext(), t.space, t.cands, index.Options{})
+	ix, err := index.Build(geometry.NewSolver(geometry.Config{}), t.space, t.cands, index.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func bigSchema() *catalog.Schema {
 }
 
 func TestExtendedOperatorsPresent(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	m, err := NewModel(bigSchema(), extendedConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestExtendedOperatorsPresent(t *testing.T) {
 // huge probe side, broadcasting the build side avoids shuffling the
 // probe side and must be faster than the partitioned parallel join.
 func TestBroadcastBeatsShuffleForSmallBuild(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	m, err := NewModel(bigSchema(), extendedConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestBroadcastBeatsShuffleForSmallBuild(t *testing.T) {
 // TestSortMergeAvoidsSpillCliff: once the hash join spills, sort-merge
 // can win; below the spill boundary the hash join is cheaper.
 func TestSortMergeAvoidsSpillCliff(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	cfg := extendedConfig()
 	m, err := NewModel(bigSchema(), cfg, ctx)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestSortMergeAvoidsSpillCliff(t *testing.T) {
 // richer operator space and keep at least as many tradeoffs.
 func TestExtendedOperatorsThroughOptimizer(t *testing.T) {
 	run := func(cfg Config) *core.Result {
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		m, err := NewModel(bigSchema(), cfg, ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestExtendedOperatorsThroughOptimizer(t *testing.T) {
 			extended.Stats.CreatedPlans, basic.Stats.CreatedPlans)
 	}
 	// The extended result must cover the basic result's tradeoffs.
-	algebra := core.NewPWLAlgebra(geometry.NewContext(), 2)
+	algebra := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 	for _, xv := range []float64{0.01, 0.5, 0.99} {
 		x := geometry.Vector{xv}
 		for _, b := range basic.Plans {

@@ -25,7 +25,7 @@ func TestFigure7PruningWithCloudModel(t *testing.T) {
 		Edges:     []catalog.JoinEdge{{A: 0, B: 1, Sel: 1e-6}},
 		NumParams: 1,
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := NewModel(schema, DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ const (
 type Model struct {
 	cfg    Config
 	schema *catalog.Schema
-	ctx    *geometry.Context
+	ctx    *geometry.Solver
 	space  *geometry.Polytope
 	lo, hi geometry.Vector
 	grid   *pwl.Grid
@@ -108,7 +108,7 @@ type Model struct {
 // least one parameter (the MPQ setting). An ApproxCells of zero selects
 // a resolution automatically: 4 cells for one parameter, 2 for more
 // (piece counts grow as cells^d * d!).
-func NewModel(schema *catalog.Schema, cfg Config, ctx *geometry.Context) (*Model, error) {
+func NewModel(schema *catalog.Schema, cfg Config, ctx *geometry.Solver) (*Model, error) {
 	if schema.NumParams < 1 {
 		return nil, fmt.Errorf("cloud: schema must have at least one parameter")
 	}

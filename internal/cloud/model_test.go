@@ -8,13 +8,13 @@ import (
 	"mpq/internal/workload"
 )
 
-func testModel(t *testing.T, tables, params int, seed int64) (*Model, *catalog.Schema, *geometry.Context) {
+func testModel(t *testing.T, tables, params int, seed int64) (*Model, *catalog.Schema, *geometry.Solver) {
 	t.Helper()
 	schema, err := workload.Generate(workload.Config{Tables: tables, Params: params, Shape: workload.Chain, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	m, err := NewModel(schema, DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestParallelJoinTradeoff(t *testing.T) {
 		Edges:     []catalog.JoinEdge{{A: 0, B: 1, Sel: 1e-6}},
 		NumParams: 1,
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	m, err := NewModel(schema, DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestLinearClosuresExact(t *testing.T) {
 		Edges:     []catalog.JoinEdge{{A: 0, B: 1, Sel: 1e-4}},
 		NumParams: 1,
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	m, err := NewModel(schema, DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestSpillCreatesPieces(t *testing.T) {
 		Edges:     []catalog.JoinEdge{{A: 0, B: 1, Sel: 1e-5}},
 		NumParams: 1,
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	m, err := NewModel(schema, DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestNewModelRequiresParams(t *testing.T) {
 		Tables:    []catalog.Table{{Name: "T1", Card: 10, TupleBytes: 10}},
 		NumParams: 0,
 	}
-	if _, err := NewModel(schema, DefaultConfig(), geometry.NewContext()); err == nil {
+	if _, err := NewModel(schema, DefaultConfig(), geometry.NewSolver(geometry.Config{})); err == nil {
 		t.Error("model accepted schema without parameters")
 	}
 }

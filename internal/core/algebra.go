@@ -72,7 +72,7 @@ type EpsilonAlgebra interface {
 // (*pwl.Multi), turning RRPA into PWL-RRPA.
 type PWLAlgebra struct {
 	// Ctx carries tolerances and the LP counter.
-	Ctx *geometry.Context
+	Ctx *geometry.Solver
 	// Modes is the per-metric accumulation of sub-plan costs.
 	Modes []pwl.AccumMode
 	// Compact merges equal-function pieces after accumulation, keeping
@@ -85,7 +85,7 @@ type PWLAlgebra struct {
 
 // NewPWLAlgebra returns a PWLAlgebra with compaction enabled and
 // sum-accumulation on every metric.
-func NewPWLAlgebra(ctx *geometry.Context, metrics int) *PWLAlgebra {
+func NewPWLAlgebra(ctx *geometry.Solver, metrics int) *PWLAlgebra {
 	modes := make([]pwl.AccumMode, metrics)
 	return &PWLAlgebra{Ctx: ctx, Modes: modes, Compact: true}
 }

@@ -15,13 +15,13 @@ import (
 	"mpq/internal/workload"
 )
 
-func cloudSetup(t *testing.T, tables, params int, shape workload.Shape, seed int64) (*catalog.Schema, *cloud.Model, *geometry.Context) {
+func cloudSetup(t *testing.T, tables, params int, shape workload.Shape, seed int64) (*catalog.Schema, *cloud.Model, *geometry.Solver) {
 	t.Helper()
 	schema, err := workload.Generate(workload.Config{Tables: tables, Params: params, Shape: shape, Seed: seed})
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatalf("model: %v", err)
@@ -73,7 +73,7 @@ func TestTheorem3Completeness(t *testing.T) {
 				if len(all) == 0 {
 					t.Fatal("no plans enumerated")
 				}
-				pwlAlg := core.NewPWLAlgebra(geometry.NewContext(), 2)
+				pwlAlg := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 				for _, x := range points {
 					keptCosts := make([]geometry.Vector, len(res.Plans))
 					for i, kept := range res.Plans {
@@ -135,7 +135,7 @@ func TestRelevanceRegionGroundTruth(t *testing.T) {
 			points := inSpacePoints(schema, model.Space(), 200, tc.seed)
 			pointwise := &baseline.PointwiseAlgebra{Points: points}
 			all := baseline.EnumerateAll(schema, model, pointwise, true)
-			pwlAlg := core.NewPWLAlgebra(geometry.NewContext(), 2)
+			pwlAlg := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 			bad := 0
 			var first string
 			for i, x := range points {
@@ -195,7 +195,7 @@ func weaklyDominatesTol(a, b geometry.Vector, rtol float64) bool {
 // refinements must not change the correctness guarantee.
 func TestCompletenessAcrossOptions(t *testing.T) {
 	schema, model, _ := cloudSetup(t, 4, 1, workload.Chain, 11)
-	algebra := core.NewPWLAlgebra(geometry.NewContext(), 2)
+	algebra := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 	all := baseline.EnumerateAll(schema, model, algebra, true)
 
 	for _, strat := range []region.EmptinessStrategy{region.StrategyBemporad, region.StrategyCoverDiff} {
@@ -203,7 +203,7 @@ func TestCompletenessAcrossOptions(t *testing.T) {
 			for _, elim := range []bool{false, true} {
 				name := fmt.Sprintf("%v-pts%d-elim%v", strat, points, elim)
 				t.Run(name, func(t *testing.T) {
-					ctx := geometry.NewContext()
+					ctx := geometry.NewSolver(geometry.Config{})
 					opts := core.Options{
 						Region: region.Options{
 							Strategy:                  strat,
@@ -277,7 +277,7 @@ func TestPostponeCartesianReducesWork(t *testing.T) {
 	run := func(postpone bool) *core.Result {
 		opts := core.DefaultOptions()
 		opts.PostponeCartesian = postpone
-		opts.Context = geometry.NewContext()
+		opts.Context = geometry.NewSolver(geometry.Config{})
 		res, err := core.Optimize(schema, model, opts)
 		if err != nil {
 			t.Fatalf("optimize(postpone=%v): %v", postpone, err)
@@ -291,7 +291,7 @@ func TestPostponeCartesianReducesWork(t *testing.T) {
 			with.Stats.CreatedPlans, without.Stats.CreatedPlans)
 	}
 	// Both plan sets must mutually cover each other at sample points.
-	algebra := core.NewPWLAlgebra(geometry.NewContext(), 2)
+	algebra := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 	for _, x := range sampleParams(schema, 5) {
 		for _, a := range with.Plans {
 			ac := algebra.Eval(a.Cost, x)
@@ -350,7 +350,7 @@ func checkGroundTruth(t *testing.T, shape workload.Shape, tables, params int, se
 	points := sampleParams(schema, perDim)
 	pointwise := &baseline.PointwiseAlgebra{Points: points}
 	all := baseline.EnumerateAll(schema, model, pointwise, true)
-	pwlAlg := core.NewPWLAlgebra(geometry.NewContext(), 2)
+	pwlAlg := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 	for _, x := range points {
 		keptCosts := make([]geometry.Vector, len(res.Plans))
 		for i, kept := range res.Plans {

@@ -47,7 +47,7 @@ func TestDiscontinuousCostFunctions(t *testing.T) {
 		t.Error("steady should be relevant after the jump (faster there)")
 	}
 	// Fronts flip across the discontinuity.
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	algebra := NewPWLAlgebra(ctx, 2)
 	front := res.ParetoFrontAt(algebra, geometry.Vector{0.25})
 	if len(front) != 1 || front[0].Plan.Op != "cliff" {

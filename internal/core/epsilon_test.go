@@ -24,7 +24,7 @@ func optimizeEps(t *testing.T, cfg workload.Config, eps float64, workers int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestEpsilonValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestManyObjectiveRequiresEpsilon(t *testing.T) {
 	model := newManyObjModel(4)
 	run := func(eps float64, workers int) (*core.Result, error) {
 		opts := core.DefaultOptions()
-		opts.Context = geometry.NewContext()
+		opts.Context = geometry.NewSolver(geometry.Config{})
 		opts.Workers = workers
 		opts.Epsilon = eps
 		opts.MaxPlansPerSet = 100

@@ -11,7 +11,7 @@ import (
 // staticOptimize runs RRPA on a set of alternative plans for one result.
 func staticOptimize(t *testing.T, space *geometry.Polytope, metrics int, alts []Alternative) *Result {
 	t.Helper()
-	lo, hi, ok := geometry.NewContext().BoundingBox(space)
+	lo, hi, ok := geometry.NewSolver(geometry.Config{}).BoundingBox(space)
 	if !ok {
 		t.Fatal("static space must be bounded")
 	}
@@ -81,7 +81,7 @@ func TestExample2(t *testing.T) {
 	// Run-time plan selection: at x=0.2 both plans are Pareto-optimal
 	// (p1 = (0.4, 3) vs p2 = (0.7, 2)); at x=0.8 only p2 (p1 = (1.6, 3)
 	// vs p2 = (1.3, 2) dominates).
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	algebra := NewPWLAlgebra(ctx, 2)
 	front := res.ParetoFrontAt(algebra, geometry.Vector{0.2})
 	if len(front) != 2 {
@@ -128,7 +128,7 @@ func TestFigure4(t *testing.T) {
 	}
 	// The relevance region of p2 is disconnected: two full-dimensional
 	// pieces (first half of statement M2).
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	if got := len(rr2.Pieces(ctx)); got != 2 {
 		t.Errorf("RR(p2) has %d pieces, want 2 (disconnected)", got)
 	}
@@ -239,7 +239,7 @@ func TestFigure6(t *testing.T) {
 	// the Pareto front excludes p3, yet p3 is Pareto at an interior
 	// point (x=0.9, where p3 = (1,1) is incomparable to p1 = (0.9, 1.1)
 	// and p2 = (1.1, 0.9); at x=1 exactly all three plans tie).
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	algebra := NewPWLAlgebra(ctx, 2)
 	for _, x := range []float64{0, 2} {
 		for _, info := range res.ParetoFrontAt(algebra, geometry.Vector{x}) {

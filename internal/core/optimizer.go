@@ -36,7 +36,7 @@ type Options struct {
 	// Context supplies tolerances and LP counters; a fresh context is
 	// created when nil. With Workers > 1 it remains the solver of the
 	// first worker and receives the merged Stats of all workers.
-	Context *geometry.Context
+	Context *geometry.Solver
 	// Algebra supplies cost operations; defaults to a PWLAlgebra over
 	// Context with sum accumulation on every metric. Custom algebras
 	// must implement ForkableAlgebra to enable the parallel scheduler.
@@ -224,7 +224,7 @@ func OptimizeCtx(runCtx context.Context, schema *catalog.Schema, model CostModel
 	}
 	ctx := opts.Context
 	if ctx == nil {
-		ctx = geometry.NewContext()
+		ctx = geometry.NewSolver(geometry.Config{})
 	}
 	algebra := opts.Algebra
 	if algebra == nil {
@@ -252,7 +252,7 @@ func OptimizeCtx(runCtx context.Context, schema *catalog.Schema, model CostModel
 type optimizer struct {
 	schema  *catalog.Schema
 	model   CostModel
-	ctx     *geometry.Context
+	ctx     *geometry.Solver
 	opts    Options
 	runCtx  context.Context // cancellation signal; never nil
 	store   *planStore

@@ -54,7 +54,7 @@ func TestDisconnectedGraphCartesianFallback(t *testing.T) {
 		t.Fatal("no plan for the disconnected query")
 	}
 	// Cost must be scan1 + scan2 + join on both metrics.
-	algebra := NewPWLAlgebra(geometry.NewContext(), 2)
+	algebra := NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 	c := algebra.Eval(res.Plans[0].Cost, geometry.Vector{0.5})
 	if !c.Equal(geometry.Vector{3.5, 3.5}, 1e-9) {
 		t.Errorf("cost = %v, want (3.5, 3.5)", c)
@@ -111,7 +111,7 @@ func TestMaxAccumulationThroughOptimizer(t *testing.T) {
 		},
 		joinCost: pwl.NewMulti(pwl.Constant(space, 1), pwl.Constant(space, 0.5)),
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	algebra := &PWLAlgebra{Ctx: ctx, Modes: []pwl.AccumMode{pwl.AccumMax, pwl.AccumSum}, Compact: true}
 	opts := DefaultOptions()
 	opts.Context = ctx
@@ -171,7 +171,7 @@ func TestPruneInsertionOrderInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		algebra := NewPWLAlgebra(geometry.NewContext(), 2)
+		algebra := NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
 		// Record which plans are on the front at sample points.
 		front := map[string]bool{}
 		for _, xv := range []float64{0.1, 0.5, 0.9} {

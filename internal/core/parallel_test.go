@@ -20,7 +20,7 @@ func optimizeWorkload(t *testing.T, cfg workload.Config, regionOpts *core.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestParallelFallbackForNonForkableAlgebra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

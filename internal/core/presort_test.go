@@ -15,7 +15,7 @@ import (
 // costs more on a bump between them does not dominate the newcomer on
 // the whole space, so the sample screen alone must not drop it.
 func TestPruneKeepsNewcomerBeatenOnlyBetweenSamples(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	space := geometry.Interval(0, 1)
 	bump := pwl.NewFunction(
 		pwl.Piece{Region: geometry.Interval(0, 0.2), W: geometry.Vector{0}, B: 0},
@@ -63,7 +63,7 @@ func TestPresortOrder(t *testing.T) {
 	}
 
 	space := geometry.Interval(0, 1)
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	o := &optimizer{model: &StaticModel{ParamSpace: space}, ctx: ctx}
 	o.samples = screenSamples(ctx, space)
 	w := &worker{o: o, solver: ctx, algebra: NewPWLAlgebra(ctx, 2)}

@@ -24,7 +24,7 @@ func optimizeAndSave(t *testing.T, cfg workload.Config, opts core.Options) (*cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

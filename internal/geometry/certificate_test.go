@@ -7,7 +7,7 @@ import (
 )
 
 func TestBallCertificate(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	box := Box(Vector{0, 0}, Vector{1, 1})
 	// A cut keeping well over half the box: certificate must fire.
 	h := Halfspace{W: Vector{1, 0}, B: 0.9}
@@ -40,7 +40,7 @@ func TestBallCertificate(t *testing.T) {
 // polytope must truly be full-dimensional.
 func TestBallCertificateSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(3)
@@ -68,7 +68,7 @@ func TestBallCertificateSoundness(t *testing.T) {
 }
 
 func TestChebyshevMemoization(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	p := Box(Vector{0}, Vector{2})
 	before := ctx.Stats.LPs
 	ctx.Chebyshev(p)
@@ -144,7 +144,7 @@ func TestDedupDropsScaledDuplicates(t *testing.T) {
 // TestSlackBasisFastPath: LPs whose constraints all have non-negative
 // bounds skip phase 1; correctness must be unaffected.
 func TestSlackBasisFastPath(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// All bounds >= 0.
 	res := ctx.Maximize(Vector{1, 1}, Box(Vector{0, 0}, Vector{1, 2}).Constraints())
 	if res.Status != LPOptimal || !almostEqual(res.Value, 3, 1e-7) {

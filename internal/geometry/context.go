@@ -120,14 +120,6 @@ type Solver struct {
 	scratchKeep        []bool
 }
 
-// Context is the historical name of Solver, kept as an alias so that
-// existing call sites (and the public facade) keep compiling. New code
-// should use Solver and fork one per worker.
-type Context = Solver
-
-// NewContext returns a Solver with default tolerances.
-func NewContext() *Context { return NewSolver(DefaultConfig()) }
-
 // NewSolver returns a Solver using the given configuration. Zero
 // tolerances are replaced by the defaults.
 func NewSolver(cfg Config) *Solver {

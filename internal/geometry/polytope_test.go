@@ -35,7 +35,7 @@ func TestIntersectDedup(t *testing.T) {
 }
 
 func TestIsEmpty(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	p := UnitBox(2)
 	if ctx.IsEmpty(p) {
 		t.Error("unit box reported empty")
@@ -58,7 +58,7 @@ func TestIsEmpty(t *testing.T) {
 }
 
 func TestChebyshev(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	p := Box(Vector{0, 0}, Vector{2, 4})
 	c, r, ok := ctx.Chebyshev(p)
 	if !ok {
@@ -76,7 +76,7 @@ func TestChebyshev(t *testing.T) {
 }
 
 func TestChebyshevUnbounded(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// Halfplane x >= 0 in 2D: unbounded inscribed balls.
 	p := NewPolytope(2, Halfspace{W: Vector{-1, 0}, B: 0})
 	_, r, ok := ctx.Chebyshev(p)
@@ -89,7 +89,7 @@ func TestChebyshevUnbounded(t *testing.T) {
 }
 
 func TestContains(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	outer := Box(Vector{0, 0}, Vector{10, 10})
 	inner := Box(Vector{2, 2}, Vector{3, 3})
 	if !ctx.Contains(outer, inner) {
@@ -108,7 +108,7 @@ func TestContains(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// Same square described two ways.
 	a := Box(Vector{0, 0}, Vector{1, 1})
 	b := UnitBox(2).With(Halfspace{W: Vector{1, 1}, B: 5}) // redundant extra constraint
@@ -122,7 +122,7 @@ func TestEqual(t *testing.T) {
 }
 
 func TestRemoveRedundant(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	p := UnitBox(2).With(
 		Halfspace{W: Vector{1, 1}, B: 10}, // redundant
 		Halfspace{W: Vector{1, 0}, B: 5},  // redundant (x <= 1 tighter)
@@ -138,7 +138,7 @@ func TestRemoveRedundant(t *testing.T) {
 
 func TestRemoveRedundantRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	for trial := 0; trial < 40; trial++ {
 		dim := 1 + rng.Intn(3)
 		lo, hi := NewVector(dim), NewVector(dim)
@@ -168,7 +168,7 @@ func TestRemoveRedundantRandom(t *testing.T) {
 }
 
 func TestBoundingBox(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// Triangle x,y >= 0, x + y <= 2.
 	p := NewPolytope(2,
 		Halfspace{W: Vector{-1, 0}, B: 0},
@@ -185,7 +185,7 @@ func TestBoundingBox(t *testing.T) {
 }
 
 func TestVertices1D(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	p := Interval(0.25, 1)
 	lo, hi, ok := ctx.Vertices1D(p)
 	if !ok || !almostEqual(lo, 0.25, 1e-7) || !almostEqual(hi, 1, 1e-7) {

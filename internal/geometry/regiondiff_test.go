@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegionDiffBasic1D(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	x := Interval(0, 1)
 	// Subtract [0, 0.25]: residual should be [0.25, 1].
 	res := ctx.RegionDiff(x, []*Polytope{Interval(0, 0.25)})
@@ -20,7 +20,7 @@ func TestRegionDiffBasic1D(t *testing.T) {
 }
 
 func TestRegionDiffFullCover1D(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	x := Interval(0, 1)
 	// Two closed cutouts meeting at 0.5 cover the interval; the shared
 	// boundary point must not be reported as a residual.
@@ -35,7 +35,7 @@ func TestRegionDiffFullCover1D(t *testing.T) {
 }
 
 func TestRegionDiffGapLeft(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	x := Interval(0, 1)
 	cutouts := []*Polytope{Interval(0, 0.4), Interval(0.6, 1)}
 	if ctx.UnionCovers(x, cutouts) {
@@ -57,7 +57,7 @@ func TestRegionDiffGapLeft(t *testing.T) {
 func TestRegionDiffFigure10(t *testing.T) {
 	// Figure 10 of the paper: a triangular cutout is subtracted from a
 	// square region; the residual is non-empty.
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	square := UnitBox(2)
 	// Triangle with corners (0,1), (1,1), (0,0): y >= x region of square.
 	triangle := UnitBox(2).With(Halfspace{W: Vector{1, -1}, B: 0}) // x - y <= 0
@@ -84,7 +84,7 @@ func TestRegionDiffFigure10(t *testing.T) {
 }
 
 func TestRegionDiffEmptyPiece(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	empty := UnitBox(2).With(Halfspace{W: Vector{1, 0}, B: -1})
 	res := ctx.RegionDiff(empty, []*Polytope{UnitBox(2)})
 	if len(res) != 0 {
@@ -103,7 +103,7 @@ func TestRegionDiffEmptyPiece(t *testing.T) {
 // residual pieces plus cutouts.
 func TestRegionDiffProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	for trial := 0; trial < 30; trial++ {
 		dim := 1 + rng.Intn(2)
 		p := UnitBox(dim)
@@ -144,7 +144,7 @@ func TestRegionDiffProperties(t *testing.T) {
 }
 
 func TestUnionConvex(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// Two halves of the unit square: union is convex (the square itself).
 	left := Box(Vector{0, 0}, Vector{0.5, 1})
 	right := Box(Vector{0.5, 0}, Vector{1, 1})
@@ -170,7 +170,7 @@ func TestUnionConvex(t *testing.T) {
 }
 
 func TestUnionConvexDegenerate(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	if _, convex := ctx.UnionConvex(nil); !convex {
 		t.Error("empty union should be convex")
 	}
@@ -191,7 +191,7 @@ func TestUnionConvexDegenerate(t *testing.T) {
 }
 
 func TestUnionConvex1DIntervals(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// Overlapping intervals: convex.
 	u, convex := ctx.UnionConvex([]*Polytope{Interval(0, 0.6), Interval(0.4, 1)})
 	if !convex {

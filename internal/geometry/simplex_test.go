@@ -10,7 +10,7 @@ import (
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestMaximizeSimple2D(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// max x + y s.t. x <= 2, y <= 3, x >= 0, y >= 0.
 	p := Box(Vector{0, 0}, Vector{2, 3})
 	res := ctx.Maximize(Vector{1, 1}, p.Constraints())
@@ -26,7 +26,7 @@ func TestMaximizeSimple2D(t *testing.T) {
 }
 
 func TestMaximizeNegativeRegion(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// Region entirely in the negative orthant: [-5,-1]^2.
 	p := Box(Vector{-5, -5}, Vector{-1, -1})
 	res := ctx.Maximize(Vector{1, 1}, p.Constraints())
@@ -44,7 +44,7 @@ func TestMaximizeNegativeRegion(t *testing.T) {
 }
 
 func TestMaximizeGeneralConstraints(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, x, y >= 0.
 	hs := []Halfspace{
 		{W: Vector{1, 1}, B: 4},
@@ -63,7 +63,7 @@ func TestMaximizeGeneralConstraints(t *testing.T) {
 }
 
 func TestMaximizeInfeasible(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	hs := []Halfspace{
 		{W: Vector{1}, B: 0},   // x <= 0
 		{W: Vector{-1}, B: -1}, // x >= 1
@@ -75,7 +75,7 @@ func TestMaximizeInfeasible(t *testing.T) {
 }
 
 func TestMaximizeUnbounded(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	hs := []Halfspace{{W: Vector{-1, 0}, B: 0}} // x >= 0, y free
 	res := ctx.Maximize(Vector{1, 0}, hs)
 	if res.Status != LPUnbounded {
@@ -84,7 +84,7 @@ func TestMaximizeUnbounded(t *testing.T) {
 }
 
 func TestMaximizeDegenerateHalfspaces(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// A trivial constraint (0 <= 1) should be ignored; an infeasible one
 	// (0 <= -1) makes the program infeasible.
 	hs := []Halfspace{
@@ -106,7 +106,7 @@ func TestMaximizeDegenerateHalfspaces(t *testing.T) {
 }
 
 func TestMaximizeEqualityViaPair(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	// x + y == 1 encoded as two inequalities; maximize x over the segment
 	// with 0 <= x, y.
 	hs := []Halfspace{
@@ -122,7 +122,7 @@ func TestMaximizeEqualityViaPair(t *testing.T) {
 }
 
 func TestFeasiblePoint(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	p := Box(Vector{-1, 2}, Vector{0, 5})
 	res := ctx.FeasiblePoint(p.Constraints(), 2)
 	if res.Status != LPOptimal {
@@ -134,7 +134,7 @@ func TestFeasiblePoint(t *testing.T) {
 }
 
 func TestLPCounter(t *testing.T) {
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	before := ctx.Stats.LPs
 	p := UnitBox(2)
 	ctx.Maximize(Vector{1, 0}, p.Constraints())
@@ -149,7 +149,7 @@ func TestLPCounter(t *testing.T) {
 // bounds by the sign of c.
 func TestMaximizeRandomBoxes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	for trial := 0; trial < 200; trial++ {
 		dim := 1 + rng.Intn(4)
 		lo, hi, c := NewVector(dim), NewVector(dim), NewVector(dim)
@@ -184,7 +184,7 @@ func TestMaximizeRandomBoxes(t *testing.T) {
 // reported optimum must satisfy the constraints.
 func TestMaximizeRandomFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ctx := NewContext()
+	ctx := NewSolver(Config{})
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(3)

@@ -54,7 +54,7 @@ func TestStatsAddSub(t *testing.T) {
 // synchronization.
 func TestConcurrentChebyshevMemo(t *testing.T) {
 	const nPolys, nWorkers = 40, 8
-	base := NewContext()
+	base := NewSolver(Config{})
 	polys := make([]*Polytope, nPolys)
 	for i := range polys {
 		// Triangles (non-axis rows) so every solve takes the simplex.
@@ -106,7 +106,7 @@ func TestConcurrentChebyshevMemo(t *testing.T) {
 // from them. Regression test: a sub-Eps row like 1e-10*x <= -1e-10
 // once made IsEmpty report infeasible for a system phase 1 accepts.
 func TestScreenAgreesWithTableauOnTinyWeights(t *testing.T) {
-	s := NewContext()
+	s := NewSolver(Config{})
 	p := &Polytope{dim: 2, hs: []Halfspace{
 		{W: Vector{1e-10, 0}, B: -1e-10}, // trivial for the tableau (|W| <= Eps, B >= -Eps)
 		{W: Vector{-1, 0}, B: -2},        // x0 >= 2
@@ -135,7 +135,7 @@ func TestScreenAgreesWithTableauOnTinyWeights(t *testing.T) {
 // solve must not be treated as emptiness — Contains historically
 // returned false (not contained) in that case, never true.
 func TestContainsConservativeOnMaxIter(t *testing.T) {
-	s := NewContext()
+	s := NewSolver(Config{})
 	s.MaxSimplexIter = 1 // hard cap = 50: force LPMaxIter on a nontrivial phase 1
 	rng := rand.New(rand.NewSource(99))
 	var q *Polytope
@@ -168,7 +168,7 @@ func TestContainsConservativeOnMaxIter(t *testing.T) {
 // change feasibility or support values.
 func TestScreenSystemSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	plain := NewContext() // uses screens like every solver; reference below disables dropping
+	plain := NewSolver(Config{}) // uses screens like every solver; reference below disables dropping
 	for trial := 0; trial < 500; trial++ {
 		dim := 1 + rng.Intn(3)
 		lo, hi := NewVector(dim), NewVector(dim)
@@ -209,7 +209,7 @@ func TestScreenSystemSoundness(t *testing.T) {
 // snapshotted basis must reproduce the one-shot support values.
 func TestSupportSolverMatchesSupportValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewContext()
+	s := NewSolver(Config{})
 	for trial := 0; trial < 100; trial++ {
 		dim := 1 + rng.Intn(3)
 		p := UnitBox(dim)
@@ -252,7 +252,7 @@ func TestChebyshevAxisAlignedMatchesLP(t *testing.T) {
 			a := rng.Float64()*4 - 2
 			lo[i], hi[i] = a, a+0.1+rng.Float64()*3
 		}
-		sFast := NewContext()
+		sFast := NewSolver(Config{})
 		cFast, rFast, okFast := sFast.Chebyshev(Box(lo, hi))
 		if !okFast {
 			t.Fatalf("trial %d: box reported empty", trial)
@@ -267,7 +267,7 @@ func TestChebyshevAxisAlignedMatchesLP(t *testing.T) {
 			w[i] = 1
 		}
 		slack := Halfspace{W: w, B: w.Dot(hi) + 100}
-		sLP := NewContext()
+		sLP := NewSolver(Config{})
 		_, rLP, okLP := sLP.Chebyshev(Box(lo, hi).With(slack))
 		if !okLP {
 			t.Fatalf("trial %d: LP box reported empty", trial)

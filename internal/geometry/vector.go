@@ -4,7 +4,7 @@
 // for the small linear programs the optimizer issues, region difference,
 // and convexity recognition for unions of polytopes (Bemporad et al.).
 //
-// All operations that solve linear programs take a *Context, which carries
+// All operations that solve linear programs take a *Solver, which carries
 // numerical tolerances and counters. The LP counter is surfaced by the
 // optimizer as the "number of solved linear programs" metric reported in
 // Figure 12 of the paper.

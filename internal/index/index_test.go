@@ -65,7 +65,7 @@ func loadSet(t testing.TB, cfg workload.Config) (*store.PlanSet, []selection.Can
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

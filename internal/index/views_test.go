@@ -77,7 +77,7 @@ func viewSets(t *testing.T) []viewSet {
 func wideCutoutSet(t *testing.T) ([]selection.Candidate, *geometry.Solver, *geometry.Polytope) {
 	t.Helper()
 	const sides = 70
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	space := geometry.UnitBox(2)
 	quadrant := func(x0, y0 float64) *geometry.Polytope {
 		return geometry.Box(geometry.Vector{x0, y0}, geometry.Vector{x0 + 0.5, y0 + 0.5})

@@ -39,7 +39,7 @@ type domPoly struct {
 // intersecting the per-pair polytopes (see DESIGN.md, "Prune fast
 // path"). Dom is DomScaled at scales (1, 1); multiplying by one is
 // exact, so both share one construction.
-func Dom(ctx *geometry.Context, c1, c2 *Multi) []*geometry.Polytope {
+func Dom(ctx *geometry.Solver, c1, c2 *Multi) []*geometry.Polytope {
 	return DomScaled(ctx, c1, c2, 1, 1)
 }
 
@@ -51,7 +51,7 @@ func Dom(ctx *geometry.Context, c1, c2 *Multi) []*geometry.Polytope {
 // it covers the strict inverse (c1 at most c2/(1+ε)). The scales are
 // folded directly into each piece-pair halfspace — no division — and
 // the construction, fast path included, is the one Dom documents.
-func DomScaled(ctx *geometry.Context, c1, c2 *Multi, s1, s2 float64) []*geometry.Polytope {
+func DomScaled(ctx *geometry.Solver, c1, c2 *Multi, s1, s2 float64) []*geometry.Polytope {
 	if c2.NumMetrics() != c1.NumMetrics() {
 		panic("pwl: dominance between functions with different metric counts")
 	}
@@ -65,7 +65,7 @@ func DomScaled(ctx *geometry.Context, c1, c2 *Multi, s1, s2 float64) []*geometry
 // domPieces is the per-piece construction of Dom: per metric the cut
 // pair regions, then their full-dimensional intersections across
 // metrics.
-func domPieces(ctx *geometry.Context, pairs *domPairs) []*geometry.Polytope {
+func domPieces(ctx *geometry.Solver, pairs *domPairs) []*geometry.Polytope {
 	nM := len(pairs.pairs)
 	perMetric := make([][]domPoly, nM)
 	for m := 0; m < nM; m++ {
@@ -122,7 +122,7 @@ func sharedCover(c1, c2 *Multi) *geometry.Polytope {
 // The uncovered part a pair may leave is at most Eps deep, far below
 // Config.RadiusTol, so the per-pair construction covers the same space
 // up to the slivers the emptiness checks ignore.
-func dominatesOnPairs(ctx *geometry.Context, pairs *domPairs) bool {
+func dominatesOnPairs(ctx *geometry.Solver, pairs *domPairs) bool {
 	for m := range pairs.pairs {
 		for _, p := range pairs.of(m) {
 			if p.h.IsTrivial(trivialEps) {
@@ -154,7 +154,7 @@ const trivialEps = 1e-12
 
 // intersectDomPolys intersects two dominance polytopes, keeping only
 // full-dimensional results.
-func intersectDomPolys(ctx *geometry.Context, a, b domPoly) (domPoly, bool) {
+func intersectDomPolys(ctx *geometry.Solver, a, b domPoly) (domPoly, bool) {
 	if geometry.SameFamilyDisjoint(a.base, b.base) {
 		// Distinct cells of one partition: lower-dimensional overlap.
 		return domPoly{}, false
@@ -191,14 +191,14 @@ type domPair struct {
 // first use, so the fast path and the per-piece construction share one
 // enumeration (and its full-dimensionality LPs).
 type domPairs struct {
-	ctx    *geometry.Context
+	ctx    *geometry.Solver
 	c1, c2 *Multi
 	s1, s2 float64
 	pairs  [][]domPair
 	done   []bool
 }
 
-func newDomPairs(ctx *geometry.Context, c1, c2 *Multi, s1, s2 float64) *domPairs {
+func newDomPairs(ctx *geometry.Solver, c1, c2 *Multi, s1, s2 float64) *domPairs {
 	n := c1.NumMetrics()
 	return &domPairs{ctx: ctx, c1: c1, c2: c2, s1: s1, s2: s2, pairs: make([][]domPair, n), done: make([]bool, n)}
 }
@@ -217,7 +217,7 @@ func (d *domPairs) of(m int) []domPair {
 // s2·g(x)} on each. Shared-partition fast paths mirror those of the
 // combination operators: cross pairs of a common partition have
 // lower-dimensional intersections and are skipped without solving LPs.
-func piecePairs(ctx *geometry.Context, f, g *Function, s1, s2 float64) []domPair {
+func piecePairs(ctx *geometry.Solver, f, g *Function, s1, s2 float64) []domPair {
 	var pairs []domPair
 	add := func(r *geometry.Polytope, fp, gp Piece) {
 		// The conversions round each product before the subtraction (no
@@ -268,7 +268,7 @@ func piecePairs(ctx *geometry.Context, f, g *Function, s1, s2 float64) []domPair
 // pairPolys cuts each pair region by its halfspace, keeping the
 // full-dimensional results; a memoized Chebyshev-ball certificate
 // avoids the LP for cuts that clearly retain an interior ball.
-func pairPolys(ctx *geometry.Context, pairs []domPair) []domPoly {
+func pairPolys(ctx *geometry.Solver, pairs []domPair) []domPoly {
 	var polys []domPoly
 	for _, p := range pairs {
 		cuts := []geometry.Halfspace{p.h}
@@ -285,7 +285,7 @@ func pairPolys(ctx *geometry.Context, pairs []domPair) []domPoly {
 
 // DominatesEverywhere reports whether c1 dominates c2 on the entire
 // domain polytope: the dominance polytopes of Dom must cover the domain.
-func DominatesEverywhere(ctx *geometry.Context, c1, c2 *Multi, domain *geometry.Polytope) bool {
+func DominatesEverywhere(ctx *geometry.Solver, c1, c2 *Multi, domain *geometry.Polytope) bool {
 	polys := Dom(ctx, c1, c2)
 	if len(polys) == 0 {
 		return false

@@ -12,7 +12,7 @@ import (
 // combining structurally identical functions without shared region
 // objects (general path).
 func TestAlignedFastPathMatchesGeneral(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	lo, hi := geometry.Vector{0, 0}, geometry.Vector{1, 1}
 	fClosure := func(x geometry.Vector) float64 { return x[0]*x[1] + 1 }
 	gClosure := func(x geometry.Vector) float64 { return 2*x[0] - x[1]*x[1] + 3 }
@@ -55,11 +55,11 @@ func TestAlignedFastPathSavesLPs(t *testing.T) {
 	g := func(x geometry.Vector) float64 { return x[0] + x[1]*x[1] }
 
 	grid := NewGrid(lo, hi, 3)
-	ctxShared := geometry.NewContext()
+	ctxShared := geometry.NewSolver(geometry.Config{})
 	Add(ctxShared, grid.Interpolate(f), grid.Interpolate(g))
 	shared := ctxShared.Stats.LPs
 
-	ctxIndep := geometry.NewContext()
+	ctxIndep := geometry.NewSolver(geometry.Config{})
 	Add(ctxIndep, NewGrid(lo, hi, 3).Interpolate(f), NewGrid(lo, hi, 3).Interpolate(g))
 	indep := ctxIndep.Stats.LPs
 
@@ -81,7 +81,7 @@ func TestDomFastPathMatchesGeneral(t *testing.T) {
 		f := func(x geometry.Vector) float64 { return a0*x[0]*x[1] + x[0] }
 		g := func(x geometry.Vector) float64 { return a1 * (x[0] + x[1]) }
 		grid := NewGrid(lo, hi, 2)
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		shared := Dom(ctx, NewMulti(grid.Interpolate(f)), NewMulti(grid.Interpolate(g)))
 		indep := Dom(ctx, NewMulti(NewGrid(lo, hi, 2).Interpolate(f)), NewMulti(NewGrid(lo, hi, 2).Interpolate(g)))
 		for _, x := range geometry.SamplePointsInBox(lo, hi, 5, 30) {
@@ -131,7 +131,7 @@ func TestWithCover(t *testing.T) {
 		t.Error("Constant missing cover")
 	}
 	// Scale/AddConstant/Simplify preserve the cover.
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	if Scale(g, 2).Cover() != dom || AddConstant(g, 1).Cover() != dom {
 		t.Error("Scale/AddConstant dropped cover")
 	}
@@ -146,7 +146,7 @@ func TestGridProperties(t *testing.T) {
 	if g.NumRegions() != 3*3*2 {
 		t.Errorf("regions = %d, want 18", g.NumRegions())
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	// The regions cover the box.
 	if !ctx.UnionCovers(geometry.Box(lo, hi), g.regions) {
 		t.Error("grid regions do not cover the box")

@@ -78,7 +78,7 @@ func TestFigure11Addition(t *testing.T) {
 	// (0,2), (1,3). We reconstruct a compatible geometry: function 1
 	// splits the unit square vertically at x1=1/3 and the right part
 	// horizontally at x2=1/2; function 2 splits vertically at x1=2/3.
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	sq := geometry.UnitBox(2)
 	f := NewFunction(
 		Piece{Region: sq.With(geometry.Halfspace{W: geometry.Vector{1, 0}, B: 1.0 / 3}), W: geometry.Vector{1, 2}, B: 0},

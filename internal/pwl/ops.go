@@ -37,7 +37,7 @@ func (m AccumMode) String() string {
 // non-empty region the weight vectors and base costs are added, exactly
 // as illustrated by Figure 11 of the paper. Pieces whose region is not
 // full-dimensional are dropped.
-func Add(ctx *geometry.Context, f, g *Function) *Function {
+func Add(ctx *geometry.Solver, f, g *Function) *Function {
 	return combine(ctx, f, g, func(r *geometry.Polytope, fp, gp Piece) []Piece {
 		return []Piece{{Region: r, W: fp.W.Add(gp.W), B: fp.B + gp.B}}
 	})
@@ -46,7 +46,7 @@ func Add(ctx *geometry.Context, f, g *Function) *Function {
 // Max returns the pointwise maximum of f and g. Each pair of overlapping
 // pieces is split by the hyperplane where the two linear functions
 // cross.
-func Max(ctx *geometry.Context, f, g *Function) *Function {
+func Max(ctx *geometry.Solver, f, g *Function) *Function {
 	return combine(ctx, f, g, func(r *geometry.Polytope, fp, gp Piece) []Piece {
 		// f >= g where (gp.W - fp.W)·x <= fp.B - gp.B.
 		return splitPieces(ctx, r,
@@ -56,7 +56,7 @@ func Max(ctx *geometry.Context, f, g *Function) *Function {
 }
 
 // Min returns the pointwise minimum of f and g.
-func Min(ctx *geometry.Context, f, g *Function) *Function {
+func Min(ctx *geometry.Solver, f, g *Function) *Function {
 	return combine(ctx, f, g, func(r *geometry.Polytope, fp, gp Piece) []Piece {
 		return splitPieces(ctx, r,
 			Piece{W: fp.W, B: fp.B}, geometry.Halfspace{W: gp.W.Sub(fp.W), B: fp.B - gp.B}.Flip(),
@@ -67,7 +67,7 @@ func Min(ctx *geometry.Context, f, g *Function) *Function {
 // splitPieces cuts region r by the crossing hyperplane, keeping only the
 // full-dimensional halves; the Chebyshev-ball certificate of r avoids an
 // LP when a half clearly retains an interior ball.
-func splitPieces(ctx *geometry.Context, r *geometry.Polytope, pa Piece, ha geometry.Halfspace, pb Piece, hb geometry.Halfspace) []Piece {
+func splitPieces(ctx *geometry.Solver, r *geometry.Polytope, pa Piece, ha geometry.Halfspace, pb Piece, hb geometry.Halfspace) []Piece {
 	out := make([]Piece, 0, 2)
 	for _, half := range []struct {
 		p Piece
@@ -112,7 +112,7 @@ func AddConstant(f *Function, c float64) *Function {
 // piece regions are pairwise identical pointers combine piece-by-piece
 // because cross pairs of a common partition have lower-dimensional
 // intersections by construction.
-func combine(ctx *geometry.Context, f, g *Function, build func(*geometry.Polytope, Piece, Piece) []Piece) *Function {
+func combine(ctx *geometry.Solver, f, g *Function, build func(*geometry.Polytope, Piece, Piece) []Piece) *Function {
 	if f.dim != g.dim {
 		panic("pwl: combining functions of different dimensions")
 	}
@@ -179,7 +179,7 @@ func alignedPartitions(f, g *Function) bool {
 
 // WeightedSum scalarizes a multi-objective function into a single
 // objective using non-negative metric weights.
-func WeightedSum(ctx *geometry.Context, m *Multi, weights []float64) *Function {
+func WeightedSum(ctx *geometry.Solver, m *Multi, weights []float64) *Function {
 	if len(weights) != m.NumMetrics() {
 		panic("pwl: weight count mismatch")
 	}
@@ -196,7 +196,7 @@ func WeightedSum(ctx *geometry.Context, m *Multi, weights []float64) *Function {
 // first, the operator cost is added in a second step). modes selects the
 // per-metric combination of the sub-plan costs; the operator cost is
 // always additive.
-func AccumulateMulti(ctx *geometry.Context, modes []AccumMode, opCost, c1, c2 *Multi) *Multi {
+func AccumulateMulti(ctx *geometry.Solver, modes []AccumMode, opCost, c1, c2 *Multi) *Multi {
 	nM := c1.NumMetrics()
 	if c2.NumMetrics() != nM || opCost.NumMetrics() != nM || len(modes) != nM {
 		panic("pwl: metric count mismatch in accumulation")
@@ -222,7 +222,7 @@ func AccumulateMulti(ctx *geometry.Context, modes []AccumMode, opCost, c1, c2 *M
 // Simplify removes redundant linear constraints from every piece region
 // (first refinement of Section 6.2). The represented function is
 // unchanged.
-func Simplify(ctx *geometry.Context, f *Function) *Function {
+func Simplify(ctx *geometry.Solver, f *Function) *Function {
 	pieces := make([]Piece, len(f.pieces))
 	for i, p := range f.pieces {
 		pieces[i] = Piece{Region: ctx.RemoveRedundant(p.Region), W: p.W, B: p.B}
@@ -231,7 +231,7 @@ func Simplify(ctx *geometry.Context, f *Function) *Function {
 }
 
 // SimplifyMulti applies Simplify to every component.
-func SimplifyMulti(ctx *geometry.Context, m *Multi) *Multi {
+func SimplifyMulti(ctx *geometry.Solver, m *Multi) *Multi {
 	comps := make([]*Function, m.NumMetrics())
 	for i := range comps {
 		comps[i] = Simplify(ctx, m.Component(i))
@@ -242,7 +242,7 @@ func SimplifyMulti(ctx *geometry.Context, m *Multi) *Multi {
 // Compact merges pieces that share the same linear function whenever
 // their union is convex (recognized with the Bemporad et al. algorithm),
 // reducing piece counts after accumulation.
-func Compact(ctx *geometry.Context, f *Function) *Function {
+func Compact(ctx *geometry.Solver, f *Function) *Function {
 	groups := make(map[string][]Piece)
 	var order []string
 	for _, p := range f.pieces {

@@ -36,7 +36,7 @@ func randPWL(r *rand.Rand, dim int) *Function {
 
 func TestAddPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	for trial := 0; trial < 25; trial++ {
 		dim := 1 + rng.Intn(2)
 		f, g := randPWL(rng, dim), randPWL(rng, dim)
@@ -62,7 +62,7 @@ func TestAddPointwise(t *testing.T) {
 
 func TestMinMaxPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	for trial := 0; trial < 20; trial++ {
 		dim := 1 + rng.Intn(2)
 		f, g := randPWL(rng, dim), randPWL(rng, dim)
@@ -103,7 +103,7 @@ func TestScaleAddConstant(t *testing.T) {
 }
 
 func TestWeightedSum(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	dom := unitInterval()
 	m := NewMulti(
 		Linear(dom, geometry.Vector{1}, 0), // time = x
@@ -117,7 +117,7 @@ func TestWeightedSum(t *testing.T) {
 }
 
 func TestAccumulateMultiSum(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	dom := unitInterval()
 	c1 := NewMulti(Linear(dom, geometry.Vector{1}, 0), Constant(dom, 1))
 	c2 := NewMulti(Linear(dom, geometry.Vector{2}, 1), Constant(dom, 2))
@@ -131,7 +131,7 @@ func TestAccumulateMultiSum(t *testing.T) {
 }
 
 func TestAccumulateMultiMax(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	dom := unitInterval()
 	// time(c1) = x, time(c2) = 1-x: max crosses at 0.5.
 	c1 := NewMulti(Linear(dom, geometry.Vector{1}, 0))
@@ -148,7 +148,7 @@ func TestAccumulateMultiMax(t *testing.T) {
 }
 
 func TestSimplifyPreservesFunction(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	// Build a function whose piece regions carry redundant constraints.
 	r := geometry.Interval(0, 1).With(
 		geometry.Halfspace{W: geometry.Vector{1}, B: 5},
@@ -170,7 +170,7 @@ func TestSimplifyPreservesFunction(t *testing.T) {
 }
 
 func TestCompactMergesPieces(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	// Same linear function on two adjacent intervals: should merge.
 	f := NewFunction(
 		Piece{Region: geometry.Interval(0, 0.5), W: geometry.Vector{2}, B: 1},
@@ -197,7 +197,7 @@ func TestCompactMergesPieces(t *testing.T) {
 // when c1 is at most c2 on every metric at that point.
 func TestDomMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		dim := 1 + r.Intn(2)
@@ -256,7 +256,7 @@ func TestDomMatchesPointwise(t *testing.T) {
 }
 
 func TestDominatesEverywhere(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	dom := unitInterval()
 	cheap := NewMulti(Linear(dom, geometry.Vector{1}, 0), Constant(dom, 1))
 	expensive := NewMulti(Linear(dom, geometry.Vector{1}, 1), Constant(dom, 2))
@@ -279,7 +279,7 @@ func TestDominatesEverywhere(t *testing.T) {
 }
 
 func TestDomDisjointOnAllMetrics(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	dom := unitInterval()
 	// c1 strictly worse on metric 0 everywhere: no dominance region.
 	c1 := NewMulti(Constant(dom, 5), Constant(dom, 1))

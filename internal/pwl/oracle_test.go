@@ -25,7 +25,7 @@ type oracleAlgebra struct {
 	*core.PWLAlgebra
 }
 
-func newOracleAlgebra(ctx *geometry.Context, metrics int) oracleAlgebra {
+func newOracleAlgebra(ctx *geometry.Solver, metrics int) oracleAlgebra {
 	return oracleAlgebra{core.NewPWLAlgebra(ctx, metrics)}
 }
 
@@ -60,7 +60,7 @@ func (tc template) String() string {
 }
 
 // generate builds the schema and cost model of tc.
-func generate(t *testing.T, tc template, ctx *geometry.Context) (*catalog.Schema, *cloud.Model) {
+func generate(t *testing.T, tc template, ctx *geometry.Solver) (*catalog.Schema, *cloud.Model) {
 	t.Helper()
 	schema, err := workload.Generate(workload.Config{Tables: tc.tables, Params: tc.params, Shape: tc.shape, Seed: tc.seed})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestDomWholeSpaceMatchesPerPiece(t *testing.T) {
 		{workload.Cycle, 2, 4, 4},
 	} {
 		t.Run(tc.String(), func(t *testing.T) {
-			ctx := geometry.NewContext()
+			ctx := geometry.NewSolver(geometry.Config{})
 			schema, model := generate(t, tc, ctx)
 			rec := &recordingAlgebra{PWLAlgebra: core.NewPWLAlgebra(ctx, len(model.MetricNames()))}
 			opts := core.DefaultOptions()
@@ -103,8 +103,8 @@ func TestDomWholeSpaceMatchesPerPiece(t *testing.T) {
 			covering, fired := 0, 0
 			for i := 0; i < len(rec.pairs); i += stride {
 				c1, c2 := rec.pairs[i][0], rec.pairs[i][1]
-				fast := pwl.Dom(geometry.NewContext(), c1, c2)
-				check := geometry.NewContext()
+				fast := pwl.Dom(geometry.NewSolver(geometry.Config{}), c1, c2)
+				check := geometry.NewSolver(geometry.Config{})
 				covers := check.UnionCovers(space, pwl.DomPieces(check, c1, c2))
 				whole := len(fast) == 1 && fast[0] == space
 				if whole && !covers {
@@ -132,7 +132,7 @@ func TestDomWholeSpaceMatchesPerPiece(t *testing.T) {
 // selects the per-piece Dom.
 func savedPlanSet(t *testing.T, tc template, workers int, oracle bool) []byte {
 	t.Helper()
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	schema, model := generate(t, tc, ctx)
 	opts := core.DefaultOptions()
 	opts.Context = ctx

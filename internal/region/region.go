@@ -102,7 +102,7 @@ type Region struct {
 // New creates the full relevance region over the given parameter space
 // (Algorithm 1 line 36: the RR of a new plan is initialized by the full
 // parameter space).
-func New(ctx *geometry.Context, space *geometry.Polytope, opts Options) *Region {
+func New(ctx *geometry.Solver, space *geometry.Polytope, opts Options) *Region {
 	// Warm the space's Chebyshev memo deterministically: emptiness
 	// checks peek at it (Contains' fast rejection), and with parallel
 	// workers a lazily computed memo would make the peek outcome — and
@@ -118,7 +118,7 @@ func New(ctx *geometry.Context, space *geometry.Polytope, opts Options) *Region 
 // seedPoints distributes deterministic points across the parameter
 // space: a grid over the bounding box filtered to the space, plus the
 // Chebyshev center.
-func seedPoints(ctx *geometry.Context, space *geometry.Polytope, n int) []geometry.Vector {
+func seedPoints(ctx *geometry.Solver, space *geometry.Polytope, n int) []geometry.Vector {
 	lo, hi, ok := ctx.BoundingBox(space)
 	if !ok {
 		return nil
@@ -200,7 +200,7 @@ func (r *Region) Contains(x geometry.Vector, eps float64) bool {
 // falling inside a new cutout are deleted; with redundant-cutout
 // elimination enabled, cutouts covered by another single cutout are
 // dropped.
-func (r *Region) Subtract(ctx *geometry.Context, polys ...*geometry.Polytope) {
+func (r *Region) Subtract(ctx *geometry.Solver, polys ...*geometry.Polytope) {
 	for _, p := range polys {
 		if p == nil {
 			continue
@@ -209,7 +209,7 @@ func (r *Region) Subtract(ctx *geometry.Context, polys ...*geometry.Polytope) {
 	}
 }
 
-func (r *Region) addCutout(ctx *geometry.Context, c *geometry.Polytope) {
+func (r *Region) addCutout(ctx *geometry.Solver, c *geometry.Polytope) {
 	if c == r.space {
 		// A cutout that is the space itself (whole-space dominance, see
 		// pwl.Dom) empties the region outright: no point survives it and
@@ -252,7 +252,7 @@ func (r *Region) addCutout(ctx *geometry.Context, c *geometry.Polytope) {
 // 5). Coverage is decided up to lower-dimensional slivers (see
 // DESIGN.md). While relevance points survive, the region is trivially
 // non-empty and no geometry is evaluated.
-func (r *Region) IsEmpty(ctx *geometry.Context) bool {
+func (r *Region) IsEmpty(ctx *geometry.Solver) bool {
 	if len(r.points) > 0 {
 		return false
 	}
@@ -290,7 +290,7 @@ func (r *Region) coveredBySpace() bool {
 
 // regeneratePoint records the Chebyshev center of an uncovered residual
 // as a fresh relevance point.
-func (r *Region) regeneratePoint(ctx *geometry.Context, residual *geometry.Polytope) {
+func (r *Region) regeneratePoint(ctx *geometry.Solver, residual *geometry.Polytope) {
 	c, _, ok := ctx.Chebyshev(residual)
 	if ok && r.space.ContainsPoint(c, 1e-9) {
 		r.points = append(r.points, c)
@@ -300,7 +300,7 @@ func (r *Region) regeneratePoint(ctx *geometry.Context, residual *geometry.Polyt
 // Witness returns a point in the relevance region, preferring a
 // surviving relevance point and falling back to a region-difference
 // witness. ok is false when the region is empty.
-func (r *Region) Witness(ctx *geometry.Context) (geometry.Vector, bool) {
+func (r *Region) Witness(ctx *geometry.Solver) (geometry.Vector, bool) {
 	if len(r.points) > 0 {
 		return r.points[0], true
 	}
@@ -317,7 +317,7 @@ func (r *Region) Witness(ctx *geometry.Context) (geometry.Vector, bool) {
 
 // Pieces materializes the relevance region as a set of convex polytopes
 // via region difference, used for reporting and tests.
-func (r *Region) Pieces(ctx *geometry.Context) []*geometry.Polytope {
+func (r *Region) Pieces(ctx *geometry.Solver) []*geometry.Polytope {
 	return ctx.RegionDiff(r.space, r.cutouts)
 }
 

@@ -12,7 +12,7 @@ func noRefinements(strategy EmptinessStrategy) Options {
 }
 
 func TestNewRegionNotEmpty(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	for _, opts := range []Options{DefaultOptions(), noRefinements(StrategyBemporad), noRefinements(StrategyCoverDiff)} {
 		r := New(ctx, geometry.UnitBox(2), opts)
 		if r.IsEmpty(ctx) {
@@ -24,7 +24,7 @@ func TestNewRegionNotEmpty(t *testing.T) {
 func TestSubtractFigure7(t *testing.T) {
 	// Figure 7 of the paper: plan 2's RR is [0,1]; after pruning with
 	// plan 1 it is reduced by [0, 0.25], leaving [0.25, 1].
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	r := New(ctx, geometry.Interval(0, 1), DefaultOptions())
 	r.Subtract(ctx, geometry.Interval(0, 0.25))
 	if r.IsEmpty(ctx) {
@@ -48,7 +48,7 @@ func TestSubtractFigure7(t *testing.T) {
 
 func TestIsEmptyFullCoverBothStrategies(t *testing.T) {
 	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		r := New(ctx, geometry.Interval(0, 1), noRefinements(strat))
 		r.Subtract(ctx, geometry.Interval(0, 0.6))
 		if r.IsEmpty(ctx) {
@@ -65,7 +65,7 @@ func TestIsEmptyNonConvexCover(t *testing.T) {
 	// Cover the unit square by two overlapping rectangles whose union IS
 	// the square (convex), and by an L-shape that does not cover.
 	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		r := New(ctx, geometry.UnitBox(2), noRefinements(strat))
 		r.Subtract(ctx,
 			geometry.Box(geometry.Vector{0, 0}, geometry.Vector{0.7, 1}),
@@ -94,7 +94,7 @@ func TestIsEmptyNonConvexCover(t *testing.T) {
 // shortcut: both strategies must report the region empty.
 func TestIsEmptyNonConvexUnionCoveringSpace(t *testing.T) {
 	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		left := geometry.Box(geometry.Vector{-1, -1}, geometry.Vector{0.5, 1.5})
 		right := geometry.Box(geometry.Vector{0.5, -1}, geometry.Vector{2, 1.2})
 		if _, convex := ctx.UnionConvex([]*geometry.Polytope{left, right}); convex {
@@ -113,7 +113,7 @@ func TestIsEmptyNonConvexUnionCoveringSpace(t *testing.T) {
 // points and earlier cutouts included, without solving an LP.
 func TestSpaceCutoutEmptiesWithoutLP(t *testing.T) {
 	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		space := geometry.UnitBox(2)
 		r := New(ctx, space, Options{Strategy: strat, RelevancePoints: 16, EliminateRedundantCutouts: true})
 		r.Subtract(ctx, geometry.Box(geometry.Vector{0, 0}, geometry.Vector{0.3, 0.3}))
@@ -132,7 +132,7 @@ func TestSpaceCutoutEmptiesWithoutLP(t *testing.T) {
 }
 
 func TestRelevancePointsSkipGeometry(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	opts := Options{Strategy: StrategyBemporad, RelevancePoints: 16}
 	r := New(ctx, geometry.UnitBox(2), opts)
 	r.Subtract(ctx, geometry.Box(geometry.Vector{0, 0}, geometry.Vector{0.3, 0.3}))
@@ -146,7 +146,7 @@ func TestRelevancePointsSkipGeometry(t *testing.T) {
 }
 
 func TestRelevancePointsAllConsumed(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	opts := Options{Strategy: StrategyCoverDiff, RelevancePoints: 9}
 	r := New(ctx, geometry.UnitBox(1), opts)
 	// Cover everything: points must all be deleted and the geometric
@@ -158,7 +158,7 @@ func TestRelevancePointsAllConsumed(t *testing.T) {
 }
 
 func TestRedundantCutoutElimination(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	opts := Options{Strategy: StrategyCoverDiff, EliminateRedundantCutouts: true}
 	r := New(ctx, geometry.UnitBox(1), opts)
 	r.Subtract(ctx, geometry.Interval(0.2, 0.4))
@@ -180,7 +180,7 @@ func TestRedundantCutoutElimination(t *testing.T) {
 }
 
 func TestWitness(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	r := New(ctx, geometry.Interval(0, 1), noRefinements(StrategyCoverDiff))
 	r.Subtract(ctx, geometry.Interval(0, 0.7))
 	w, ok := r.Witness(ctx)
@@ -215,7 +215,7 @@ func TestStrategiesAgreeRandom(t *testing.T) {
 		}
 		results := make([]bool, 2)
 		for si, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
-			ctx := geometry.NewContext()
+			ctx := geometry.NewSolver(geometry.Config{})
 			r := New(ctx, geometry.UnitBox(dim), noRefinements(strat))
 			r.Subtract(ctx, cutouts...)
 			results[si] = r.IsEmpty(ctx)
@@ -231,7 +231,7 @@ func TestStrategiesAgreeRandom(t *testing.T) {
 // must agree with membership in the materialized pieces.
 func TestSubtractContainsConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	for trial := 0; trial < 20; trial++ {
 		r := New(ctx, geometry.UnitBox(1), noRefinements(StrategyCoverDiff))
 		for k := 0; k < 3; k++ {

@@ -11,7 +11,7 @@ import (
 // unchanged region cost no LPs.
 func TestWitnessRegeneration(t *testing.T) {
 	for _, strat := range []EmptinessStrategy{StrategyBemporad, StrategyCoverDiff} {
-		ctx := geometry.NewContext()
+		ctx := geometry.NewSolver(geometry.Config{})
 		r := New(ctx, geometry.UnitBox(1), Options{Strategy: strat})
 		// Without relevance points, the first check is geometric.
 		r.Subtract(ctx, geometry.Interval(0, 0.6))
@@ -42,7 +42,7 @@ func TestWitnessRegeneration(t *testing.T) {
 // TestWitnessInsideRegion: regenerated witnesses must lie inside the
 // region (strictly outside all cutouts).
 func TestWitnessInsideRegion(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	r := New(ctx, geometry.UnitBox(2), Options{Strategy: StrategyCoverDiff})
 	r.Subtract(ctx,
 		geometry.Box(geometry.Vector{0, 0}, geometry.Vector{1, 0.5}),

@@ -21,7 +21,7 @@ func TestDomBoxes(t *testing.T) {
 		if !b.ContainsPoint(geometry.Vector{0.1}, 1e-9) && !b.ContainsPoint(geometry.Vector{0.4}, 1e-9) &&
 			!b.ContainsPoint(geometry.Vector{0.2}, 1e-9) && !b.ContainsPoint(geometry.Vector{0.45}, 1e-9) {
 			// every box must be within [0, 0.5]
-			c, _, _ := geometry.NewContext().Chebyshev(b)
+			c, _, _ := geometry.NewSolver(geometry.Config{}).Chebyshev(b)
 			if c[0] > 0.5 {
 				t.Errorf("dominance cell centered at %v beyond crossover", c)
 			}

@@ -49,7 +49,7 @@ func TestFrontier(t *testing.T) {
 }
 
 func TestFrontierRespectsRelevanceRegions(t *testing.T) {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	cands := candidates()
 	// Restrict the fast plan to x <= 0.3.
 	rr := region.New(ctx, geometry.Interval(0, 1), region.Options{})

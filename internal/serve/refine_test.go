@@ -87,7 +87,7 @@ func sequentialTier(t *testing.T, tpl Template, epsilon float64) []selection.Can
 	if err != nil {
 		t.Fatal(err)
 	}
-	gctx := geometry.NewContext()
+	gctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), gctx)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func sequentialPicks(t *testing.T, tpl Template) map[string][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestRoundTripProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx := geometry.NewContext()
+				ctx := geometry.NewSolver(geometry.Config{})
 				model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 				if err != nil {
 					t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRoundTripPropertyIndexed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := geometry.NewContext()
+			ctx := geometry.NewSolver(geometry.Config{})
 			model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -179,7 +179,7 @@ func TestRoundTripPropertyIndexed(t *testing.T) {
 // samplePoints returns a deterministic grid of points inside the
 // parameter-space box.
 func samplePoints(space *geometry.Polytope, n int) []geometry.Vector {
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	lo, hi, ok := ctx.BoundingBox(space)
 	if !ok {
 		return nil

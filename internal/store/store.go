@@ -279,7 +279,7 @@ func Load(r io.Reader) (*PlanSet, error) {
 		return nil, err
 	}
 	ps := &PlanSet{Metrics: doc.Metrics, Space: space, Epsilon: doc.Epsilon}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	for i, ent := range doc.Plans {
 		node, err := nodeFromJS(&ent.Tree)
 		if err != nil {

@@ -20,7 +20,7 @@ func optimizeSample(t *testing.T) (*core.Result, []string, *geometry.Polytope) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestLoadRoundTripsNonDefaultRegionOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewContext()
+	ctx := geometry.NewSolver(geometry.Config{})
 	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)

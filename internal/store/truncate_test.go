@@ -21,7 +21,7 @@ func saveIndexedSample(t *testing.T) []byte {
 	for _, info := range res.Plans {
 		cands = append(cands, selection.Candidate{Plan: info.Plan, Cost: info.Cost.(*pwl.Multi), RR: info.RR})
 	}
-	ix, err := index.Build(geometry.NewContext(), space, cands, index.Options{})
+	ix, err := index.Build(geometry.NewSolver(geometry.Config{}), space, cands, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

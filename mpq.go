@@ -49,9 +49,6 @@ type (
 	Polytope = geometry.Polytope
 	// Halfspace is a linear inequality W·x <= B.
 	Halfspace = geometry.Halfspace
-	// Context carries numeric tolerances and LP counters. It is the
-	// historical name of Solver.
-	Context = geometry.Context
 	// Solver performs geometric operations for one worker: shared
 	// immutable SolverConfig plus per-worker scratch buffers and Stats.
 	// Fork one per goroutine; see Options.Workers.
@@ -168,22 +165,19 @@ func Optimize(schema *Schema, model CostModel, opts Options) (*Result, error) {
 // all Section 6.2 refinements enabled, Cartesian products postponed.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// NewContext returns a geometry context with default tolerances.
-func NewContext() *Context { return geometry.NewContext() }
-
 // NewSolver returns a geometry solver with the given configuration;
 // zero fields take the defaults.
 func NewSolver(cfg SolverConfig) *Solver { return geometry.NewSolver(cfg) }
 
 // NewPWLAlgebra returns the exact PWL cost algebra with sum
 // accumulation over the given number of metrics.
-func NewPWLAlgebra(ctx *Context, metrics int) *PWLAlgebra {
+func NewPWLAlgebra(ctx *Solver, metrics int) *PWLAlgebra {
 	return core.NewPWLAlgebra(ctx, metrics)
 }
 
 // NewCloudModel builds the cloud cost model (execution time and
 // monetary fees) over a schema.
-func NewCloudModel(schema *Schema, cfg CloudConfig, ctx *Context) (*CloudModel, error) {
+func NewCloudModel(schema *Schema, cfg CloudConfig, ctx *Solver) (*CloudModel, error) {
 	return cloud.NewModel(schema, cfg, ctx)
 }
 

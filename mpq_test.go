@@ -16,7 +16,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := mpq.NewContext()
+	ctx := mpq.NewSolver(mpq.SolverConfig{})
 	model, err := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 	// Run-time plan selection at a concrete parameter value.
-	algebra := mpq.NewPWLAlgebra(mpq.NewContext(), 2)
+	algebra := mpq.NewPWLAlgebra(mpq.NewSolver(mpq.SolverConfig{}), 2)
 	front := res.ParetoFrontAt(algebra, mpq.Vector{0.3})
 	if len(front) == 0 {
 		t.Fatal("empty Pareto front at x=0.3")
@@ -83,7 +83,7 @@ func TestFacadeEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := mpq.NewContext()
+	ctx := mpq.NewSolver(mpq.SolverConfig{})
 	model, err := mpq.NewCloudModel(schema, mpq.DefaultCloudConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
