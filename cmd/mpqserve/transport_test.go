@@ -17,7 +17,10 @@ import (
 
 // slowPrepareLine is a template that optimizes for seconds — long
 // enough that a millisecond deadline reliably expires first.
-const slowPrepareLine = `"workload":{"tables":5,"params":2,"shape":"clique","seed":3}`
+// cycle-2p/6t/s1 solves 1,374,961 LPs over 25 join masks; one worker
+// took 2.5–3.2 s in six runs on a 2-CPU x86-64 box, 50× the 50 ms
+// deadlines below.
+const slowPrepareLine = `"workload":{"tables":6,"params":2,"shape":"cycle","seed":1}`
 
 // TestReadLine covers the stdin framing layer: the cap applies per
 // line, an oversized line is drained to its newline, and the lines

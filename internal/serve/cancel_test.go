@@ -15,11 +15,14 @@ import (
 	"mpq/internal/workload"
 )
 
-// slowTemplate takes seconds to optimize sequentially — long enough
-// that a cancellation mid-optimization is observable.
+// slowTemplate takes seconds to optimize — long enough that a
+// cancellation mid-optimization is observable. cycle-2p/6t/s1 solves
+// 1,374,961 LPs over 25 join masks; one worker took 2.5–3.2 s in six
+// runs on a 2-CPU x86-64 box, 25× the tests' largest deadline (100 ms),
+// and its many masks give the cooperative stop frequent checkpoints.
 func slowTemplate() Template {
 	return Template{Workload: workload.Config{
-		Tables: 5, Params: 2, Shape: workload.Clique, Seed: 3,
+		Tables: 6, Params: 2, Shape: workload.Cycle, Seed: 1,
 	}}
 }
 
@@ -135,7 +138,7 @@ func TestPrepareAbandonedWhileQueued(t *testing.T) {
 
 // TestPrepareDeadlineMidOptimize cancels an optimization that is
 // already running. The scheduler's cooperative checkpoints must stop
-// it well before completion (the workload takes seconds sequentially),
+// it well before completion (the workload takes seconds on one worker),
 // the expiry must be counted, and the same server must then complete
 // the same template cleanly — proving the abandoned run released its
 // worker, admission slot, and singleflight key.
@@ -157,8 +160,8 @@ func TestPrepareDeadlineMidOptimize(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-optimize Prepare = %v, want context.DeadlineExceeded", err)
 	}
-	// The full optimization takes ~3s sequentially; a cooperative stop
-	// must come back far sooner than completion would.
+	// The full optimization takes ~2.5s on one worker; a cooperative
+	// stop must come back far sooner than completion would.
 	if elapsed > 2*time.Second {
 		t.Errorf("cancelled Prepare took %v — checkpoints not releasing the scheduler", elapsed)
 	}
