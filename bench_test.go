@@ -1,6 +1,7 @@
 package mpq_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -145,7 +146,7 @@ func BenchmarkCompactionAblation(b *testing.B) {
 				opts := core.DefaultOptions()
 				opts.Context = ctx
 				opts.Algebra = algebra
-				if _, err := core.Optimize(schema, model, opts); err != nil {
+				if _, err := core.OptimizeCtx(context.Background(), schema, model, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -163,7 +164,7 @@ func BenchmarkPQBlowup(b *testing.B) {
 				alts, space := baseline.BlowupInstance(k, 5)
 				schema := core.StaticSchema(1, []float64{0}, []float64{1})
 				model := &core.StaticModel{ParamSpace: space, Metrics: []string{"time", "fees"}, Plans: alts}
-				res, err := core.Optimize(schema, model, core.DefaultOptions())
+				res, err := core.OptimizeCtx(context.Background(), schema, model, core.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -216,7 +217,7 @@ func BenchmarkBaselines(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opts := core.DefaultOptions()
 			opts.Context = geometry.NewSolver(geometry.Config{})
-			if _, err := core.Optimize(schema, model, opts); err != nil {
+			if _, err := core.OptimizeCtx(context.Background(), schema, model, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -310,7 +311,7 @@ func randomLinearPlanSet(tb testing.TB, seed int64, nX, nM, plans int) *core.Res
 	}
 	schema := core.StaticSchema(nX, lo, hi)
 	model := &core.StaticModel{ParamSpace: space, Metrics: metricNamesN(nM), Plans: alts}
-	res, err := core.Optimize(schema, model, core.DefaultOptions())
+	res, err := core.OptimizeCtx(context.Background(), schema, model, core.DefaultOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}

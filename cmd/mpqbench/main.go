@@ -503,7 +503,7 @@ func runPQBlowup() {
 		alts, space := baseline.BlowupInstance(k, mStar)
 		schema := core.StaticSchema(1, []float64{0}, []float64{1})
 		model := &core.StaticModel{ParamSpace: space, Metrics: []string{"time", "fees"}, Plans: alts}
-		res, err := core.Optimize(schema, model, core.DefaultOptions())
+		res, err := core.OptimizeCtx(context.Background(), schema, model, core.DefaultOptions())
 		if err != nil {
 			fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -79,7 +80,7 @@ func figure1() {
 	}
 	opts := core.DefaultOptions()
 	opts.Context = ctx
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -154,7 +155,7 @@ func staticOptimize(space *geometry.Polytope, alts []core.Alternative) (*core.Re
 	model := &core.StaticModel{ParamSpace: space, Metrics: []string{"m1", "m2"}, Plans: alts}
 	opts := core.DefaultOptions()
 	opts.Context = ctx
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

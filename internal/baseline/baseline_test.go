@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestBlowupInstance(t *testing.T) {
 	// MPQ keeps exactly p1..pmStar.
 	schema := core.StaticSchema(1, []float64{0}, []float64{1})
 	model := &core.StaticModel{ParamSpace: space, Metrics: []string{"time", "fees"}, Plans: alts}
-	res, err := core.Optimize(schema, model, core.DefaultOptions())
+	res, err := core.OptimizeCtx(context.Background(), schema, model, core.DefaultOptions())
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}

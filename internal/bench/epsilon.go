@@ -27,8 +27,8 @@ func EpsilonMode(epsilons []float64) Mode {
 	for _, e := range eps {
 		m.Steps = append(m.Steps, fmt.Sprintf("eps=%g", e))
 	}
-	m.run = func(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
-		tiers, points, err := certifiedTiers(cfg, spec, eps)
+	m.run = func(ctx context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+		tiers, points, err := certifiedTiers(ctx, cfg, spec, eps)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +67,8 @@ func AnytimeMode(ladder refine.Ladder) (Mode, error) {
 	for i, e := range eff {
 		m.Steps = append(m.Steps, fmt.Sprintf("step=%d/eps=%g", i, e))
 	}
-	m.run = func(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
-		tiers, points, err := certifiedTiers(cfg, spec, eff)
+	m.run = func(ctx context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+		tiers, points, err := certifiedTiers(ctx, cfg, spec, eff)
 		if err != nil {
 			return nil, err
 		}
@@ -106,13 +106,13 @@ type certifiedTier struct {
 // certifiedTiers prepares spec at each factor in order, timing each
 // prepare, plus the exact tier when 0 is not among them, and certifies
 // every tier against the exact one at random points.
-func certifiedTiers(cfg RunConfig, spec Spec, epsilons []float64) ([]certifiedTier, []geometry.Vector, error) {
+func certifiedTiers(ctx context.Context, cfg RunConfig, spec Spec, epsilons []float64) ([]certifiedTier, []geometry.Vector, error) {
 	wl := cfg.workload(spec)
 	tiers := make([]certifiedTier, len(epsilons))
 	var exact *tier
 	for i, eps := range epsilons {
 		start := time.Now() //mpq:wallclock benchmark timing is the measurement itself
-		t, err := prepareTier(wl, eps)
+		t, err := prepareTier(ctx, wl, eps)
 		if err != nil {
 			return nil, nil, fmt.Errorf("eps=%g: %w", eps, err)
 		}
@@ -122,7 +122,7 @@ func certifiedTiers(cfg RunConfig, spec Spec, epsilons []float64) ([]certifiedTi
 		}
 	}
 	if exact == nil {
-		t, err := prepareTier(wl, 0)
+		t, err := prepareTier(ctx, wl, 0)
 		if err != nil {
 			return nil, nil, fmt.Errorf("exact reference: %w", err)
 		}

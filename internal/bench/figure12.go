@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -239,7 +240,8 @@ func RunOnce(cfg Config, tables, params int, seed int64) (*core.Stats, error) {
 	if cfg.Workers != 0 {
 		opts.Workers = cfg.Workers
 	}
-	res, _, err := optimize(workload.Config{Tables: tables, Params: params, Shape: cfg.Shape, Seed: seed}, cloudCfg, opts)
+	wl := workload.Config{Tables: tables, Params: params, Shape: cfg.Shape, Seed: seed}
+	res, _, err := optimize(context.TODO(), wl, cloudCfg, opts) //mpq:ctxroot the Figure 12 series API takes no ctx; its runs are not cancellable
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +289,7 @@ type JSONCase struct {
 	Repetitions  int     `json:"repetitions"`
 	// PipelineUtilization is the median worker-pool utilization of the
 	// optimizer's dependency scheduler (informational, never gated;
-	// exactly 1 for sequential runs, omitted when unknown).
+	// near 1 for one-worker runs, omitted when unknown).
 	PipelineUtilization float64 `json:"pipeline_utilization,omitempty"`
 	// NumCPU records runtime.NumCPU() of the measuring machine for the
 	// parallel and fleet cases (informational, never gated): it makes

@@ -121,19 +121,19 @@ func specRow(spec Spec, st core.Stats, reps int, ns int64) JSONCase {
 }
 
 // optimize generates a workload, builds its cloud cost model and runs
-// the optimizer on a fresh solver.
-func optimize(wl workload.Config, cloudCfg cloud.Config, opts core.Options) (*core.Result, *cloud.Model, error) {
+// the optimizer on a fresh solver under ctx.
+func optimize(ctx context.Context, wl workload.Config, cloudCfg cloud.Config, opts core.Options) (*core.Result, *cloud.Model, error) {
 	schema, err := workload.Generate(wl)
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := geometry.NewSolver(geometry.Config{})
-	model, err := cloud.NewModel(schema, cloudCfg, ctx)
+	solver := geometry.NewSolver(geometry.Config{})
+	model, err := cloud.NewModel(schema, cloudCfg, solver)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.Context = ctx
-	res, err := core.Optimize(schema, model, opts)
+	opts.Context = solver
+	res, err := core.OptimizeCtx(ctx, schema, model, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,11 +153,11 @@ type tier struct {
 // sequentially (so the plan and LP counters stay gate-comparable) and
 // round-trips the result through the store: the candidates are the
 // serving layer's exact bytes.
-func prepareTier(wl workload.Config, epsilon float64) (*tier, error) {
+func prepareTier(ctx context.Context, wl workload.Config, epsilon float64) (*tier, error) {
 	opts := core.DefaultOptions()
 	opts.Workers = 1
 	opts.Epsilon = epsilon
-	res, model, err := optimize(wl, cloud.DefaultConfig(), opts)
+	res, model, err := optimize(ctx, wl, cloud.DefaultConfig(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,8 @@ func PicksMode() Mode {
 	return Mode{Name: "picks", Steps: []string{"linear", "index"}, run: runPicks}
 }
 
-func runPicks(_ context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
-	t, err := prepareTier(cfg.workload(spec), 0)
+func runPicks(ctx context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
+	t, err := prepareTier(ctx, cfg.workload(spec), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"testing"
 
 	"mpq/internal/catalog"
@@ -120,7 +121,7 @@ func TestExtendedOperatorsThroughOptimizer(t *testing.T) {
 		}
 		opts := core.DefaultOptions()
 		opts.Context = ctx
-		res, err := core.Optimize(bigSchema(), m, opts)
+		res, err := core.OptimizeCtx(context.Background(), bigSchema(), m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

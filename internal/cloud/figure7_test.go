@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestFigure7PruningWithCloudModel(t *testing.T) {
 	}
 	opts := core.DefaultOptions()
 	opts.Context = ctx
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@ type Algebra interface {
 // scratch state — workers plan independent table sets concurrently and
 // may accumulate candidate costs of a single wide table set in
 // parallel chunks; algebras that hold no solver may return themselves.
-// An Algebra that does not implement ForkableAlgebra forces the
-// optimizer onto the sequential path regardless of Options.Workers.
+// An Algebra that does not implement ForkableAlgebra runs on one worker
+// regardless of Options.Workers, and Options.Donor is never offered
+// work.
 type ForkableAlgebra interface {
 	Algebra
 	// Fork returns an equivalent Algebra whose geometric operations run

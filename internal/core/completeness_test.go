@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -61,7 +62,7 @@ func TestTheorem3Completeness(t *testing.T) {
 				schema, model, ctx := cloudSetup(t, tc.tables, tc.params, tc.shape, seed)
 				opts := core.DefaultOptions()
 				opts.Context = ctx
-				res, err := core.Optimize(schema, model, opts)
+				res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 				if err != nil {
 					t.Fatalf("optimize: %v", err)
 				}
@@ -128,7 +129,7 @@ func TestRelevanceRegionGroundTruth(t *testing.T) {
 			opts := core.DefaultOptions()
 			opts.Context = ctx
 			opts.Workers = 1
-			res, err := core.Optimize(schema, model, opts)
+			res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 			if err != nil {
 				t.Fatalf("optimize: %v", err)
 			}
@@ -213,7 +214,7 @@ func TestCompletenessAcrossOptions(t *testing.T) {
 						PostponeCartesian: true,
 						Context:           ctx,
 					}
-					res, err := core.Optimize(schema, model, opts)
+					res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 					if err != nil {
 						t.Fatalf("optimize: %v", err)
 					}
@@ -245,7 +246,7 @@ func TestOptimizeKeepPerSet(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Context = ctx
 	opts.KeepPerSet = true
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
@@ -278,7 +279,7 @@ func TestPostponeCartesianReducesWork(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.PostponeCartesian = postpone
 		opts.Context = geometry.NewSolver(geometry.Config{})
-		res, err := core.Optimize(schema, model, opts)
+		res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 		if err != nil {
 			t.Fatalf("optimize(postpone=%v): %v", postpone, err)
 		}
@@ -343,7 +344,7 @@ func checkGroundTruth(t *testing.T, shape workload.Shape, tables, params int, se
 	opts := core.DefaultOptions()
 	opts.Context = ctx
 	opts.Workers = 1
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,7 @@ func optimizeEps(t *testing.T, cfg workload.Config, eps float64, workers int) (*
 	opts.Context = ctx
 	opts.Workers = workers
 	opts.Epsilon = eps
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +57,12 @@ func TestEpsilonValidation(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Context = ctx
 	opts.Epsilon = -0.1
-	if _, err := core.Optimize(schema, model, opts); err == nil {
+	if _, err := core.OptimizeCtx(context.Background(), schema, model, opts); err == nil {
 		t.Error("negative epsilon accepted")
 	}
 	opts.Epsilon = 0.1
 	opts.Algebra = nonForkable{core.NewPWLAlgebra(ctx, 2)}
-	_, err = core.Optimize(schema, model, opts)
+	_, err = core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err == nil {
 		t.Fatal("epsilon with non-EpsilonAlgebra accepted")
 	}
@@ -310,7 +311,7 @@ func TestManyObjectiveRequiresEpsilon(t *testing.T) {
 		opts.Workers = workers
 		opts.Epsilon = eps
 		opts.MaxPlansPerSet = 100
-		return core.Optimize(schema, model, opts)
+		return core.OptimizeCtx(context.Background(), schema, model, opts)
 	}
 	for _, workers := range []int{1, 2, 4} {
 		if _, err := run(0, workers); !errors.Is(err, core.ErrPlanBudget) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mpq/internal/catalog"
@@ -17,7 +18,7 @@ func staticOptimize(t *testing.T, space *geometry.Polytope, metrics int, alts []
 	}
 	schema := StaticSchema(space.Dim(), lo, hi)
 	model := &StaticModel{ParamSpace: space, Metrics: metricNames(metrics), Plans: alts}
-	res, err := Optimize(schema, model, DefaultOptions())
+	res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -328,7 +329,7 @@ func TestStatsPopulated(t *testing.T) {
 func TestUnsatisfiableSchema(t *testing.T) {
 	schema := &catalog.Schema{} // no tables
 	model := &StaticModel{ParamSpace: geometry.Interval(0, 1), Metrics: []string{"t"}}
-	if _, err := Optimize(schema, model, DefaultOptions()); err == nil {
+	if _, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions()); err == nil {
 		t.Error("expected error for empty schema")
 	}
 }

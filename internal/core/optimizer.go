@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -49,13 +50,13 @@ type Options struct {
 	KeepPerSet bool
 	// Workers is the number of goroutines pulling runnable table sets
 	// from the dependency scheduler (see DESIGN.md, "Concurrency
-	// model"). Zero selects GOMAXPROCS; 1 runs the sequential path. Any
-	// worker count produces identical plan sets and identical aggregate
-	// geometry Stats: per-mask work is self-contained, the sharded
-	// store publishes complete sets atomically, the per-polytope
-	// Chebyshev memo solves every memoized LP exactly once, and
-	// intra-mask split jobs merge through an order-preserving
-	// reduction. The CostModel must tolerate concurrent calls when
+	// model"). Zero selects GOMAXPROCS; 1 plans every mask on the
+	// caller's goroutine. Any worker count produces identical plan sets
+	// and identical aggregate geometry Stats: per-mask work is
+	// self-contained, the sharded store publishes complete sets
+	// atomically, the per-polytope Chebyshev memo solves every memoized
+	// LP exactly once, and intra-mask split jobs merge through an
+	// order-preserving reduction. The CostModel must tolerate concurrent calls when
 	// Workers > 1.
 	Workers int
 	// Donor, when non-nil, lends transient goroutines to this run's
@@ -64,10 +65,10 @@ type Options struct {
 	// serving layer donates idle solver-pool workers this way — elastic
 	// intra-query parallelism). Donated workers run on their own solver
 	// and algebra forks, so results and aggregate LP statistics are
-	// identical with or without donation; a Donor also activates the
-	// dependency scheduler (and split jobs) for Workers == 1 runs,
-	// which would otherwise use the sequential drain. Requires a
-	// ForkableAlgebra; ignored otherwise.
+	// identical with or without donation. With a Donor even a
+	// Workers == 1 run splits wide masks and hands whole ready masks
+	// to donated workers. Requires a ForkableAlgebra; ignored
+	// otherwise.
 	Donor DonorPool
 	// Epsilon enables the ε-approximate prune: a candidate plan is
 	// dropped outright when, everywhere in the parameter space, some
@@ -199,25 +200,21 @@ type Result struct {
 // budget) lets the run complete.
 var ErrPlanBudget = errors.New("core: plan-set budget exceeded")
 
-// Optimize runs RRPA (Algorithm 1) on the query described by schema,
-// with operator costs from model, and returns a Pareto plan set for the
-// full query. With the default PWL algebra this is PWL-RRPA.
-func Optimize(schema *catalog.Schema, model CostModel, opts Options) (*Result, error) {
-	return OptimizeCtx(context.Background(), schema, model, opts) //mpq:ctxroot legacy ctx-less API is a deliberate root; new callers use OptimizeCtx
-}
-
-// OptimizeCtx is Optimize with cooperative cancellation: the run
-// checks runCtx between scheduler tasks (masks, split chunks) and
-// stops promptly — workers, donated goroutines, and the caller all
-// unwind — returning runCtx's error. Cancellation is strictly
-// cooperative and checkpoint-based, so any run that completes without
-// observing a done context is byte-identical to an uncancelled run.
+// OptimizeCtx runs RRPA (Algorithm 1) on the query described by
+// schema, with operator costs from model, and returns a Pareto plan set
+// for the full query. With the default PWL algebra this is PWL-RRPA.
+//
+// Cancellation is cooperative: the run checks runCtx between scheduler
+// tasks (masks, split chunks) and stops promptly — workers, donated
+// goroutines, and the caller all unwind — returning runCtx's error.
+// Checkpoints are passive, so any run that completes without observing
+// a done context is byte-identical to an uncancelled run.
 func OptimizeCtx(runCtx context.Context, schema *catalog.Schema, model CostModel, opts Options) (*Result, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
 	if runCtx == nil {
-		runCtx = context.Background() //mpq:ctxroot nil ctx from legacy callers defaults to an uncancellable root at the API boundary
+		runCtx = context.Background() //mpq:ctxroot a nil ctx defaults to an uncancellable root at the API boundary
 	}
 	if err := runCtx.Err(); err != nil {
 		return nil, fmt.Errorf("core: optimize: %w", err)
@@ -294,11 +291,10 @@ func (o *optimizer) budgetErr() error {
 		ErrPlanBudget, o.opts.MaxPlansPerSet)
 }
 
-// worker is the per-goroutine state of the parallel scheduler: a forked
-// geometry solver, an algebra bound to it, and local plan counters.
-// workers[0] aliases the optimizer's own solver and algebra, so the
-// sequential path (Workers == 1) is exactly the historical single-
-// threaded execution.
+// worker is the per-goroutine state of the scheduler: a forked geometry
+// solver, an algebra bound to it, and local plan counters. workers[0]
+// aliases the optimizer's own solver and algebra and runs on the
+// caller's goroutine.
 type worker struct {
 	o       *optimizer
 	solver  *geometry.Solver
@@ -383,14 +379,9 @@ func (o *optimizer) run() (*Result, error) {
 	// Plan the join masks through the dependency scheduler (Algorithm 1
 	// lines 7-13, pipelined): a mask runs the moment every scheduled
 	// strict subset has completed, not when its whole cardinality class
-	// has. With one worker the scheduler degenerates to the historical
-	// in-order sequential drain.
+	// has.
 	sched := newScheduler(o, masks)
-	if len(o.workers) > 1 || (o.opts.Donor != nil && o.forkable != nil) {
-		o.stats.Scheduler = sched.run()
-	} else {
-		o.stats.Scheduler = sched.runSequential()
-	}
+	o.stats.Scheduler = sched.run()
 	// A budget trip aborted the schedule: the plan sets computed so far
 	// are valid but the run as a whole cannot answer the query within
 	// the budget. Checked before the context error — a budget abort is
@@ -408,20 +399,16 @@ func (o *optimizer) run() (*Result, error) {
 		}
 	}
 
-	for _, w := range o.workers {
+	// Merge the resident workers and the donated ones (help offered
+	// from outside the pool; sched.run has already waited for all of
+	// them). w0's solver is the run's own, which receives the merge.
+	for _, w := range slices.Concat(o.workers, sched.donated) {
 		o.stats.CreatedPlans += w.created
 		o.stats.PrunedPlans += w.pruned
+		o.stats.Scheduler.Busy += w.busy
 		if w != w0 {
 			o.ctx.Stats.Add(w.solver.DrainStats())
 		}
-	}
-	// Donated workers (scheduler-offered split-job help from outside
-	// the pool) contribute the same way; sched.run has already waited
-	// for all of them.
-	for _, w := range sched.donated {
-		o.stats.CreatedPlans += w.created
-		o.stats.PrunedPlans += w.pruned
-		o.ctx.Stats.Add(w.solver.DrainStats())
 	}
 
 	final := o.store.get(all)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mpq/internal/catalog"
@@ -46,7 +47,7 @@ func TestDisconnectedGraphCartesianFallback(t *testing.T) {
 		joinCost: pwl.NewMulti(pwl.Constant(space, 0.5), pwl.Constant(space, 0.5)),
 	}
 	opts := DefaultOptions()
-	res, err := Optimize(schema, model, opts)
+	res, err := OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
@@ -78,7 +79,7 @@ func TestSingleTableQuery(t *testing.T) {
 			{Op: "bad", Cost: pwl.NewMulti(pwl.Constant(space, 6), pwl.Constant(space, 6))},
 		},
 	}
-	res, err := Optimize(schema, model, DefaultOptions())
+	res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestMaxAccumulationThroughOptimizer(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Context = ctx
 	opts.Algebra = algebra
-	res, err := Optimize(schema, model, opts)
+	res, err := OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPruneInsertionOrderInvariance(t *testing.T) {
 		}
 		schema := StaticSchema(1, []float64{0}, []float64{1})
 		model := &StaticModel{ParamSpace: space, Metrics: []string{"t", "f"}, Plans: ordered}
-		res, err := Optimize(schema, model, DefaultOptions())
+		res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/geometry"
 	"mpq/internal/plan"
+	"mpq/internal/store"
 	"mpq/internal/workload"
 )
 
@@ -31,7 +34,7 @@ func optimizeWorkload(t *testing.T, cfg workload.Config, regionOpts *core.Option
 	}
 	opts.Context = ctx
 	opts.Workers = workers
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,28 +101,51 @@ func TestParallelWavefrontDeterminism(t *testing.T) {
 }
 
 // TestParallelFallbackForNonForkableAlgebra: a custom algebra that does
-// not implement ForkableAlgebra must force the sequential path instead
-// of racing on shared solver state.
+// not implement ForkableAlgebra must run on one worker instead of
+// racing on shared solver state, and must never offer work to a Donor
+// (a donated worker forks the algebra), even when split jobs are
+// forced. Either way the run saves the forkable one-worker run's bytes.
 func TestParallelFallbackForNonForkableAlgebra(t *testing.T) {
-	schema, err := workload.Generate(workload.Config{Tables: 4, Params: 1, Shape: workload.Chain, Seed: 5})
+	cfg := workload.Config{Tables: 4, Params: 1, Shape: workload.Chain, Seed: 5}
+	ref := core.DefaultOptions()
+	ref.Workers = 1
+	_, want := optimizeAndSave(t, cfg, ref)
+	schema, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := geometry.NewSolver(geometry.Config{})
-	model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
-	if err != nil {
-		t.Fatal(err)
+	donor := newPoolDonor(3)
+	for _, withDonor := range []bool{false, true} {
+		ctx := geometry.NewSolver(geometry.Config{})
+		model, err := cloud.NewModel(schema, cloud.DefaultConfig(), ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Context = ctx
+		opts.Workers = 4
+		opts.Algebra = nonForkable{core.NewPWLAlgebra(ctx, 2)}
+		if withDonor {
+			opts.Donor = donor
+			opts.SplitCandidates = 1
+		}
+		res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Workers != 1 {
+			t.Errorf("donor=%v: non-forkable algebra ran with %d workers, want 1", withDonor, res.Stats.Workers)
+		}
+		var buf bytes.Buffer
+		if err := store.Save(&buf, model.MetricNames(), model.Space(), res.Plans); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("donor=%v: plan set differs from the forkable one-worker run", withDonor)
+		}
 	}
-	opts := core.DefaultOptions()
-	opts.Context = ctx
-	opts.Workers = 4
-	opts.Algebra = nonForkable{core.NewPWLAlgebra(ctx, 2)}
-	res, err := core.Optimize(schema, model, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Workers != 1 {
-		t.Errorf("non-forkable algebra ran with %d workers, want 1", res.Stats.Workers)
+	if offers := donor.accepted + donor.declined; offers != 0 {
+		t.Errorf("donor was offered %d tasks for a non-forkable algebra, want 0", offers)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func TestStaticParetoProperty(t *testing.T) {
 		alts := randStaticAlternatives(r, space, dim, nM, plans)
 		schema := StaticSchema(dim, lo, hi)
 		model := &StaticModel{ParamSpace: space, Metrics: metricNames(nM), Plans: alts}
-		res, err := Optimize(schema, model, DefaultOptions())
+		res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 		if err != nil {
 			return false
 		}
@@ -114,7 +115,7 @@ func TestRelevanceRegionsCoverSpace(t *testing.T) {
 		alts := randStaticAlternatives(r, space, dim, 2, 4+r.Intn(6))
 		schema := StaticSchema(dim, lo, hi)
 		model := &StaticModel{ParamSpace: space, Metrics: metricNames(2), Plans: alts}
-		res, err := Optimize(schema, model, DefaultOptions())
+		res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 		if err != nil {
 			return false
 		}

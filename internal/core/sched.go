@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -359,41 +360,35 @@ func newScheduler(o *optimizer, masks []catalog.TableSet) *scheduler {
 }
 
 // run executes all masks on the optimizer's workers and returns the
-// scheduler metrics.
+// scheduler metrics except Busy, which optimizer.run sums in its
+// per-worker merge. workers[0] runs on the caller's goroutine; every
+// further worker gets a goroutine of its own.
 func (s *scheduler) run() SchedulerStats {
 	start := time.Now() //mpq:wallclock SchedulerStats.Wall timing; never reaches plan bytes
-	// Watch the run context: on cancellation, set the abort flag and
-	// wake every worker parked in next()'s cond.Wait so the pool drains
-	// promptly instead of on its next natural wakeup.
-	stopWatch := make(chan struct{})
-	if done := s.o.runCtx.Done(); done != nil {
-		go func() {
-			select {
-			case <-done:
-				s.abort()
-			case <-stopWatch:
-			}
-		}()
-	}
+	// On cancellation, set the abort flag and wake every worker parked
+	// in next()'s cond.Wait so the pool drains promptly instead of on
+	// its next natural wakeup.
+	stop := context.AfterFunc(s.o.runCtx, s.abort)
 	// The initial ready queue (no scheduled dependencies) is the first
 	// chance for mask-level donation: lend idle pool goroutines before
 	// the resident workers have even started.
 	s.tryDonateMasks()
 	var wg sync.WaitGroup
-	for _, w := range s.o.workers {
+	for _, w := range s.o.workers[1:] {
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
 			s.workerLoop(w)
-		}(w)
+		}()
 	}
+	s.workerLoop(s.o.workers[0])
 	wg.Wait()
 	// Accepted donations may still be draining their final chunks;
 	// every donated worker must retire before stats (and the caller's
 	// result) are assembled.
 	s.donateWG.Wait()
-	close(stopWatch)
-	st := SchedulerStats{
+	stop()
+	return SchedulerStats{
 		Tasks:        int(s.tasks.Load()),
 		SplitJobs:    int(s.splitJobs.Load()),
 		SplitChunks:  int(s.splitChunks.Load()),
@@ -401,39 +396,6 @@ func (s *scheduler) run() SchedulerStats {
 		DonatedMasks: int(s.donatedMasks.Load()),
 		Wall:         time.Since(start), //mpq:wallclock SchedulerStats.Wall timing; never reaches plan bytes
 	}
-	for _, w := range s.o.workers {
-		st.Busy += w.busy
-	}
-	for _, w := range s.donated {
-		st.Busy += w.busy
-	}
-	return st
-}
-
-// runSequential drains the masks in deterministic cardinality order on
-// the single worker — bit-for-bit the historical sequential execution.
-// The run context is checked between masks, the same checkpoint
-// granularity as the parallel path.
-func (s *scheduler) runSequential() SchedulerStats {
-	start := time.Now() //mpq:wallclock SchedulerStats timing; never reaches plan bytes
-	w := s.o.workers[0]
-	done := 0
-	for _, q := range s.masks {
-		if s.o.runCtx.Err() != nil {
-			break
-		}
-		infos := w.planGroups(s.o.enumerateSplits(q))
-		s.o.store.complete(q, infos)
-		done++
-		if s.o.noteSetSize(len(infos)) {
-			break
-		}
-	}
-	s.mu.Lock()
-	s.remaining -= done
-	s.mu.Unlock()
-	wall := time.Since(start) //mpq:wallclock SchedulerStats timing; never reaches plan bytes
-	return SchedulerStats{Tasks: done, Busy: wall, Wall: wall}
 }
 
 // abort flips the abort flag and wakes every parked worker.
@@ -454,7 +416,7 @@ func (s *scheduler) incomplete() bool {
 // workerLoop pulls tasks until every mask has completed.
 func (s *scheduler) workerLoop(w *worker) {
 	for {
-		j, mi := s.next()
+		j, mi := s.next(true)
 		if j == nil && mi < 0 {
 			return
 		}
@@ -468,16 +430,15 @@ func (s *scheduler) workerLoop(w *worker) {
 	}
 }
 
-// next blocks until a task is available. Split chunks are preferred over
-// fresh masks: they finish work already in flight, unblocking
-// dependents sooner. Returns (nil, -1) when the run is complete.
-func (s *scheduler) next() (*splitJob, int32) {
+// next claims a task. Split chunks are preferred over fresh masks: they
+// finish work already in flight, unblocking dependents sooner. With
+// wait, next parks until a task is available and returns (nil, -1) only
+// once the run is complete or aborted; without wait (a donated stint)
+// it returns (nil, -1) as soon as no task is immediately runnable.
+func (s *scheduler) next(wait bool) (*splitJob, int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.aborted.Load() {
-			return nil, -1
-		}
+	for !s.aborted.Load() {
 		for len(s.jobs) > 0 {
 			j := s.jobs[len(s.jobs)-1]
 			if j.exhausted() {
@@ -491,13 +452,14 @@ func (s *scheduler) next() (*splitJob, int32) {
 			s.readyHead++
 			return nil, mi
 		}
-		if s.remaining == 0 {
-			return nil, -1
+		if !wait || s.remaining == 0 {
+			break
 		}
 		s.idle++
 		s.cond.Wait()
 		s.idle--
 	}
+	return nil, -1
 }
 
 // planMask plans one mask. Wide masks with idle workers available are
@@ -550,35 +512,16 @@ func (s *scheduler) donorIdle() int {
 }
 
 // tryDonate offers split-job help to the donor pool: up to want
-// transient workers, each claiming chunks of j until none remain. Each
-// donated worker runs on its own solver and algebra fork, so donation
-// cannot change results or aggregate counters — only wall-clock time.
+// transient workers, each claiming chunks of j until none remain. want
+// comes from donorIdle, so it is zero without a donor and a forkable
+// algebra. Each donated worker runs on its own solver and algebra fork,
+// so donation cannot change results or aggregate counters — only
+// wall-clock time.
 func (s *scheduler) tryDonate(j *splitJob, want int) {
-	donor := s.o.opts.Donor
-	if donor == nil || s.o.forkable == nil {
-		return
-	}
-	if max := j.chunks - 1; want > max {
-		// The publishing worker processes chunks too; more helpers than
-		// remaining chunks would go straight back idle.
-		want = max
-	}
-	for i := 0; i < want; i++ {
-		s.donateWG.Add(1)
-		accepted := donor.Offer(func() {
-			defer s.donateWG.Done()
-			solver := s.o.ctx.Fork()
-			w := &worker{o: s.o, solver: solver, algebra: s.o.forkable.Fork(solver)}
-			start := time.Now() //mpq:wallclock donated-worker busy-time stat; never reaches plan bytes
-			s.runJobChunks(w, j)
-			w.busy = time.Since(start) //mpq:wallclock donated-worker busy-time stat; never reaches plan bytes
-			s.donatedTasks.Add(1)
-			s.donatedMu.Lock()
-			s.donated = append(s.donated, w)
-			s.donatedMu.Unlock()
-		})
-		if !accepted {
-			s.donateWG.Done()
+	// The publishing worker processes chunks too; more helpers than
+	// remaining chunks would go straight back idle.
+	for range min(want, j.chunks-1) {
+		if !s.offer(func(w *worker) { s.runJobChunks(w, j) }) {
 			return
 		}
 	}
@@ -595,37 +538,45 @@ func (s *scheduler) tryDonate(j *splitJob, want int) {
 // time changes (the byte-identity contract of DESIGN.md, "Concurrency
 // model", covers any worker count).
 func (s *scheduler) tryDonateMasks() {
-	donor := s.o.opts.Donor
-	if donor == nil || s.o.forkable == nil {
+	want := s.donorIdle()
+	if want == 0 {
 		return
 	}
-	want := s.donorIdle()
 	s.mu.Lock()
-	if backlog := len(s.ready) - s.readyHead - s.idle; want > backlog {
-		// Parked resident workers will absorb part of the queue the
-		// moment they wake; only lend for the excess.
-		want = backlog
-	}
+	// Parked resident workers will absorb part of the queue the moment
+	// they wake; only lend for the excess.
+	want = min(want, len(s.ready)-s.readyHead-s.idle)
 	s.mu.Unlock()
-	for i := 0; i < want; i++ {
-		s.donateWG.Add(1)
-		accepted := donor.Offer(func() {
-			defer s.donateWG.Done()
-			solver := s.o.ctx.Fork()
-			w := &worker{o: s.o, solver: solver, algebra: s.o.forkable.Fork(solver)}
-			start := time.Now() //mpq:wallclock donated-worker busy-time stat; never reaches plan bytes
-			s.runReadyTasks(w)
-			w.busy = time.Since(start) //mpq:wallclock donated-worker busy-time stat; never reaches plan bytes
-			s.donatedTasks.Add(1)
-			s.donatedMu.Lock()
-			s.donated = append(s.donated, w)
-			s.donatedMu.Unlock()
-		})
-		if !accepted {
-			s.donateWG.Done()
+	for range want {
+		if !s.offer(s.runReadyTasks) {
 			return
 		}
 	}
+}
+
+// offer proposes one donated stint to Options.Donor: on acceptance, a
+// transient worker on its own solver and algebra fork runs stint, then
+// parks its state in donated for the stat merge. It reports whether the
+// donor accepted. Callers offer only when donorIdle is positive, which
+// implies a donor and a forkable algebra.
+func (s *scheduler) offer(stint func(w *worker)) bool {
+	s.donateWG.Add(1)
+	accepted := s.o.opts.Donor.Offer(func() {
+		defer s.donateWG.Done()
+		solver := s.o.ctx.Fork()
+		w := &worker{o: s.o, solver: solver, algebra: s.o.forkable.Fork(solver)}
+		start := time.Now() //mpq:wallclock donated-worker busy-time stat; never reaches plan bytes
+		stint(w)
+		w.busy = time.Since(start) //mpq:wallclock donated-worker busy-time stat; never reaches plan bytes
+		s.donatedTasks.Add(1)
+		s.donatedMu.Lock()
+		s.donated = append(s.donated, w)
+		s.donatedMu.Unlock()
+	})
+	if !accepted {
+		s.donateWG.Done()
+	}
+	return accepted
 }
 
 // runReadyTasks is a donated worker's stint: claim split chunks and
@@ -634,7 +585,7 @@ func (s *scheduler) tryDonateMasks() {
 // runnable.
 func (s *scheduler) runReadyTasks(w *worker) {
 	for {
-		j, mi := s.tryNext()
+		j, mi := s.next(false)
 		if j == nil && mi < 0 {
 			return
 		}
@@ -645,30 +596,6 @@ func (s *scheduler) runReadyTasks(w *worker) {
 			s.planMask(w, s.masks[mi])
 		}
 	}
-}
-
-// tryNext is next() without the blocking wait: it returns (nil, -1)
-// when no task is immediately runnable instead of parking.
-func (s *scheduler) tryNext() (*splitJob, int32) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted.Load() {
-		return nil, -1
-	}
-	for len(s.jobs) > 0 {
-		j := s.jobs[len(s.jobs)-1]
-		if j.exhausted() {
-			s.jobs = s.jobs[:len(s.jobs)-1]
-			continue
-		}
-		return j, -1
-	}
-	if s.readyHead < len(s.ready) {
-		mi := s.ready[s.readyHead]
-		s.readyHead++
-		return nil, mi
-	}
-	return nil, -1
 }
 
 // runJobChunks claims and processes chunks of j until none remain. The

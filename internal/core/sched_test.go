@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -30,7 +31,7 @@ func optimizeAndSave(t *testing.T, cfg workload.Config, opts core.Options) (*cor
 		t.Fatal(err)
 	}
 	opts.Context = ctx
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +43,13 @@ func optimizeAndSave(t *testing.T, cfg workload.Config, opts core.Options) (*cor
 }
 
 // equivalenceWorkerCounts returns the worker counts the equivalence
-// property test compares against the first sequential run. The
+// property test compares against the first one-worker run. The
 // MPQ_TEST_WORKERS environment variable (the CI worker-count matrix)
 // narrows the set to one value; 0 means GOMAXPROCS. A count of 1
-// compares an *independent* sequential rerun against the first —
+// compares an *independent* one-worker rerun against the first —
 // run-to-run reproducibility with fresh solvers and memos — while
-// counts > 1 compare the parallel scheduler against the sequential
-// path. Duplicates are dropped so each heavy optimization runs once
+// counts > 1 compare runs at more workers against the one-worker run.
+// Duplicates are dropped so each heavy optimization runs once
 // per distinct count.
 func equivalenceWorkerCounts(t *testing.T) []int {
 	raw := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
@@ -81,7 +82,7 @@ func equivalenceWorkerCounts(t *testing.T) []int {
 // documents for any worker count — including intra-mask split
 // parallelism — and every aggregate counter of the determinism
 // contract (created/pruned plans, all geometry Stats, the Figure 12 LP
-// count) must match the Workers=1 sequential run exactly. Running
+// count) must match the Workers=1 run exactly. Running
 // under -race additionally exercises the sharded store's atomic
 // publication and the scheduler's dependency bookkeeping.
 func TestSchedulerStoreEquivalence(t *testing.T) {
@@ -161,9 +162,13 @@ func assertDeterministicStats(t *testing.T, workers int, seq, par *core.Result) 
 }
 
 // TestSchedulerStats: the pipeline metrics must be populated — tasks
-// executed, busy time measured, utilization within (0, 1].
+// executed, busy time measured, utilization within (0, 1]. One worker
+// without a donor never splits (no worker is idle while it plans), so
+// it runs exactly one task per scheduled join mask.
 func TestSchedulerStats(t *testing.T) {
 	cfg := workload.Config{Tables: 5, Params: 1, Shape: workload.Chain, Seed: 4}
+	// A 5-table chain has 4+3+2+1 connected join masks.
+	const joinMasks = 10
 	for _, workers := range []int{1, 3} {
 		opts := core.DefaultOptions()
 		opts.Workers = workers
@@ -176,8 +181,11 @@ func TestSchedulerStats(t *testing.T) {
 		if u <= 0 || u > 1 {
 			t.Errorf("workers=%d: utilization %v out of (0,1]", workers, u)
 		}
-		if workers == 1 && u != 1 {
-			t.Errorf("sequential utilization = %v, want exactly 1", u)
+		if workers == 1 {
+			if sc.SplitJobs != 0 || sc.Tasks != joinMasks || sc.Busy > sc.Wall {
+				t.Errorf("one worker: split jobs %d (want 0), tasks %d (want %d), busy %v > wall %v",
+					sc.SplitJobs, sc.Tasks, joinMasks, sc.Busy, sc.Wall)
+			}
 		}
 	}
 }

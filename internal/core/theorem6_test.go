@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -53,7 +54,7 @@ func TestTheorem6Bound(t *testing.T) {
 			alts := randomLinearAlternatives(rng, space, tc.nX, tc.nM, plans)
 			schema := StaticSchema(tc.nX, lo, hi)
 			model := &StaticModel{ParamSpace: space, Metrics: metricNames(tc.nM), Plans: alts}
-			res, err := Optimize(schema, model, DefaultOptions())
+			res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 			if err != nil {
 				t.Fatalf("nX=%d nM=%d seed=%d: %v", tc.nX, tc.nM, seed, err)
 			}
@@ -81,7 +82,7 @@ func TestTheorem6MoreMetricsMorePlans(t *testing.T) {
 			alts := randomLinearAlternatives(rng, space, 1, nM, plans)
 			schema := StaticSchema(1, []float64{0}, []float64{1})
 			model := &StaticModel{ParamSpace: space, Metrics: metricNames(nM), Plans: alts}
-			res, err := Optimize(schema, model, DefaultOptions())
+			res, err := OptimizeCtx(context.Background(), schema, model, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -73,7 +74,7 @@ func loadSet(t testing.TB, cfg workload.Config) (*store.PlanSet, []selection.Can
 	opts := core.DefaultOptions()
 	opts.Context = ctx
 	opts.Workers = 1
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

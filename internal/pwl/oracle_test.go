@@ -2,6 +2,7 @@ package pwl_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestDomWholeSpaceMatchesPerPiece(t *testing.T) {
 			opts.Context = ctx
 			opts.Algebra = rec
 			opts.Workers = 1 // the embedded Fork would not record
-			if _, err := core.Optimize(schema, model, opts); err != nil {
+			if _, err := core.OptimizeCtx(context.Background(), schema, model, opts); err != nil {
 				t.Fatal(err)
 			}
 			stride := len(rec.pairs)/maxPairs + 1
@@ -140,7 +141,7 @@ func savedPlanSet(t *testing.T, tc template, workers int, oracle bool) []byte {
 	if oracle {
 		opts.Algebra = newOracleAlgebra(ctx, len(model.MetricNames()))
 	}
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

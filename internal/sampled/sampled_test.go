@@ -1,6 +1,7 @@
 package sampled
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestGenericRRPAWithSampledCosts(t *testing.T) {
 	model := &core.StaticModel{ParamSpace: space, Metrics: []string{"time", "fees"}, Plans: alts}
 	opts := core.DefaultOptions()
 	opts.Algebra = algebra
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}

@@ -96,7 +96,7 @@ func sequentialTier(t *testing.T, tpl Template, epsilon float64) []selection.Can
 	opts.Context = gctx
 	opts.Workers = 1
 	opts.Epsilon = epsilon
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

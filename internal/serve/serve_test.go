@@ -57,7 +57,7 @@ func sequentialPicks(t *testing.T, tpl Template) map[string][]string {
 	opts := core.DefaultOptions()
 	opts.Context = ctx
 	opts.Workers = 1
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestRoundTripProperty(t *testing.T) {
 				}
 				opts := core.DefaultOptions()
 				opts.Context = ctx
-				res, err := core.Optimize(schema, model, opts)
+				res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +132,7 @@ func TestRoundTripPropertyIndexed(t *testing.T) {
 			}
 			opts := core.DefaultOptions()
 			opts.Context = ctx
-			res, err := core.Optimize(schema, model, opts)
+			res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

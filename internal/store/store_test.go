@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -27,7 +28,7 @@ func optimizeSample(t *testing.T) (*core.Result, []string, *geometry.Polytope) {
 	}
 	opts := core.DefaultOptions()
 	opts.Context = ctx
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestLoadRoundTripsNonDefaultRegionOptions(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Context = ctx
 	opts.Region = region.Options{Strategy: region.StrategyCoverDiff, RelevancePoints: 3}
-	res, err := core.Optimize(schema, model, opts)
+	res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestSaveRejectsNonPWLCosts(t *testing.T) {
 	model := &core.StaticModel{ParamSpace: space, Metrics: []string{"t"}, Plans: []core.Alternative{
 		{Op: "s", Cost: pwl.NewMulti(pwl.Constant(space, 1))},
 	}}
-	res, err := core.Optimize(core.StaticSchema(1, []float64{0}, []float64{1}), model, core.DefaultOptions())
+	res, err := core.OptimizeCtx(context.Background(), core.StaticSchema(1, []float64{0}, []float64{1}), model, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

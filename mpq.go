@@ -1,6 +1,7 @@
 package mpq
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -151,14 +152,15 @@ const (
 // Optimize runs RRPA / PWL-RRPA and returns a Pareto plan set for the
 // query (Algorithm 1 of the paper). Options.Workers selects the number
 // of goroutines pulling runnable table sets from the pipelined
-// dependency scheduler (0 = GOMAXPROCS, 1 = sequential); results and
-// aggregate LP statistics are identical for every worker count.
+// dependency scheduler (0 = GOMAXPROCS, 1 = the caller's goroutine
+// only); results and aggregate LP statistics are identical for every
+// worker count.
 // Options.Epsilon > 0 trades precision for speed: the returned set is
 // an ε-approximate Pareto frontier — every dropped plan is within a
 // (1+ε) cost factor of a kept one, on every metric, everywhere in the
 // parameter space — and is typically much smaller than the exact set.
 func Optimize(schema *Schema, model CostModel, opts Options) (*Result, error) {
-	return core.Optimize(schema, model, opts)
+	return core.OptimizeCtx(context.Background(), schema, model, opts) //mpq:ctxroot the facade's ctx-less Optimize is a deliberate root; cancellable runs go through Server.Prepare
 }
 
 // DefaultOptions mirrors the configuration of the paper's experiments:
