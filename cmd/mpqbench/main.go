@@ -12,7 +12,6 @@
 //	mpqbench -experiment figure12 -parallel clique:1:6,star:1:8
 //	mpqbench -experiment figure12 -picks clique:2:6 -fleet star:1:7 [-points 256]
 //	mpqbench -experiment figure12 -epsilon 0,0.01,0.1 -epsilon-specs chain:1:8,star:1:7
-//	mpqbench -experiment figure12 -anytime 0.5,0.1 -anytime-specs chain:1:8
 //	mpqbench -experiment figure12 -cpuprofile cpu.out -memprofile mem.out
 //	mpqbench -experiment pqblowup
 //	mpqbench -experiment ablation [-tables 6]
@@ -30,13 +29,9 @@
 //     rate, and times concurrent batched picks.
 //   - -epsilon certifies each ε tier's max regret against the exact
 //     frontier and reports the plan and LP savings it bought.
-//   - -anytime walks the refinement ladder an anytime server (mpqserve
-//     -refine-ladder) walks, coarsest generation first down to the
-//     implicit exact step, timing each generation's prepare and
-//     certifying its regret against the exact one.
 //
 // Every row lands in the report's one gated list (cases), named by its
-// mode ("picks/", "fleet/", "epsilon/", "anytime/" prefixes). -parallel
+// mode ("picks/", "fleet/", "epsilon/" prefixes). -parallel
 // points run at workers = GOMAXPROCS and land in the informational
 // parallel_cases. With -baseline, the run is diffed against the given
 // snapshot (the CI regression gate): ε > 0 rows must keep their
@@ -66,7 +61,6 @@ import (
 	"mpq/internal/bench"
 	"mpq/internal/core"
 	"mpq/internal/geometry"
-	"mpq/internal/refine"
 	"mpq/internal/region"
 	"mpq/internal/workload"
 )
@@ -74,8 +68,8 @@ import (
 const (
 	// fleetServers is the -fleet fleet size.
 	fleetServers = 3
-	// defaultModeSpecs are the plan sets of -epsilon and -anytime when
-	// their -specs flag is unset.
+	// defaultModeSpecs are the plan sets of -epsilon when its -specs
+	// flag is unset.
 	defaultModeSpecs = "chain:1:8,star:1:7"
 	// parallelPrefix names the -parallel rows.
 	parallelPrefix = "parallel/"
@@ -112,18 +106,6 @@ var modeFlags = []struct {
 				eps = append(eps, v)
 			}
 			return bench.EpsilonMode(eps), nil
-		},
-	},
-	{
-		name:       "anytime",
-		usage:      "descending refinement ladder (e.g. 0.5,0.1): walk each -anytime-specs plan set coarse-to-exact, certify per-step regret and measure per-step prepare cost",
-		specsUsage: "anytime-experiment specs shape:params:tables[,...] (default " + defaultModeSpecs + ")",
-		mode: func(value string) (bench.Mode, error) {
-			ladder, err := refine.ParseLadder(value)
-			if err != nil {
-				return bench.Mode{}, err
-			}
-			return bench.AnytimeMode(ladder)
 		},
 	},
 }
@@ -212,7 +194,7 @@ func parseArgs(args []string) (*invocation, error) {
 		params     = fs.String("params", "1,2", "comma-separated parameter counts per curve")
 		maxTables  = fs.Int("max-tables", 0, "cap on the table count of every curve (0 = per-shape defaults, quick-reduced with -quick)")
 		parallel   = fs.String("parallel", "", "parallel reference points shape:params:tables[,...], run at workers=GOMAXPROCS and reported as parallel_cases (not gated)")
-		points     = fs.Int("points", 0, "random pick or certification points per plan set of -picks, -fleet, -epsilon and -anytime (0 = 256)")
+		points     = fs.Int("points", 0, "random pick or certification points per plan set of -picks, -fleet and -epsilon (0 = 256)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile (after final GC) to this file")
 		tables     = fs.Int("tables", 6, "query size for the ablation experiment")

@@ -30,8 +30,8 @@
 // points across restarts (flushed every -telemetry-flush and on
 // shutdown; -telemetry-sample thins the stream for extreme pick
 // rates). -log writes a JSON-lines access log to stderr: op, template
-// key, status, latency, the answering generation's epsilon/generation
-// (anytime servers), and the deadline outcome per request.
+// key, status, latency, the answering plan set's epsilon, and the
+// deadline outcome per request.
 //
 // The stdin protocol wraps the same bodies with an "op" field:
 //
@@ -61,20 +61,12 @@
 // A request's "epsilon" field overrides the default per template; the
 // factor is part of the plan-set key, so exact and approximate tiers
 // of the same template coexist in one cache, store, and fleet.
-//
-// -refine-ladder enables anytime Prepares: a deadline-bounded Prepare
-// of a cold template (deadline_ms or -prepare-deadline) computes the
-// ladder's coarsest ε step within the deadline and refines to the
-// template's final factor in the background, each finished generation
-// atomically replacing the previous one. Prepare, pick, and pickbatch
-// responses carry "epsilon", "generation", and "final" so clients see
-// which generation answered; the access log and /debug/traces carry
-// the same fields. See DESIGN.md, "Anytime Prepare & generation
-// refinement".
+// Prepare, pick, and pickbatch responses carry the answering plan
+// set's "epsilon"; the access log and /debug/traces carry it too.
 //
 // On SIGINT or SIGTERM the server shuts down gracefully: the HTTP listener drains
-// in-flight requests (up to -drain), background refinement is aborted,
-// the request queue is drained, and the shared store is flushed.
+// in-flight requests (up to -drain), the request queue is drained, and
+// the shared store is flushed.
 package main
 
 import (
@@ -96,7 +88,6 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/fleet"
 	"mpq/internal/obs"
-	"mpq/internal/refine"
 	"mpq/internal/selection"
 	"mpq/internal/serve"
 	"mpq/internal/workload"
@@ -117,7 +108,6 @@ func main() {
 		donate     = flag.Bool("donate", true, "donate idle pool workers to in-flight Prepares' split jobs")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
 		epsilon    = flag.Float64("epsilon", 0, "default ε approximation factor for Prepares (0 = exact Pareto sets; a request's \"epsilon\" field overrides)")
-		ladderSpec = flag.String("refine-ladder", "", "comma-separated descending ε ladder (e.g. 0.5,0.1) enabling anytime Prepares: deadline-bounded Prepares return the coarsest step and refine in the background (empty disables)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug endpoints on a separate ops listener (empty = same mux as the HTTP API)")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof profiling handlers on the metrics mux")
@@ -134,8 +124,8 @@ func main() {
 	if *epsilon < 0 || *epsilon >= 1 {
 		log.Fatalf("-epsilon %v out of range [0, 1)", *epsilon)
 	}
-	// The lifecycle context: background refinement inherits it, so
-	// SIGINT/SIGTERM aborts in-flight refinement before Close drains.
+	// The lifecycle context: SIGINT/SIGTERM cancels it, which starts the
+	// graceful shutdown.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -161,14 +151,6 @@ func main() {
 	}
 	if *peers != "" {
 		opts.Peers = fleet.NewPeerClient(strings.Split(*peers, ","), 0)
-	}
-	if *ladderSpec != "" {
-		ladder, err := refine.ParseLadder(*ladderSpec)
-		if err != nil {
-			log.Fatalf("-refine-ladder: %v", err)
-		}
-		opts.RefineLadder = ladder
-		opts.BaseContext = ctx
 	}
 
 	if *logReqs {
@@ -199,8 +181,8 @@ func main() {
 			}
 		}()
 	}
-	// Close aborts background refinement, drains the request queue and
-	// flushes the shared store; it runs on every exit path below.
+	// Close drains the request queue and flushes the shared store; it
+	// runs on every exit path below.
 	defer s.Close()
 
 	if ob.tel != nil {
@@ -278,14 +260,8 @@ type prepareRespJS struct {
 	Plans      int     `json:"plans"`
 	Cached     bool    `json:"cached"`
 	DurationMs float64 `json:"duration_ms"`
-	// Epsilon is the approximation factor of the generation this answer
-	// describes; Generation its index in the template's refinement
-	// ladder, and Final whether it is the template's resolved factor
-	// (always true without -refine-ladder). A non-final answer refines
-	// in the background under the same key.
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
+	// Epsilon is the approximation factor of the prepared plan set.
+	Epsilon float64 `json:"epsilon"`
 }
 
 type boundJS struct {
@@ -393,8 +369,6 @@ func doPrepare(ctx context.Context, s *serve.Server, body prepareReqJS) (prepare
 		Cached:     res.Cached,
 		DurationMs: float64(res.Duration.Microseconds()) / 1000,
 		Epsilon:    res.Epsilon,
-		Generation: res.Generation,
-		Final:      res.Final,
 	}, nil
 }
 
@@ -441,48 +415,48 @@ func newMux(s *serve.Server) *http.ServeMux {
 		var body prepareReqJS
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			accessLog.record("http", "prepare", "", http.StatusBadRequest, start, err, nil)
+			accessLog.record("http", "prepare", "", http.StatusBadRequest, start, err, 0)
 			return
 		}
 		resp, err := doPrepare(r.Context(), s, body)
 		if err != nil {
 			writeError(w, statusOf(err), err)
-			accessLog.record("http", "prepare", "", statusOf(err), start, err, nil)
+			accessLog.record("http", "prepare", "", statusOf(err), start, err, 0)
 			return
 		}
-		answer(w, "prepare", resp.Key, start, resp, &genInfo{resp.Epsilon, resp.Generation})
+		answer(w, "prepare", resp.Key, start, resp, resp.Epsilon)
 	})
 	mux.HandleFunc("POST /pick", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var body pickReqJS
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			accessLog.record("http", "pick", "", http.StatusBadRequest, start, err, nil)
+			accessLog.record("http", "pick", "", http.StatusBadRequest, start, err, 0)
 			return
 		}
 		resp, err := doPick(r.Context(), s, body)
 		if err != nil {
 			writeError(w, statusOf(err), err)
-			accessLog.record("http", "pick", body.Key, statusOf(err), start, err, nil)
+			accessLog.record("http", "pick", body.Key, statusOf(err), start, err, 0)
 			return
 		}
-		answer(w, "pick", body.Key, start, resp, &genInfo{resp.Epsilon, resp.Generation})
+		answer(w, "pick", body.Key, start, resp, resp.Epsilon)
 	})
 	mux.HandleFunc("POST /pickbatch", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var body pickBatchReqJS
 		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 			writeError(w, http.StatusBadRequest, err)
-			accessLog.record("http", "pickbatch", "", http.StatusBadRequest, start, err, nil)
+			accessLog.record("http", "pickbatch", "", http.StatusBadRequest, start, err, 0)
 			return
 		}
 		resp, err := doPickBatch(r.Context(), s, body)
 		if err != nil {
 			writeError(w, statusOf(err), err)
-			accessLog.record("http", "pickbatch", body.Key, statusOf(err), start, err, nil)
+			accessLog.record("http", "pickbatch", body.Key, statusOf(err), start, err, 0)
 			return
 		}
-		answer(w, "pickbatch", body.Key, start, resp, &genInfo{resp.Epsilon, resp.Generation})
+		answer(w, "pickbatch", body.Key, start, resp, resp.Epsilon)
 	})
 	mux.HandleFunc("GET /planset/{key}", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -494,7 +468,7 @@ func newMux(s *serve.Server) *http.ServeMux {
 		doc, err := s.Document(key)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err)
-			accessLog.record("http", "planset", key, http.StatusNotFound, start, err, nil)
+			accessLog.record("http", "planset", key, http.StatusNotFound, start, err, 0)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -503,7 +477,7 @@ func newMux(s *serve.Server) *http.ServeMux {
 		w.Header().Set(fleet.DocHashHeader, fleet.ContentHash(doc))
 		w.WriteHeader(http.StatusOK)
 		w.Write(doc)
-		accessLog.record("http", "planset", key, http.StatusOK, start, nil, nil)
+		accessLog.record("http", "planset", key, http.StatusOK, start, nil, 0)
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
@@ -539,12 +513,12 @@ func statusOf(err error) int {
 
 // answer writes a successful HTTP reply and logs it; a reply that
 // cannot be encoded is answered and logged as a 500.
-func answer(w http.ResponseWriter, op, key string, start time.Time, v any, gen *genInfo) {
+func answer(w http.ResponseWriter, op, key string, start time.Time, v any, epsilon float64) {
 	if err := writeJSON(w, http.StatusOK, v); err != nil {
-		accessLog.record("http", op, key, http.StatusInternalServerError, start, err, nil)
+		accessLog.record("http", op, key, http.StatusInternalServerError, start, err, 0)
 		return
 	}
-	accessLog.record("http", op, key, http.StatusOK, start, nil, gen)
+	accessLog.record("http", op, key, http.StatusOK, start, nil, epsilon)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -673,20 +647,20 @@ func runStdin(ctx context.Context, s *serve.Server, in io.Reader, out io.Writer)
 func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinLine) error {
 	start := time.Now()
 	if line.tooLong {
-		accessLog.record("stdin", "", "", http.StatusBadRequest, start, errors.New("line too long"), nil)
+		accessLog.record("stdin", "", "", http.StatusBadRequest, start, errors.New("line too long"), 0)
 		return writeLine(out, errorJS{Error: fmt.Sprintf("line exceeds %d bytes", stdinMaxLine)})
 	}
 	var op struct {
 		Op string `json:"op"`
 	}
 	if err := json.Unmarshal(line.data, &op); err != nil {
-		accessLog.record("stdin", "", "", http.StatusBadRequest, start, err, nil)
+		accessLog.record("stdin", "", "", http.StatusBadRequest, start, err, 0)
 		return writeLine(out, errorJS{Error: err.Error()})
 	}
 	var resp any
 	var err error
 	var key string
-	var gen *genInfo
+	var epsilon float64
 	switch op.Op {
 	case "prepare":
 		var body prepareReqJS
@@ -694,7 +668,7 @@ func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinL
 			var r prepareRespJS
 			if r, err = doPrepare(ctx, s, body); err == nil {
 				key, resp = r.Key, r
-				gen = &genInfo{r.Epsilon, r.Generation}
+				epsilon = r.Epsilon
 			}
 		}
 	case "pick":
@@ -704,7 +678,7 @@ func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinL
 			var r serve.PickResult
 			if r, err = doPick(ctx, s, body); err == nil {
 				resp = r
-				gen = &genInfo{r.Epsilon, r.Generation}
+				epsilon = r.Epsilon
 			}
 		}
 	case "pickbatch":
@@ -714,7 +688,7 @@ func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinL
 			var r serve.PickBatchResult
 			if r, err = doPickBatch(ctx, s, body); err == nil {
 				resp = r
-				gen = &genInfo{r.Epsilon, r.Generation}
+				epsilon = r.Epsilon
 			}
 		}
 	case "stats":
@@ -723,15 +697,15 @@ func handleLine(ctx context.Context, s *serve.Server, out io.Writer, line stdinL
 		err = fmt.Errorf("unknown op %q", op.Op)
 	}
 	if err != nil {
-		accessLog.record("stdin", op.Op, key, statusOf(err), start, err, nil)
+		accessLog.record("stdin", op.Op, key, statusOf(err), start, err, 0)
 		return writeLine(out, errorJS{Error: err.Error()})
 	}
 	bp, err := renderReply(resp)
 	defer releaseReply(bp)
 	if err != nil {
-		accessLog.record("stdin", op.Op, key, http.StatusInternalServerError, start, err, nil)
+		accessLog.record("stdin", op.Op, key, http.StatusInternalServerError, start, err, 0)
 	} else {
-		accessLog.record("stdin", op.Op, key, http.StatusOK, start, nil, gen)
+		accessLog.record("stdin", op.Op, key, http.StatusOK, start, nil, epsilon)
 	}
 	_, err = out.Write(*bp)
 	return err

@@ -252,8 +252,13 @@ func TestStdinProtocol(t *testing.T) {
 
 // TestHTTPEpsilonTiers: a template prepared exact and at ε = 0.05 over
 // the HTTP protocol yields two distinct plan sets (the factor is part
-// of the key), and an out-of-range factor is a 400.
+// of the key), the ε tier's Prepare and Pick replies and its access-log
+// record carry its factor, and an out-of-range factor is a 400.
 func TestHTTPEpsilonTiers(t *testing.T) {
+	var logBuf bytes.Buffer
+	accessLog = newAccessLogger(&logBuf)
+	defer func() { accessLog = nil }()
+
 	s := serve.New(serve.Options{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(newHandler(s))
@@ -293,6 +298,41 @@ func TestHTTPEpsilonTiers(t *testing.T) {
 	}
 	if approx.Cached {
 		t.Errorf("epsilon tier answered from the exact tier's cache entry")
+	}
+	if exact.Epsilon != 0 || approx.Epsilon != 0.05 {
+		t.Errorf("prepare reply epsilons = %v, %v; want 0, 0.05", exact.Epsilon, approx.Epsilon)
+	}
+	status, body = httpPost(t, ts.URL+"/pick", `{"key":"`+approx.Key+`","point":[0.5]}`)
+	if status != http.StatusOK {
+		t.Fatalf("epsilon pick status %d: %s", status, body)
+	}
+	var pick pickRespJS
+	if err := json.Unmarshal(body, &pick); err != nil {
+		t.Fatal(err)
+	}
+	if pick.Epsilon != 0.05 {
+		t.Errorf("pick reply epsilon = %v, want 0.05", pick.Epsilon)
+	}
+	var recs []accessRecord
+	dec := json.NewDecoder(&logBuf)
+	for dec.More() {
+		var rec accessRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("logged %d records, want 3: %+v", len(recs), recs)
+	}
+	if recs[0].Op != "prepare" || recs[0].Epsilon != 0 {
+		t.Errorf("exact prepare record = %+v, want epsilon 0", recs[0])
+	}
+	if recs[1].Op != "prepare" || recs[1].Key != approx.Key || recs[1].Epsilon != 0.05 {
+		t.Errorf("epsilon prepare record = %+v, want epsilon 0.05", recs[1])
+	}
+	if recs[2].Op != "pick" || recs[2].Key != approx.Key || recs[2].Epsilon != 0.05 {
+		t.Errorf("epsilon pick record = %+v, want epsilon 0.05", recs[2])
 	}
 	// An explicit "epsilon":0 addresses the exact tier.
 	status, body = post(`{"workload":{"tables":4,"params":1,"shape":"chain","seed":21},"epsilon":0}`)

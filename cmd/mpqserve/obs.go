@@ -132,25 +132,19 @@ type accessRecord struct {
 	Key       string  `json:"key,omitempty"`
 	Status    int     `json:"status"`
 	LatencyMs float64 `json:"latency_ms"`
-	// Epsilon and Generation describe the plan-set generation that
-	// answered (anytime servers; mirrors the /debug/traces fields).
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Generation int     `json:"generation,omitempty"`
+	// Epsilon is the approximation factor of the plan set that answered
+	// (mirrors the /debug/traces field).
+	Epsilon float64 `json:"epsilon,omitempty"`
 	// Outcome is "ok", "error", or the context verdicts "deadline" /
 	// "canceled" (the deadline outcome the satellite task asks for).
 	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"`
 }
 
-// genInfo tags a logged request with the generation that answered it;
-// nil on requests that carry no generation (errors, stats, planset).
-type genInfo struct {
-	Epsilon    float64
-	Generation int
-}
-
-// record logs one request; safe on a nil receiver.
-func (l *accessLogger) record(transport, op, key string, status int, start time.Time, err error, gen *genInfo) {
+// record logs one request; safe on a nil receiver. epsilon is the
+// answering plan set's approximation factor, 0 on requests that carry
+// none (errors, stats, planset).
+func (l *accessLogger) record(transport, op, key string, status int, start time.Time, err error, epsilon float64) {
 	if l == nil {
 		return
 	}
@@ -161,11 +155,8 @@ func (l *accessLogger) record(transport, op, key string, status int, start time.
 		Key:       key,
 		Status:    status,
 		LatencyMs: float64(time.Since(start).Microseconds()) / 1000,
+		Epsilon:   epsilon,
 		Outcome:   "ok",
-	}
-	if gen != nil {
-		rec.Epsilon = gen.Epsilon
-		rec.Generation = gen.Generation
 	}
 	if err != nil {
 		rec.Error = err.Error()

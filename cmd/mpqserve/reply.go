@@ -23,7 +23,7 @@ import (
 // pre-rendered from the answering plan set. Their bytes are exactly
 // what json.Encoder.Encode writes for the wire schema
 //
-//	{"metrics":[…],"choices":[{"plan":"…","cost":[…]},…],"epsilon":…,"generation":…,"final":…}
+//	{"metrics":[…],"choices":[{"plan":"…","cost":[…]},…],"epsilon":…}
 //
 // (a batch's "choices" holds one such list per point), newline
 // included.
@@ -98,7 +98,7 @@ func appendPick(b []byte, r serve.PickResult) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
-	return appendReplyTail(b, r.Epsilon, r.Generation, r.Final)
+	return appendReplyTail(b, r.Epsilon)
 }
 
 // appendPickBatch appends a batch's reply: one choice list per point,
@@ -116,7 +116,7 @@ func appendPickBatch(b []byte, r serve.PickBatchResult) ([]byte, error) {
 		}
 	}
 	b = append(b, ']')
-	return appendReplyTail(b, r.Epsilon, r.Generation, r.Final)
+	return appendReplyTail(b, r.Epsilon)
 }
 
 func appendReplyHead(b []byte, metrics []string) []byte {
@@ -167,16 +167,12 @@ func appendChoices(b []byte, cs []selection.Choice, planJSON func(*plan.Node) []
 	return append(b, ']'), nil
 }
 
-func appendReplyTail(b []byte, epsilon float64, generation int, final bool) ([]byte, error) {
+func appendReplyTail(b []byte, epsilon float64) ([]byte, error) {
 	b = append(b, `,"epsilon":`...)
 	b, err := appendFloat(b, epsilon)
 	if err != nil {
 		return b, err
 	}
-	b = append(b, `,"generation":`...)
-	b = strconv.AppendInt(b, int64(generation), 10)
-	b = append(b, `,"final":`...)
-	b = strconv.AppendBool(b, final)
 	return append(b, "}\n"...), nil
 }
 

@@ -30,21 +30,15 @@ type choiceJS struct {
 type pickRespJS struct {
 	Metrics []string   `json:"metrics"`
 	Choices []choiceJS `json:"choices"`
-	// Epsilon/Generation/Final describe the generation that answered;
-	// see prepareRespJS.
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
+	// Epsilon is the approximation factor of the answering plan set.
+	Epsilon float64 `json:"epsilon"`
 }
 
 type pickBatchRespJS struct {
 	Metrics []string     `json:"metrics"`
 	Choices [][]choiceJS `json:"choices"`
-	// Epsilon/Generation/Final describe the generation that answered
-	// the whole batch (a batch never straddles a refinement swap).
-	Epsilon    float64 `json:"epsilon"`
-	Generation int     `json:"generation"`
-	Final      bool    `json:"final"`
+	// Epsilon is the approximation factor of the answering plan set.
+	Epsilon float64 `json:"epsilon"`
 }
 
 func refChoices(cs []selection.Choice) []choiceJS {
@@ -62,11 +56,9 @@ func refEncode(v any) ([]byte, error) {
 	var resp any
 	switch r := v.(type) {
 	case serve.PickResult:
-		resp = pickRespJS{Metrics: r.Metrics, Choices: refChoices(r.Choices),
-			Epsilon: r.Epsilon, Generation: r.Generation, Final: r.Final}
+		resp = pickRespJS{Metrics: r.Metrics, Choices: refChoices(r.Choices), Epsilon: r.Epsilon}
 	case serve.PickBatchResult:
-		out := pickBatchRespJS{Metrics: r.Metrics, Choices: [][]choiceJS{},
-			Epsilon: r.Epsilon, Generation: r.Generation, Final: r.Final}
+		out := pickBatchRespJS{Metrics: r.Metrics, Choices: [][]choiceJS{}, Epsilon: r.Epsilon}
 		for _, cs := range r.Choices {
 			out.Choices = append(out.Choices, refChoices(cs))
 		}
@@ -214,11 +206,11 @@ func TestPickReplyFloatEdgeCases(t *testing.T) {
 	metricSets := [][]string{nil, {}, {"time", "money"}, {"a<b", "x&y>"}, {`<a&"b">`, "é\u2028\x01", "\xff"}}
 	for _, metrics := range metricSets {
 		for _, eps := range edges[:24] {
-			checkReply(t, "pick", serve.PickResult{Metrics: metrics, Choices: choices, Epsilon: eps, Generation: 3})
-			checkReply(t, "empty pick", serve.PickResult{Metrics: metrics, Epsilon: eps, Final: true})
+			checkReply(t, "pick", serve.PickResult{Metrics: metrics, Choices: choices, Epsilon: eps})
+			checkReply(t, "empty pick", serve.PickResult{Metrics: metrics, Epsilon: eps})
 			checkReply(t, "batch", serve.PickBatchResult{Metrics: metrics,
-				Choices: [][]selection.Choice{choices[:2], nil, choices[2:]}, Epsilon: eps, Generation: -1})
-			checkReply(t, "empty batch", serve.PickBatchResult{Metrics: metrics, Epsilon: eps, Final: true})
+				Choices: [][]selection.Choice{choices[:2], nil, choices[2:]}, Epsilon: eps})
+			checkReply(t, "empty batch", serve.PickBatchResult{Metrics: metrics, Epsilon: eps})
 		}
 	}
 }

@@ -94,12 +94,12 @@
 // Options.Epsilon > 0 turns the exact Pareto set into an ε-approximate
 // frontier: every plan the optimizer drops is guaranteed to be within
 // a (1+ε) cost factor of a kept plan, on every metric, everywhere in
-// the parameter space. The knob shrinks every hot path at once —
-// fewer plans survive each dynamic-programming level, so fewer
-// dominance LPs are solved, the stored plan set is smaller, and every
-// pick scans fewer candidates. ε = 0 (the default) is bit-identical to
-// the historical exact path, and results are deterministic for every
-// worker count at every ε.
+// the parameter space. Coarse factors usually keep fewer plans, so the
+// stored plan set is smaller and every pick scans fewer candidates;
+// the admission gate's own LPs can make an ε Prepare cost more than
+// the exact one (DESIGN.md records the measurements). ε = 0 (the
+// default) is bit-identical to the historical exact path, and results
+// are deterministic for every worker count at every ε.
 //
 // The factor is part of the serving cache key, so one server answers
 // exact and approximate tiers of the same template side by side, each
@@ -115,6 +115,10 @@
 //	tpl.Epsilon = &eps
 //	approx, _ := srv.Prepare(context.Background(), tpl) // ≤ 5% regret tier
 //	fmt.Println(exact.Key != approx.Key)                // true: distinct tiers
+//	fmt.Println(exact.Epsilon, approx.Epsilon)          // 0 0.05
+//
+// Prepare, Pick and PickBatch results carry the Epsilon of the plan set
+// that answered.
 //
 // The bench harness certifies the contract empirically (mpqbench
 // -epsilon measures the realized max regret and the plan-set and LP
@@ -154,40 +158,6 @@
 // counters: Cache (admitted − evicted = resident), SharedHits,
 // PeerHits, SharedPuts, Reloads, Admission and DonatedTasks. See
 // DESIGN.md, "Fleet serving".
-//
-// # Anytime Prepare
-//
-// ServeOptions.RefineLadder makes Prepare anytime: a deadline-bounded
-// Prepare of a cold template computes the coarsest ladder generation
-// that fits the budget, serves it regret-certified (each generation is
-// a true ε tier, so every answer is within (1+ε) per metric of the
-// exact frontier's), and refines through the finer factors in the
-// background — each finished generation atomically swapped into the
-// cache, the shared store, and the peer endpoint. Results say which
-// generation answered (Epsilon, Generation, Final):
-//
-//	srv := mpq.NewServer(mpq.ServeOptions{
-//		Workers: 4, RefineLadder: []float64{0.5, 0.1}, DonateWorkers: true,
-//	})
-//	defer srv.Close()
-//	tpl := mpq.ServeTemplate{Workload: mpq.WorkloadConfig{
-//		Tables: 6, Params: 2, Shape: mpq.Clique, Seed: 7,
-//	}}
-//	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-//	defer cancel()
-//	coarse, _ := srv.Prepare(ctx, tpl)     // within the deadline
-//	fmt.Println(coarse.Epsilon, coarse.Final) // 0.5 false — generation 0
-//	_ = srv.WaitRefinement(context.Background())
-//	final, _ := srv.Prepare(context.Background(), tpl)
-//	fmt.Println(final.Epsilon, final.Final) // 0 true — the exact plan set
-//
-// The final generation is byte-identical to a never-refined ε = 0
-// Prepare, picks within any generation are deterministic across
-// origins and worker counts, and a generation swap is linearizable
-// against concurrent picks. ServeStats.Refine counts the ledger
-// (Scheduled, Completed, Cancelled, Failed, Skipped, CoarsePrepares,
-// Swaps, CoarsePicks). See DESIGN.md, "Anytime Prepare & generation
-// refinement".
 //
 // # Failure domains
 //

@@ -37,7 +37,6 @@ import (
 var CtxFirstPkgs = []string{
 	"mpq/internal/serve",
 	"mpq/internal/fleet",
-	"mpq/internal/refine",
 }
 
 var Analyzer = &analysis.Analyzer{

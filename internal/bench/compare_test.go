@@ -144,19 +144,17 @@ func TestJSONReportRoundTrip(t *testing.T) {
 
 // The gate table: one baseline list holds a row of every kind, each
 // gated by the same Compare loop. ε = 0 rows (Figure 12, picks, fleet,
-// exact epsilon and final anytime generations) gate on exact counts and
+// exact epsilon) gate on exact counts and
 // the fleet hit rate; ε > 0 rows gate on the certified (1+ε) regret
 // contract and tolerate count drift; a missing row of any kind fails,
 // and time drift only warns. Each TestCompareGates*Cases test runs the
 // rows of its kinds.
 const (
-	gateFig       = "chain-1p/tables=3"
-	gatePickIdx   = "picks/star-1p/tables=7/index"
-	gateFleet     = "fleet/star-1p/tables=4/servers=2"
-	gateEpsExact  = "epsilon/chain-1p/tables=5/eps=0"
-	gateEpsApx    = "epsilon/chain-1p/tables=5/eps=0.1"
-	gateAnyCoarse = "anytime/chain-1p/tables=5/step=0/eps=0.5"
-	gateAnyFinal  = "anytime/chain-1p/tables=5/step=1/eps=0"
+	gateFig      = "chain-1p/tables=3"
+	gatePickIdx  = "picks/star-1p/tables=7/index"
+	gateFleet    = "fleet/star-1p/tables=4/servers=2"
+	gateEpsExact = "epsilon/chain-1p/tables=5/eps=0"
+	gateEpsApx   = "epsilon/chain-1p/tables=5/eps=0.1"
 )
 
 func gateBaseline() *JSONReport {
@@ -168,9 +166,6 @@ func gateBaseline() *JSONReport {
 		JSONCase{Case: gateEpsExact, Workers: 1, CreatedPlans: 40, SolvedLPs: 400, FinalPlans: 8, TimeMs: 0.1, MaxRegret: 1},
 		JSONCase{Case: gateEpsApx, Workers: 1, CreatedPlans: 30, SolvedLPs: 300, FinalPlans: 4, TimeMs: 0.1,
 			Epsilon: 0.1, MaxRegret: 1.04},
-		JSONCase{Case: gateAnyCoarse, Workers: 1, CreatedPlans: 20, SolvedLPs: 200, FinalPlans: 3, TimeMs: 0.1,
-			Epsilon: 0.5, MaxRegret: 1.2},
-		JSONCase{Case: gateAnyFinal, Workers: 1, CreatedPlans: 40, SolvedLPs: 400, FinalPlans: 8, TimeMs: 0.3, MaxRegret: 1},
 	)
 }
 
@@ -200,14 +195,6 @@ var gateCases = []struct {
 	{kind: "epsilon", name: "exact epsilon plan drift fails", rows: []string{gateEpsExact},
 		mutate: func(c *JSONCase) { c.CreatedPlans = 41 }, fail: []string{"created_plans"}},
 	{kind: "epsilon", name: "missing epsilon row fails", rows: []string{gateEpsApx}, fail: []string{"missing"}},
-	{kind: "anytime", name: "anytime coarse drift within per-step contract passes", rows: []string{gateAnyCoarse},
-		mutate: func(c *JSONCase) { c.CreatedPlans, c.SolvedLPs, c.FinalPlans, c.MaxRegret = 15, 150, 2, 1.49 }},
-	{kind: "anytime", name: "anytime per-step regret beyond contract fails", rows: []string{gateAnyCoarse},
-		mutate: func(c *JSONCase) { c.MaxRegret = 1.51 }, fail: []string{"max_regret"}},
-	{kind: "anytime", name: "anytime final generation plan drift fails", rows: []string{gateAnyFinal},
-		mutate: func(c *JSONCase) { c.CreatedPlans = 41 }, fail: []string{"created_plans"}},
-	{kind: "anytime", name: "missing anytime rows fail", rows: []string{gateAnyCoarse, gateAnyFinal},
-		fail: []string{"missing", "missing"}},
 }
 
 // runGateCases runs the gate-table rows of the given kinds, failing the
@@ -267,8 +254,3 @@ func TestCompareGatesFleetCases(t *testing.T) { runGateCases(t, "fleet") }
 // TestCompareGatesEpsilonCases: ε = 0 rows gate on exact counts; ε > 0
 // rows gate on the certified regret contract and tolerate count drift.
 func TestCompareGatesEpsilonCases(t *testing.T) { runGateCases(t, "epsilon") }
-
-// TestCompareGatesAnytimeCases: anytime rows gate like epsilon rows —
-// the final exact generation on deterministic counts, the coarse
-// generations on the certified per-step regret contract.
-func TestCompareGatesAnytimeCases(t *testing.T) { runGateCases(t, "anytime") }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mpq/internal/geometry"
-	"mpq/internal/refine"
 	"mpq/internal/selection"
 )
 
@@ -49,50 +48,11 @@ func EpsilonMode(epsilons []float64) Mode {
 	return m
 }
 
-// AnytimeMode is the anytime-refinement experiment (mpqbench
-// -anytime): per spec, walk the ladder a deadline-budgeted server
-// walks — the coarsest generation first, every finer step down to the
-// exact ε = 0 generation appended when absent (ladder.For(0)) — timing
-// what each step costs to prepare and certifying the regret of the
-// generation it would swap in against the final exact one. It emits
-// one "step=<i>/eps=<ε>" row per generation, timed by its prepare. The
-// final exact rows gate on exact counts, the coarse rows on their
-// per-step (1+ε) regret contract.
-func AnytimeMode(ladder refine.Ladder) (Mode, error) {
-	if err := ladder.Validate(); err != nil {
-		return Mode{}, fmt.Errorf("bench: anytime: %w", err)
-	}
-	eff := ladder.For(0)
-	m := Mode{Name: "anytime"}
-	for i, e := range eff {
-		m.Steps = append(m.Steps, fmt.Sprintf("step=%d/eps=%g", i, e))
-	}
-	m.run = func(ctx context.Context, cfg RunConfig, spec Spec) ([]JSONCase, error) {
-		tiers, points, err := certifiedTiers(ctx, cfg, spec, eff)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]JSONCase, len(tiers))
-		var cum time.Duration
-		for i, t := range tiers {
-			cum += t.prep
-			rows[i] = t.row(spec, len(points), t.prep.Nanoseconds())
-			cfg.logf("anytime %s step=%d eps=%-5g cands=%-4d regret=%.6f prep=%.1fms cum=%.1fms\n",
-				spec, i, t.epsilon, len(t.cands), t.regret,
-				float64(t.prep.Microseconds())/1000, float64(cum.Microseconds())/1000)
-		}
-		return rows, nil
-	}
-	return m, nil
-}
-
 // certifiedTier is one precision tier of a spec with its certificate
 // against the exact tier.
 type certifiedTier struct {
 	*tier
 	epsilon float64
-	// prep is the tier's own preparation time.
-	prep time.Duration
 	// regret is the certified approximation quality: over all sampled
 	// points and all exact-frontier choices, the largest per-metric
 	// cost ratio of the best answer of this tier to the exact answer.
@@ -103,20 +63,19 @@ type certifiedTier struct {
 	planRed, lpRed float64
 }
 
-// certifiedTiers prepares spec at each factor in order, timing each
-// prepare, plus the exact tier when 0 is not among them, and certifies
-// every tier against the exact one at random points.
+// certifiedTiers prepares spec at each factor in order, plus the exact
+// tier when 0 is not among them, and certifies every tier against the
+// exact one at random points.
 func certifiedTiers(ctx context.Context, cfg RunConfig, spec Spec, epsilons []float64) ([]certifiedTier, []geometry.Vector, error) {
 	wl := cfg.workload(spec)
 	tiers := make([]certifiedTier, len(epsilons))
 	var exact *tier
 	for i, eps := range epsilons {
-		start := time.Now() //mpq:wallclock benchmark timing is the measurement itself
 		t, err := prepareTier(ctx, wl, eps)
 		if err != nil {
 			return nil, nil, fmt.Errorf("eps=%g: %w", eps, err)
 		}
-		tiers[i] = certifiedTier{tier: t, epsilon: eps, prep: time.Since(start)} //mpq:wallclock benchmark timing is the measurement itself
+		tiers[i] = certifiedTier{tier: t, epsilon: eps}
 		if eps == 0 {
 			exact = t
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mpq/internal/refine"
 	"mpq/internal/workload"
 )
 
@@ -59,55 +58,5 @@ func TestRunEpsilon(t *testing.T) {
 	}
 	if n := strings.Count(progress.String(), "regret="); n != 2 {
 		t.Errorf("progress has %d rows, want 2:\n%s", n, progress.String())
-	}
-}
-
-func TestRunAnytime(t *testing.T) {
-	mode, err := AnytimeMode(refine.Ladder{0.5, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var progress bytes.Buffer
-	rows, err := mode.Run(t.Context(), RunConfig{
-		Specs:    []Spec{{Shape: workload.Chain, Params: 1, Tables: 5}},
-		Points:   32,
-		Seed:     3,
-		Progress: &progress,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The implicit final exact step extends the two-step ladder.
-	want := []string{
-		"anytime/chain-1p/tables=5/step=0/eps=0.5",
-		"anytime/chain-1p/tables=5/step=1/eps=0.1",
-		"anytime/chain-1p/tables=5/step=2/eps=0",
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(want))
-	}
-	for i, c := range rows {
-		if c.Case != want[i] {
-			t.Errorf("row %d = %q, want %q", i, c.Case, want[i])
-		}
-		if bound := (1 + c.Epsilon) * (1 + 1e-9); c.MaxRegret > bound {
-			t.Errorf("step %d certified regret %v exceeds bound %v", i, c.MaxRegret, bound)
-		}
-		if c.NsPerOp <= 0 || c.Repetitions != 32 || c.Workers != 1 || c.FinalPlans == 0 {
-			t.Errorf("step %d incomplete: %+v", i, c)
-		}
-	}
-	final := rows[len(rows)-1]
-	if final.MaxRegret != 1 {
-		t.Errorf("final self-regret = %v, want exactly 1", final.MaxRegret)
-	}
-	if final.PlanReduction != 0 || final.LPReduction != 0 {
-		t.Errorf("final reductions %v/%v, want 0/0", final.PlanReduction, final.LPReduction)
-	}
-	if n := strings.Count(progress.String(), "cum="); n != 3 {
-		t.Errorf("progress has %d steps, want 3:\n%s", n, progress.String())
-	}
-	if _, err := AnytimeMode(refine.Ladder{0.1, 0.5}); err == nil {
-		t.Error("ascending ladder accepted")
 	}
 }

@@ -5,7 +5,7 @@
 // medians over repeated runs with different random queries.
 //
 // The serving-side experiments are spec-driven Modes (picks, fleet,
-// epsilon, anytime) over one path: a Spec is prepared into a tier
+// epsilon) over one path: a Spec is prepared into a tier
 // (sequential optimize plus store round trip), measured, and emitted as
 // JSONCase rows. Figure 12 points and mode rows share one gated list,
 // which Compare diffs against a baseline snapshot.
@@ -322,7 +322,7 @@ type JSONReport struct {
 	Experiment string `json:"experiment"`
 	// Cases are the gated rows: the Figure 12 points plus the rows of
 	// every spec-driven mode, whose names carry the mode as a prefix
-	// ("picks/", "fleet/", "epsilon/", "anytime/").
+	// ("picks/", "fleet/", "epsilon/").
 	Cases []JSONCase `json:"cases"`
 	// ParallelCases are informational wall-clock reference points run at
 	// a parallel worker count (pipelining-sensitive shapes at Workers =

@@ -60,7 +60,7 @@ func (cfg RunConfig) logf(format string, args ...any) {
 }
 
 // Mode is one spec-driven experiment of the harness (picks, fleet,
-// epsilon, anytime). Per spec it emits one gated row per step, named
+// epsilon). Per spec it emits one gated row per step, named
 // "<Name>/<spec>/<step>", so a run's rows are known before it runs.
 type Mode struct {
 	// Name prefixes the mode's row names.

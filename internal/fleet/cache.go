@@ -36,16 +36,11 @@ type CacheStats struct {
 	// Admissions/AdmittedBytes count every entry accepted into the
 	// cache; Evictions/EvictedBytes the entries removed to respect the
 	// budget. The first Add of a key wins (a racing loser gets the
-	// winner's value); only Replace swaps a key's value in place, and
-	// its byte delta flows through AdmittedBytes/EvictedBytes so the
-	// difference is exactly the resident set.
+	// winner's value).
 	Admissions    int64
 	AdmittedBytes int64
 	Evictions     int64
 	EvictedBytes  int64
-	// Replaced counts in-place value swaps (Replace with a satisfied
-	// guard) — generation upgrades, not admissions or evictions.
-	Replaced int64
 	// Readmissions is the subset of Admissions whose key had been
 	// admitted (and evicted) before — cache thrash at a glance.
 	Readmissions int64
@@ -169,56 +164,6 @@ func (c *Cache) Add(key string, val any, bytes int64, pin bool) any {
 		c.evictLocked(e)
 	}
 	return e.val
-}
-
-// Replace swaps the value resident under key in place when keep (given
-// the resident value) returns false; a nil keep always swaps. When the
-// key is absent, Replace admits val like Add. The centry — and with it
-// every outstanding pin — carries over, so in-flight readers holding
-// the old value finish on it undisturbed while new lookups see the new
-// value: the linearization point is the swap under the cache lock, and
-// a reader observes exactly one of the two values. The byte delta flows
-// through AdmittedBytes/EvictedBytes (invariant preserved), counted
-// under Replaced rather than Admissions/Evictions. Returns the value
-// now resident and whether a swap (or fresh admission) happened.
-func (c *Cache) Replace(key string, val any, bytes int64, keep func(old any) bool) (any, bool) {
-	if bytes < 0 {
-		bytes = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &centry{key: key, val: val, bytes: bytes}
-		c.entries[key] = e
-		c.pushFront(e)
-		c.stats.Admissions++
-		c.stats.AdmittedBytes += bytes
-		c.stats.ResidentEntries++
-		c.stats.ResidentBytes += bytes
-		if c.everSeen[key] {
-			c.stats.Readmissions++
-		}
-		c.everSeen[key] = true
-		if c.budget > 0 {
-			c.evictLocked(e)
-		}
-		return e.val, true
-	}
-	if keep != nil && keep(e.val) {
-		return e.val, false
-	}
-	c.stats.AdmittedBytes += bytes
-	c.stats.EvictedBytes += e.bytes
-	c.stats.ResidentBytes += bytes - e.bytes
-	c.stats.Replaced++
-	e.val = val
-	e.bytes = bytes
-	c.moveToFront(e)
-	if c.budget > 0 {
-		c.evictLocked(e)
-	}
-	return e.val, true
 }
 
 // evictLocked removes least-recently-used unpinned entries (other than

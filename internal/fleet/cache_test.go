@@ -89,56 +89,6 @@ func TestCacheFirstAddWins(t *testing.T) {
 	checkBalance(t, c)
 }
 
-func TestCacheReplaceSwapsInPlace(t *testing.T) {
-	c := NewCache(0)
-	// Absent key: Replace admits like Add.
-	if v, swapped := c.Replace("k", "gen0", 10, nil); v != "gen0" || !swapped {
-		t.Errorf("Replace on absent key = (%v, %v), want (gen0, true)", v, swapped)
-	}
-	// Pin the resident value (an in-flight pick), then swap under it.
-	c.Get("k", true)
-	finer := func(old any) bool { return old == "gen1" } // keep only if already upgraded
-	if v, swapped := c.Replace("k", "gen1", 30, finer); v != "gen1" || !swapped {
-		t.Errorf("Replace = (%v, %v), want (gen1, true)", v, swapped)
-	}
-	// The pin carried over to the swapped entry.
-	if st := c.Stats(); st.Pinned != 1 {
-		t.Errorf("pinned = %d, want 1 (pin must survive the swap)", st.Pinned)
-	}
-	c.Unpin("k")
-	// Guard satisfied: a straggling coarse generation must not downgrade.
-	if v, swapped := c.Replace("k", "gen0-late", 10, finer); v != "gen1" || swapped {
-		t.Errorf("guarded Replace = (%v, %v), want (gen1, false)", v, swapped)
-	}
-	st := c.Stats()
-	if st.Replaced != 1 {
-		t.Errorf("replaced = %d, want 1", st.Replaced)
-	}
-	if st.Admissions != 1 || st.ResidentBytes != 30 {
-		t.Errorf("accounting after swap: %d admissions, %d resident bytes (want 1, 30)",
-			st.Admissions, st.ResidentBytes)
-	}
-	checkBalance(t, c)
-}
-
-func TestCacheReplaceRespectsBudget(t *testing.T) {
-	c := NewCache(100)
-	c.Add("other", "O", 40, false)
-	c.Add("k", "coarse", 40, false)
-	// The refined generation is bigger; the swap must evict the LRU
-	// entry to fit, never the just-swapped one.
-	if _, swapped := c.Replace("k", "fine", 90, nil); !swapped {
-		t.Fatal("swap refused")
-	}
-	if _, ok := c.Get("other", false); ok {
-		t.Error("LRU entry survived a budget-exceeding swap")
-	}
-	if v, ok := c.Get("k", false); !ok || v != "fine" {
-		t.Errorf("swapped entry = (%v, %v), want (fine, true)", v, ok)
-	}
-	checkBalance(t, c)
-}
-
 func TestCacheReadmission(t *testing.T) {
 	c := NewCache(50)
 	c.Add("a", "A", 40, false)

@@ -255,14 +255,12 @@ func (d *DirStore) Put(key string, doc []byte) error {
 		// Prepare's re-publish.
 		cur = &manifest{Version: 1, Entries: map[string]manifestEntry{}}
 	}
-	// Generation ordering: a key's manifest entry only ever moves
-	// toward a finer approximation. Anytime refinement publishes a
-	// ladder of generations (high ε first) under one key; a straggling
-	// coarse Put — a slow peer, a replayed publish — must not clobber a
-	// finer document some server already refined, or a fleet reading
-	// through this store would downgrade. Equal ε re-publishes are
-	// byte-identical by the determinism contract and overwrite
-	// harmlessly. The blob itself stays on disk either way
+	// Factor ordering: a key's manifest entry only ever moves toward a
+	// finer approximation. The key already binds ε by hash, so a coarser
+	// document under it is misfiled; it must not clobber a finer one, or
+	// a fleet reading through this store would downgrade. Equal ε
+	// re-publishes are byte-identical by the determinism contract and
+	// overwrite harmlessly. The blob itself stays on disk either way
 	// (content-addressed); only the manifest pointer is guarded.
 	if old, ok := cur.Entries[key]; ok && old.Epsilon < eps {
 		return nil

@@ -32,11 +32,9 @@ type TraceEvent struct {
 	Source string `json:"source"`
 	// Error carries the failure message of an "error" event.
 	Error string `json:"error,omitempty"`
-	// Epsilon is the approximation factor of the generation the request
-	// served or produced; Generation its index in the template's
-	// effective refinement ladder (0 for single-generation templates).
-	Epsilon    float64 `json:"epsilon,omitempty"`
-	Generation int     `json:"generation,omitempty"`
+	// Epsilon is the approximation factor of the plan set the request
+	// served or produced.
+	Epsilon float64 `json:"epsilon,omitempty"`
 	// Start is the wall-clock start of the request (for the dump; the
 	// durations are what the histograms aggregate).
 	Start time.Time `json:"start"`
@@ -181,14 +179,13 @@ func (t *PrepareTrace) SetSource(src string) {
 	t.ev.Source = src
 }
 
-// SetGeneration records the approximation factor and ladder index of
-// the generation the request served or produced.
-func (t *PrepareTrace) SetGeneration(epsilon float64, generation int) {
+// SetEpsilon records the approximation factor of the plan set the
+// request served or produced.
+func (t *PrepareTrace) SetEpsilon(epsilon float64) {
 	if t == nil {
 		return
 	}
 	t.ev.Epsilon = epsilon
-	t.ev.Generation = generation
 }
 
 // Finish seals the event and publishes it to the ring. A non-nil err

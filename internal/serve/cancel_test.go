@@ -5,11 +5,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpq/internal/core"
 	"mpq/internal/fleet"
 	"mpq/internal/geometry"
 	"mpq/internal/workload"
@@ -25,6 +28,62 @@ func slowTemplate() Template {
 		Tables: 6, Params: 2, Shape: workload.Cycle, Seed: 1,
 	}}
 }
+
+// slowDoc is slowTemplate's plan-set document under the default
+// optimizer configuration, optimized once per test binary at
+// GOMAXPROCS workers (the document is byte-identical at every worker
+// count). Tests whose slowTemplate Prepare is cancelled and must then
+// succeed serve it through a slowShared store instead of optimizing the
+// whole template a second time.
+var slowDoc = sync.OnceValues(func() ([]byte, error) {
+	opts := core.DefaultOptions()
+	opts.Workers = runtime.GOMAXPROCS(0)
+	// A cache budget makes the server retain the document bytes.
+	s := New(Options{Workers: 1, Optimizer: opts, CacheBytes: 1 << 40})
+	defer s.Close()
+	prep, err := s.Prepare(context.Background(), slowTemplate())
+	if err != nil {
+		return nil, err
+	}
+	return s.Document(prep.Key)
+})
+
+// slowShared is a SharedStore that holds nothing until armed, then
+// serves slowDoc under every key (the servers using it prepare only
+// slowTemplate). Puts are dropped. looked is closed by the first Get,
+// so a test can tell that a Prepare's source lookup missed and its
+// optimization has begun.
+type slowShared struct {
+	doc    []byte
+	armed  atomic.Bool
+	looked chan struct{}
+	once   sync.Once
+}
+
+// newSlowShared returns an unarmed store, optimizing slowDoc first if
+// no test has yet.
+func newSlowShared(t *testing.T) *slowShared {
+	doc, err := slowDoc()
+	if err != nil {
+		t.Fatalf("optimizing the slow template's document: %v", err)
+	}
+	return &slowShared{doc: doc, looked: make(chan struct{})}
+}
+
+// arm makes every later Get serve the document.
+func (m *slowShared) arm() { m.armed.Store(true) }
+
+func (m *slowShared) Get(string) ([]byte, bool, error) {
+	armed := m.armed.Load()
+	m.once.Do(func() { close(m.looked) })
+	if !armed {
+		return nil, false, nil
+	}
+	return m.doc, true, nil
+}
+
+func (m *slowShared) Put(string, []byte) error { return nil }
+func (m *slowShared) Flush() error             { return nil }
 
 func TestPrepareCancelledBeforeStart(t *testing.T) {
 	s := New(Options{Workers: 1})
@@ -141,12 +200,16 @@ func TestPrepareAbandonedWhileQueued(t *testing.T) {
 // it well before completion (the workload takes seconds on one worker),
 // the expiry must be counted, and the same server must then complete
 // the same template cleanly — proving the abandoned run released its
-// worker, admission slot, and singleflight key.
+// worker, admission slot, and singleflight key. The recovery Prepare
+// takes the same flight, admission and worker path, but finds the
+// template's document in the shared store, armed only once the
+// deadline has expired, instead of optimizing it again.
 func TestPrepareDeadlineMidOptimize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second optimization")
 	}
-	s := New(Options{Workers: 2})
+	shared := newSlowShared(t)
+	s := New(Options{Workers: 2, Shared: shared})
 	defer s.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -171,6 +234,7 @@ func TestPrepareDeadlineMidOptimize(t *testing.T) {
 
 	// The abandoned run must not poison the key: a fresh Prepare of the
 	// same template completes and yields a usable plan set.
+	shared.arm()
 	prep, err := s.Prepare(context.Background(), slowTemplate())
 	if err != nil {
 		t.Fatalf("Prepare after mid-optimize abandonment: %v", err)
@@ -246,12 +310,15 @@ func TestPrepareWaiterSurvivesCancelledWinner(t *testing.T) {
 }
 
 // prepareWaiterCase: one waiter joins a Prepare whose winner is
-// cancelled while optimizing.
+// cancelled while optimizing. The waiter's retry finds the template's
+// document in the shared store, armed once the winner's lookup has
+// missed, instead of optimizing it again.
 func prepareWaiterCase(t *testing.T) waiterCase {
 	if testing.Short() {
 		t.Skip("multi-second optimization")
 	}
-	s := New(Options{Workers: 2})
+	shared := newSlowShared(t)
+	s := New(Options{Workers: 2, Shared: shared})
 	t.Cleanup(s.Close)
 	return waiterCase{
 		call: func(ctx context.Context) error {
@@ -261,20 +328,20 @@ func prepareWaiterCase(t *testing.T) waiterCase {
 			}
 			return err
 		},
+		// The winner's flight is registered before its lookup, and only
+		// flight waiters join after this returns, so the winner has
+		// missed and is optimizing when the store is armed.
 		parked: func() {
-			for {
-				s.mu.Lock()
-				n := len(s.inflight)
-				s.mu.Unlock()
-				if n == 1 {
-					return
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
+			<-shared.looked
+			shared.arm()
 		},
 		waiters: 1,
 		release: func() {},
-		check:   func(t *testing.T) {},
+		check: func(t *testing.T) {
+			if st := s.Stats(); st.SharedHits != 1 {
+				t.Errorf("shared hits = %d, want 1 (the waiter's retry)", st.SharedHits)
+			}
+		},
 	}
 }
 

@@ -86,8 +86,6 @@ var statMetrics = []statMetric{
 		func(st *Stats) float64 { return float64(st.Cache.Hits) }},
 	{"Cache.Misses", "mpq_cache_misses_total", "Cache Get misses.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.Cache.Misses) }},
-	{"Cache.Replaced", "mpq_cache_replaced_total", "Cache entries whose value was swapped in place (generation refinement).", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Cache.Replaced) }},
 	{"Cache.Pinned", "mpq_cache_pinned", "Cache entries currently pinned by in-flight requests.", obs.KindGauge,
 		func(st *Stats) float64 { return float64(st.Cache.Pinned) }},
 	{"Cache.CapBytes", "mpq_cache_cap_bytes", "Configured cache budget in bytes (0 = unbounded).", obs.KindGauge,
@@ -135,27 +133,6 @@ var statMetrics = []statMetric{
 		func(st *Stats) float64 { return float64(st.DonatedTasks) }},
 	{"DonatedMasks", "mpq_donated_masks_total", "Whole ready masks planned by donated worker stints.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.DonatedMasks) }},
-
-	{"Refine.Scheduled", "mpq_refine_scheduled_total", "Ladder steps enqueued for background refinement.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.Scheduled) }},
-	{"Refine.Completed", "mpq_refine_completed_total", "Refinement jobs whose generation was computed or fetched and swapped in.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.Completed) }},
-	{"Refine.Cancelled", "mpq_refine_cancelled_total", "Refinement jobs aborted by shutdown, cancellation, or a failed chain predecessor.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.Cancelled) }},
-	{"Refine.Failed", "mpq_refine_failed_total", "Refinement jobs whose computation failed.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.Failed) }},
-	{"Refine.Skipped", "mpq_refine_skipped_total", "Refinement jobs obsoleted by an already-finer resident generation.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.Skipped) }},
-	{"Refine.Pending", "mpq_refine_pending", "Refinement jobs currently queued.", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Refine.Pending) }},
-	{"Refine.Running", "mpq_refine_running", "Whether a refinement job is currently executing (0 or 1).", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Refine.Running) }},
-	{"Refine.CoarsePrepares", "mpq_refine_coarse_prepares_total", "Deadline-bounded Prepares answered with a freshly computed coarse generation.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.CoarsePrepares) }},
-	{"Refine.Swaps", "mpq_refine_swaps_total", "Refined generations atomically swapped into the serve cache.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.Swaps) }},
-	{"Refine.CoarsePicks", "mpq_refine_coarse_picks_total", "Pick points served from a non-final generation.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Refine.CoarsePicks) }},
 
 	{"Geometry.LPs", "mpq_geometry_lps_total", "Linear programs solved by the pool's solvers.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.Geometry.LPs) }},

@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"mpq/internal/cloud"
 	"mpq/internal/core"
@@ -39,8 +37,8 @@ func checkTexts(t *testing.T, what string, texts planTexts, numPlans int, choice
 }
 
 // TestPlanTextMatchesString: every candidate's pre-rendered reply text
-// equals its Node.String() rendering — for a freshly prepared set, a
-// set reloaded at pick time, and a set swapped in by refinement.
+// equals its Node.String() rendering — for a freshly prepared set and
+// a set reloaded at pick time.
 func TestPlanTextMatchesString(t *testing.T) {
 	ctx := context.Background()
 	t.Run("prepared", func(t *testing.T) {
@@ -93,44 +91,6 @@ func TestPlanTextMatchesString(t *testing.T) {
 			t.Fatalf("Reloads = %d, want 1", st.Reloads)
 		}
 		checkTexts(t, "reloaded", pr.texts, res.NumPlans, pr.Choices)
-	})
-	t.Run("refined", func(t *testing.T) {
-		// Refinement waits at the shared store until the coarse
-		// generation has been picked from, so the pick cannot see the
-		// final generation instead.
-		gate := make(chan struct{})
-		var open sync.Once
-		release := func() { open.Do(func() { close(gate) }) }
-		s := New(Options{Workers: 2, Index: true, RefineLadder: []float64{0.5}, Shared: &gatedShared{inner: newMemShared(), gate: gate}})
-		defer s.Close()
-		defer release()
-		dctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
-		defer cancel()
-		res, err := s.Prepare(dctx, testTemplate(21))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Final {
-			t.Fatal("deadline Prepare served the final generation; want the coarse one")
-		}
-		coarse, err := s.Pick(ctx, PickRequest{Key: res.Key, Point: testPoints[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkTexts(t, "coarse", coarse.texts, res.NumPlans, coarse.Choices)
-		release()
-		if err := s.WaitRefinement(dctx); err != nil {
-			t.Fatal(err)
-		}
-		final, err := s.Pick(ctx, PickRequest{Key: res.Key, Point: testPoints[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		set, _ := s.PlanSet(res.Key)
-		if !final.Final || set == nil {
-			t.Fatalf("after refinement: final %v, resident %v", final.Final, set != nil)
-		}
-		checkTexts(t, "refined", final.texts, len(set.Plans), final.Choices)
 	})
 }
 

@@ -25,16 +25,6 @@
 // from monopolizing the pool, and Options.DonateWorkers lends idle
 // pool workers to in-flight Prepares' split jobs. See DESIGN.md,
 // "Fleet serving".
-//
-// With Options.RefineLadder set, Prepare is anytime: a
-// deadline-bounded request for an uncached template computes a coarse
-// ε-approximate generation that fits its budget, serves it
-// regret-certified, and schedules background refinement through the
-// ladder down to the template's resolved factor; each finished
-// generation atomically replaces the previous one in the cache, the
-// persistence directory, the shared store, and the peer-visible
-// document endpoint. See DESIGN.md, "Anytime Prepare & generation
-// refinement".
 package serve
 
 import (
@@ -63,7 +53,6 @@ import (
 	"mpq/internal/obs"
 	"mpq/internal/plan"
 	"mpq/internal/pwl"
-	"mpq/internal/refine"
 	"mpq/internal/region"
 	"mpq/internal/selection"
 	"mpq/internal/store"
@@ -153,26 +142,6 @@ type Options struct {
 	// Prepare may split wide table sets across them. Results are
 	// byte-identical with or without donation.
 	DonateWorkers bool
-	// RefineLadder enables anytime Prepare: a descending sequence of
-	// approximation factors (e.g. 0.5, 0.1). A deadline-bounded Prepare
-	// of an uncached template computes the coarsest ladder generation
-	// within the caller's budget, serves it regret-certified (every
-	// generation honors the (1+ε) contract), and refines through the
-	// remaining steps down to the template's resolved ε on a background
-	// executor; each finished generation atomically replaces the
-	// previous one in the cache, Dir, the shared store, and the
-	// peer-visible document. Prepares without a deadline compute the
-	// final generation directly. The ladder must be strictly descending
-	// with every step in [0, 1); New panics on an invalid one (a
-	// configuration bug, caught at construction like an invalid listen
-	// address).
-	RefineLadder []float64
-	// BaseContext, when non-nil, is the server lifecycle context
-	// background refinement runs under: cancelling it aborts the
-	// in-flight refinement job at the optimizer's checkpoints and
-	// drains the refinement queue, exactly like Close. Nil defaults to
-	// an uncancellable root (refinement then stops only at Close).
-	BaseContext context.Context
 	// FS is the filesystem the Dir persistence reads and writes through
 	// (nil = the real one) — the fault-injection seam for crash and
 	// I/O-error tests. The shared store carries its own (see
@@ -248,16 +217,9 @@ type PrepareResult struct {
 	// configuration, which the fleet benchmark's regression gate relies
 	// on.
 	Stats core.Stats
-	// Epsilon is the approximation factor of the generation this
-	// request served; on an anytime server it may be coarser than the
-	// template's resolved factor while refinement is outstanding.
-	// Generation is its index in the template's effective refinement
-	// ladder (0 = coarsest), and Final reports whether it is the
-	// resolved factor — false means background refinement is running
-	// and a later Pick may observe a finer generation.
-	Epsilon    float64
-	Generation int
-	Final      bool
+	// Epsilon is the approximation factor of the served plan set: the
+	// template's resolved factor.
+	Epsilon float64
 }
 
 // Policy selects the run-time preference policy of a Pick request.
@@ -304,15 +266,9 @@ type PickResult struct {
 	// Choices holds the selected plans; exactly one for the
 	// single-plan policies.
 	Choices []selection.Choice
-	// Epsilon is the approximation factor of the generation the pick
-	// was served from, Generation its index in the template's effective
-	// refinement ladder, and Final whether it is the template's
-	// resolved factor. The entry is pinned for the whole request, so
-	// one pick observes exactly one generation even while a refinement
-	// swap lands concurrently.
-	Epsilon    float64
-	Generation int
-	Final      bool
+	// Epsilon is the approximation factor of the plan set the pick was
+	// served from.
+	Epsilon float64
 
 	texts planTexts
 }
@@ -400,10 +356,6 @@ type Stats struct {
 	// mid-run).
 	DonatedTasks int64
 	DonatedMasks int64
-	// Refine reports the anytime-refinement subsystem
-	// (Options.RefineLadder): background generation upgrades and the
-	// coarse traffic served while they were outstanding.
-	Refine RefineStats
 	// Geometry aggregates the solver work of all pool workers.
 	Geometry geometry.Stats
 	// PipelineBusy sums the per-worker busy time inside the optimizer's
@@ -420,34 +372,6 @@ type Stats struct {
 	// SplitJobs counts table sets planned with intra-mask split
 	// parallelism across all Prepares.
 	SplitJobs int64
-}
-
-// RefineStats is the anytime-refinement slice of the server counters
-// (all zero unless Options.RefineLadder is set).
-type RefineStats struct {
-	// Scheduled counts ladder steps enqueued for background
-	// refinement; Completed the jobs whose generation was computed (or
-	// fetched) and swapped in; Cancelled the jobs aborted by shutdown,
-	// lifecycle-context cancellation, or a failed predecessor in their
-	// chain; Failed the jobs whose computation failed; Skipped the jobs
-	// obsoleted by an already-finer resident generation (typically a
-	// sibling refined first).
-	Scheduled int64
-	Completed int64
-	Cancelled int64
-	Failed    int64
-	Skipped   int64
-	// Pending is the number of queued refinement jobs and Running is 1
-	// while one executes (gauges).
-	Pending int64
-	Running int64
-	// CoarsePrepares counts deadline-bounded Prepares answered with a
-	// freshly computed coarse generation; Swaps the refined generations
-	// atomically swapped into the serve cache; CoarsePicks the pick
-	// points served from a non-final generation.
-	CoarsePrepares int64
-	Swaps          int64
-	CoarsePicks    int64
 }
 
 // IndexStats is the pick-index slice of the server counters.
@@ -495,14 +419,6 @@ type Server struct {
 	reloading flights[*entry]
 	stats     Stats
 
-	// Anytime refinement (Options.RefineLadder): the background
-	// executor, its dedicated solver-equipped worker (serial use on the
-	// refiner goroutine only), and the per-key refinement state.
-	refiner      *refine.Refiner
-	refineWorker *worker
-	refineMu     sync.Mutex
-	refineStates map[string]*refineState
-
 	// keys memoizes generated templates' plan-set keys (see
 	// templateKey).
 	keyMu sync.Mutex
@@ -517,7 +433,6 @@ type pickCounters struct {
 	fallback      atomic.Int64 // Stats.Index.FallbackPicks
 	batchRequests atomic.Int64 // Stats.Index.BatchRequests
 	batchPoints   atomic.Int64 // Stats.Index.BatchPoints
-	coarse        atomic.Int64 // Stats.Refine.CoarsePicks
 }
 
 // keyMemoCap bounds the key memo; a full memo is cleared, not evicted
@@ -530,17 +445,6 @@ const keyMemoCap = 4096
 type keyMemoKey struct {
 	workload workload.Config
 	epsBits  uint64
-}
-
-// refineState is the per-key record the refinement subsystem needs to
-// recompute a template finer: the resolved schema and cost-model
-// configuration, and the template-effective ladder (the configured
-// steps coarser than the template's resolved ε, then the resolved ε
-// itself as the final generation).
-type refineState struct {
-	schema   *catalog.Schema
-	cloudCfg cloud.Config
-	ladder   refine.Ladder
 }
 
 // entry is a cached plan set with its precomputed selection
@@ -709,18 +613,6 @@ func New(opts Options) *Server {
 		reloading: make(flights[*entry]),
 		keys:      make(map[keyMemoKey]string),
 	}
-	if len(opts.RefineLadder) > 0 {
-		if err := refine.Ladder(opts.RefineLadder).Validate(); err != nil {
-			panic(err)
-		}
-		base := opts.BaseContext
-		if base == nil {
-			base = context.Background() //mpq:ctxroot no lifecycle context supplied; background refinement then stops only at Close
-		}
-		s.refineWorker = &worker{solver: geometry.NewSolver(opts.Solver)}
-		s.refineStates = make(map[string]*refineState)
-		s.refiner = refine.New(base, s.runRefineJob)
-	}
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{solver: geometry.NewSolver(opts.Solver)}
 		s.wg.Add(1)
@@ -743,9 +635,8 @@ func New(opts Options) *Server {
 	return s
 }
 
-// Close stops background refinement, drains the queue, stops the
-// workers, and flushes the shared store. Requests submitted after Close
-// fail with ErrServerClosed.
+// Close drains the queue, stops the workers, and flushes the shared
+// store. Requests submitted after Close fail with ErrServerClosed.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -753,16 +644,6 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	s.mu.Unlock()
-	// Refinement retires first: the in-flight job aborts at the
-	// optimizer's next checkpoint and its donated stints return to the
-	// pool, so the queue drain below cannot deadlock on a donation and
-	// no refinement goroutine outlives Close (queued jobs count as
-	// cancelled, never silently lost).
-	if s.refiner != nil {
-		s.refiner.Close()
-	}
-	s.mu.Lock()
 	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -805,7 +686,6 @@ func (s *Server) Stats() Stats {
 	st.Index.FallbackPicks = s.picks.fallback.Load()
 	st.Index.BatchRequests = s.picks.batchRequests.Load()
 	st.Index.BatchPoints = s.picks.batchPoints.Load()
-	st.Refine.CoarsePicks = s.picks.coarse.Load()
 	st.Cache = s.cache.Stats()
 	st.CachedPlanSets = st.Cache.ResidentEntries
 	st.Admission = s.admission.Stats()
@@ -816,16 +696,6 @@ func (s *Server) Stats() Stats {
 		ps := s.opts.Peers.Stats()
 		st.PeerRetries = ps.Retries
 		st.PeerBreakerTrips = ps.BreakerTrips
-	}
-	if s.refiner != nil {
-		rst := s.refiner.Stats()
-		st.Refine.Scheduled = rst.Scheduled
-		st.Refine.Completed = rst.Completed
-		st.Refine.Cancelled = rst.Cancelled
-		st.Refine.Failed = rst.Failed
-		st.Refine.Skipped = rst.Skipped
-		st.Refine.Pending = rst.Pending
-		st.Refine.Running = rst.Running
 	}
 	if st.PipelineCapacity > 0 {
 		st.PipelineUtilization = float64(st.PipelineBusy) / float64(st.PipelineCapacity)
@@ -1022,7 +892,7 @@ func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, erro
 		return PrepareResult{}, err
 	}
 	res, won, err := s.inflight.do(ctx, s, key, func(e *entry) PrepareResult {
-		return s.prepared(key, e, core.Stats{}, true)
+		return prepared(key, e, core.Stats{}, true)
 	}, func() (PrepareResult, error) {
 		if schema == nil {
 			// A memoized key: the template is resolved only now that
@@ -1053,62 +923,10 @@ func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, erro
 	return res, nil
 }
 
-// prepared builds the PrepareResult of a resident entry, annotated with
-// its generation — which may still be coarse while background
-// refinement is outstanding. A coarse result also (re-)nudges the
-// refiner: the Schedule is deduplicated when the chain is still queued,
-// and it resurrects a chain dropped by an earlier failure.
-func (s *Server) prepared(key string, e *entry, cst core.Stats, cached bool) PrepareResult {
-	res := PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: cached,
+// prepared builds the PrepareResult of a resident entry.
+func prepared(key string, e *entry, cst core.Stats, cached bool) PrepareResult {
+	return PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: cached,
 		Duration: cst.Duration, Stats: cst, Epsilon: e.set.Epsilon}
-	res.Generation, res.Final = s.generationOf(key, e.set.Epsilon)
-	if !res.Final {
-		s.ensureRefinement(key, e)
-	}
-	return res
-}
-
-// generationOf maps an entry's approximation factor to its index in
-// the key's effective refinement ladder. Keys that never took the
-// anytime path have a single, final generation.
-func (s *Server) generationOf(key string, eps float64) (gen int, final bool) {
-	if s.refiner == nil {
-		// No ladder, no refinement state: skip the lock on the pick path.
-		return 0, true
-	}
-	s.refineMu.Lock()
-	st, ok := s.refineStates[key]
-	s.refineMu.Unlock()
-	if !ok {
-		return 0, true
-	}
-	if i := st.ladder.Index(eps); i >= 0 {
-		return i, i == len(st.ladder)-1
-	}
-	// Not a ladder member (e.g. a finer document published by a
-	// sibling running a different ladder): final iff at or below the
-	// template's resolved factor.
-	return 0, eps <= st.ladder[len(st.ladder)-1]
-}
-
-// ensureRefinement schedules a key's outstanding refinement chain —
-// idempotent (the refiner dedupes queued keys) and cheap.
-func (s *Server) ensureRefinement(key string, e *entry) {
-	s.refineMu.Lock()
-	st, ok := s.refineStates[key]
-	s.refineMu.Unlock()
-	if !ok {
-		return
-	}
-	s.scheduleRefine(st.ladder.Jobs(key, e.set.Epsilon))
-}
-
-// scheduleRefine enqueues background refinement jobs.
-func (s *Server) scheduleRefine(jobs []refine.Job) {
-	if s.refiner == nil || len(jobs) == 0 {
-		return
-	}
-	s.refiner.Schedule(jobs)
 }
 
 // isCtxErr reports whether err is (or wraps) a context cancellation or
@@ -1270,10 +1088,9 @@ func (s *Server) localDoc(key string, use func(doc []byte, src entrySource) bool
 // It serves the first document that deserializes cleanly from the
 // ordered sources — the restart Dir, the shared store, then the peers —
 // and otherwise computes it; either way the entry is admitted to the
-// cache (see admit; swap selects the refinement's generation swap) and
-// the lookup and save phases are traced. A corrupt or unreadable
-// document from any source is not fatal: the next source (ultimately
-// the optimizer) takes over. Documents fetched from a peer are
+// cache and the lookup and save phases are traced. A corrupt or
+// unreadable document from any source is not fatal: the next source
+// (ultimately the optimizer) takes over. Documents fetched from a peer are
 // re-published to the shared store so the next sibling finds them one
 // hop closer. Malformed keys resolve nowhere but the optimizer.
 //
@@ -1281,16 +1098,14 @@ func (s *Server) localDoc(key string, use func(doc []byte, src entrySource) bool
 // approximation factor: one recording an unacceptable factor is
 // treated as a miss, exactly like a corrupt one — defense in depth
 // behind the key (which already binds ε by hash) against a document
-// planted or misfiled under the wrong tier's name. A classic Prepare
-// accepts exactly its resolved factor, an anytime Prepare any
-// generation of its effective ladder, and a refinement job anything at
-// or below its step. Pick-time reloads pass nil and accept the
-// document's own factor, which the key vouches for.
+// planted or misfiled under the wrong tier's name. A Prepare accepts
+// exactly its resolved factor. Pick-time reloads pass nil and accept
+// the document's own factor, which the key vouches for.
 //
 // compute is nil for reloads, which never optimize: a key no source
 // holds is then ErrUnknownPlanSet, or ctx's error when the lookup may
 // have been cut short (peer fetch aborted).
-func (s *Server) resolve(ctx context.Context, w *worker, key string, accept func(eps float64) bool, compute func() (*entry, core.Stats, error), swap bool, tr *obs.PrepareTrace) (*entry, entrySource, core.Stats, error) {
+func (s *Server) resolve(ctx context.Context, w *worker, key string, accept func(eps float64) bool, compute func() (*entry, core.Stats, error), tr *obs.PrepareTrace) (*entry, entrySource, core.Stats, error) {
 	var e *entry
 	src := sourceComputed
 	use := func(doc []byte, from entrySource) bool {
@@ -1321,34 +1136,18 @@ func (s *Server) resolve(ctx context.Context, w *worker, key string, accept func
 		}
 	}
 	tr.SetSource(src.name())
-	s.admit(key, e, src, swap)
+	s.admit(key, e, src)
 	if src == sourceComputed {
 		tr.Phase("save")
 	}
 	return e, src, cst, nil
 }
 
-// admit publishes a resolved entry into the memory-accounted cache and
-// bumps its source counter. A Prepare or reload inserts (the first
-// insert of a key wins); a refinement swap atomically replaces the
-// resident generation with a finer one. The swap's ε guard runs under
-// the cache lock, so a straggling coarser generation never downgrades,
-// and pins (in-flight picks on the old generation) carry over — those
-// picks keep their pinned object and observe exactly one generation.
-func (s *Server) admit(key string, e *entry, src entrySource, swap bool) {
-	swapped := false
-	if swap {
-		newEps := e.set.Epsilon
-		_, swapped = s.cache.Replace(key, e, e.footprint(), func(old any) bool {
-			return old.(*entry).set.Epsilon <= newEps
-		})
-	} else {
-		s.cache.Add(key, e, e.footprint(), false)
-	}
+// admit publishes a resolved entry into the memory-accounted cache (the
+// first insert of a key wins) and bumps its source counter.
+func (s *Server) admit(key string, e *entry, src entrySource) {
+	s.cache.Add(key, e, e.footprint(), false)
 	s.mu.Lock()
-	if swapped {
-		s.stats.Refine.Swaps++
-	}
 	switch src {
 	case sourceDisk:
 		s.stats.PrepareDiskHits++
@@ -1376,77 +1175,23 @@ func (s *Server) publishShared(key string, doc []byte) {
 // the ordered sources, optimizing when none has it. Picks therefore
 // serve exactly the bytes a separate run-time process would load,
 // wherever they came from.
-//
-// With a refinement ladder configured, a deadline-bounded request takes
-// the anytime path instead (see anytimeLadder): it serves the finest
-// generation of the template's effective ladder that a non-compute
-// source already has, and otherwise computes the coarsest ladder step —
-// a fraction of the exact optimization's work — under the caller's
-// deadline. Every generation is a full regret-certified plan set, so
-// picks served before refinement finishes are coarse but never wrong;
-// the remaining steps run as background refinement jobs, each finished
-// generation atomically replacing the previous one (see runRefineJob).
 func (s *Server) prepareOn(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64, tr *obs.PrepareTrace) (PrepareResult, error) {
 	accept := func(got float64) bool { return got == epsilon }
-	computeEps := epsilon
-	lad := s.anytimeLadder(ctx, epsilon)
-	if lad != nil {
-		s.noteRefineState(key, schema, cloudCfg, lad)
-		accept = func(got float64) bool { return lad.Index(got) >= 0 }
-		computeEps = lad[0]
-	}
 	e, src, cst, err := s.resolve(ctx, w, key, accept, func() (*entry, core.Stats, error) {
-		return s.computeEntry(ctx, w, key, schema, cloudCfg, computeEps, tr)
-	}, false, tr)
+		return s.computeEntry(ctx, w, key, schema, cloudCfg, epsilon, tr)
+	}, tr)
 	if err != nil {
 		return PrepareResult{}, err
 	}
-	if lad != nil && src == sourceComputed {
-		s.mu.Lock()
-		s.stats.Refine.CoarsePrepares++
-		s.mu.Unlock()
-	}
-	res := s.prepared(key, e, cst, src != sourceComputed)
-	tr.SetGeneration(res.Epsilon, res.Generation)
-	return res, nil
-}
-
-// anytimeLadder decides whether a Prepare takes the anytime path: the
-// server has a refinement ladder, the caller brought a deadline (an
-// unbounded caller gets the final generation directly — coarse-first
-// would only add total work), and the template-effective ladder
-// actually has a coarse step above the resolved factor.
-func (s *Server) anytimeLadder(ctx context.Context, epsilon float64) refine.Ladder {
-	if s.refiner == nil {
-		return nil
-	}
-	if _, ok := ctx.Deadline(); !ok {
-		return nil
-	}
-	lad := refine.Ladder(s.opts.RefineLadder).For(epsilon)
-	if len(lad) < 2 {
-		return nil
-	}
-	return lad
-}
-
-// noteRefineState records a key's refinement state once (first Prepare
-// wins; the ladder is deterministic in the template, so later requests
-// would record the same).
-func (s *Server) noteRefineState(key string, schema *catalog.Schema, cloudCfg cloud.Config, lad refine.Ladder) {
-	s.refineMu.Lock()
-	if _, ok := s.refineStates[key]; !ok {
-		s.refineStates[key] = &refineState{schema: schema, cloudCfg: cloudCfg, ladder: lad}
-	}
-	s.refineMu.Unlock()
+	tr.SetEpsilon(e.set.Epsilon)
+	return prepared(key, e, cst, src != sourceComputed), nil
 }
 
 // computeEntry optimizes a template at one approximation factor on
 // worker w and round-trips the result through the store format: the
 // returned entry is deserialized from exactly the bytes persisted to
 // Dir and published to the shared store, so picks serve what a
-// separate process would load. Shared by the classic Prepare path, the
-// anytime coarse path, and background refinement.
+// separate process would load.
 func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64, tr *obs.PrepareTrace) (*entry, core.Stats, error) {
 	model, err := cloud.NewModel(schema, cloudCfg, w.solver)
 	if err != nil {
@@ -1500,46 +1245,6 @@ func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema
 		return nil, core.Stats{}, fmt.Errorf("%w: reloading saved plan set: %v", ErrInternal, err)
 	}
 	return e, result.Stats, nil
-}
-
-// runRefineJob executes one background refinement step on the
-// refiner's goroutine: compute (or fetch) the job's generation and
-// atomically swap it into the serve cache, the persistence directory,
-// and the shared store. The cache swap is the linearization point — a
-// pick pins its entry for the whole request, so every pick observes
-// exactly one generation. A sibling may refine first: a source
-// document at or below the job's factor is swapped in instead of
-// recomputed, and a job whose generation is already resident is
-// obsolete (counted Skipped, the chain continues).
-func (s *Server) runRefineJob(ctx context.Context, job refine.Job) error {
-	s.refineMu.Lock()
-	st, ok := s.refineStates[job.Key]
-	s.refineMu.Unlock()
-	if !ok {
-		return refine.ErrObsolete
-	}
-	if v, ok := s.cache.Get(job.Key, false); ok && v.(*entry).set.Epsilon <= job.Epsilon {
-		return refine.ErrObsolete
-	}
-	w := s.refineWorker
-	defer s.mergeSolverStats(w, w.solver.Stats)
-	tr := s.opts.Trace.Start("refine", job.Key)
-	tr.SetGeneration(job.Epsilon, job.Gen)
-	_, _, _, err := s.resolve(ctx, w, job.Key, func(got float64) bool { return got <= job.Epsilon }, func() (*entry, core.Stats, error) {
-		return s.computeEntry(ctx, w, job.Key, st.schema, st.cloudCfg, job.Epsilon, tr)
-	}, true, tr)
-	tr.Finish(err)
-	return err
-}
-
-// WaitRefinement blocks until every scheduled background refinement
-// has settled — completed, skipped, failed, or cancelled — or ctx is
-// done. On servers without a refinement ladder it returns immediately.
-func (s *Server) WaitRefinement(ctx context.Context) error {
-	if s.refiner == nil {
-		return nil
-	}
-	return s.refiner.Wait(orBackground(ctx))
 }
 
 // serverDonor adapts the server's idle pool capacity to the
@@ -1785,12 +1490,9 @@ type PickBatchResult struct {
 	// Choices holds, per point, the selected plans (exactly one for the
 	// single-plan policies).
 	Choices [][]selection.Choice
-	// Epsilon, Generation, and Final describe the generation the whole
-	// batch was served from (the entry is pinned for the request, so a
-	// batch never straddles a refinement swap); see PickResult.
-	Epsilon    float64
-	Generation int
-	Final      bool
+	// Epsilon is the approximation factor of the plan set the batch was
+	// served from.
+	Epsilon float64
 
 	texts planTexts
 }
@@ -1863,9 +1565,9 @@ func (s *Server) pickBatchEntry(e *entry, req PickBatchRequest) (PickBatchResult
 		}
 		choices[i] = cs
 	}
-	gen, final := s.notePicks(req.Key, e, indexPicks, true, req.Points...)
+	s.notePicks(req.Key, e, indexPicks, true, req.Points...)
 	return PickBatchResult{Metrics: e.set.Metrics, Choices: choices,
-		Epsilon: e.set.Epsilon, Generation: gen, Final: final, texts: e.texts}, nil
+		Epsilon: e.set.Epsilon, texts: e.texts}, nil
 }
 
 // pickEntry executes a Pick against e. Selection is pure point
@@ -1886,16 +1588,15 @@ func (s *Server) pickEntry(e *entry, req PickRequest) (PickResult, error) {
 	if viaIndex {
 		indexPicks = 1
 	}
-	gen, final := s.notePicks(req.Key, e, indexPicks, false, req.Point)
+	s.notePicks(req.Key, e, indexPicks, false, req.Point)
 	return PickResult{Metrics: e.set.Metrics, Choices: choices,
-		Epsilon: e.set.Epsilon, Generation: gen, Final: final, texts: e.texts}, nil
+		Epsilon: e.set.Epsilon, texts: e.texts}, nil
 }
 
 // notePicks records pick points served from e — indexPicks of them
 // through the index, the rest by the linear scan — in the counters and
-// the telemetry, and returns the generation they were served from.
-func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, points ...geometry.Vector) (gen int, final bool) {
-	gen, final = s.generationOf(key, e.set.Epsilon)
+// the telemetry.
+func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, points ...geometry.Vector) {
 	n := int64(len(points))
 	s.picks.points.Add(n)
 	s.picks.index.Add(int64(indexPicks))
@@ -1904,13 +1605,9 @@ func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, poi
 		s.picks.batchRequests.Add(1)
 		s.picks.batchPoints.Add(n)
 	}
-	if !final {
-		s.picks.coarse.Add(n)
-	}
 	for _, x := range points {
 		s.recordPickPoint(key, e, x)
 	}
-	return gen, final
 }
 
 // reload brings an evicted (or never-seen) plan set back from the
@@ -1922,7 +1619,7 @@ func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, poi
 // exactly once.
 func (s *Server) reload(ctx context.Context, key string, w *worker) (*entry, func(), error) {
 	e, _, err := s.reloading.do(ctx, s, key, func(e *entry) *entry { return e }, func() (*entry, error) {
-		e, _, _, err := s.resolve(ctx, w, key, nil, nil, false, nil)
+		e, _, _, err := s.resolve(ctx, w, key, nil, nil, nil)
 		if err == nil {
 			s.mu.Lock()
 			s.stats.Reloads++

@@ -330,9 +330,6 @@ type (
 	PickIndexOptions = index.Options
 	// ServeIndexStats is the pick-index slice of ServeStats.
 	ServeIndexStats = serve.IndexStats
-	// RefineStats is the anytime-refinement slice of ServeStats
-	// (ServeOptions.RefineLadder).
-	RefineStats = serve.RefineStats
 )
 
 // The run-time preference policies of a PickRequest.
