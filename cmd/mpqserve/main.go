@@ -15,10 +15,9 @@
 //	POST /pickbatch    {"key":"...","points":[[0.2],[0.5],[0.8]],"policy":"frontier"}
 //	GET  /planset/<key>  serialized plan-set document (the peer-fetch endpoint)
 //	GET  /stats
-//	GET  /metrics          Prometheus text exposition (every /stats field)
-//	GET  /debug/traces     recent Prepare flights with per-phase timings
-//	GET  /debug/telemetry  per-template pick-point histograms
-//	GET  /debug/pprof/*    Go profiling handlers (only with -pprof)
+//	GET  /metrics        Prometheus text exposition (every /stats field)
+//	GET  /debug/traces   recent Prepare flights with per-phase timings
+//	GET  /debug/pprof/*  Go profiling handlers (only with -pprof)
 //
 // Scraping the server:
 //
@@ -26,12 +25,9 @@
 //
 // -metrics-addr moves /metrics and the /debug endpoints to their own
 // listener so scrapes and profiles never contend with the request path.
-// -telemetry-dir persists per-template histograms of requested pick
-// points across restarts (flushed every -telemetry-flush and on
-// shutdown; -telemetry-sample thins the stream for extreme pick
-// rates). -log writes a JSON-lines access log to stderr: op, template
-// key, status, latency, the answering plan set's epsilon, and the
-// deadline outcome per request.
+// -log writes a JSON-lines access log to stderr: op, template key,
+// status, latency, the answering plan set's epsilon, and the deadline
+// outcome per request.
 //
 // The stdin protocol wraps the same bodies with an "op" field:
 //
@@ -112,9 +108,6 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug endpoints on a separate ops listener (empty = same mux as the HTTP API)")
 		pprofOn     = flag.Bool("pprof", false, "expose /debug/pprof profiling handlers on the metrics mux")
 		traceCap    = flag.Int("trace", 256, "Prepare trace ring capacity: recent flights kept for /debug/traces (0 disables phase tracing)")
-		telDir      = flag.String("telemetry-dir", "", "directory persisting per-template pick-point histograms across restarts (empty disables recording)")
-		telSample   = flag.Int64("telemetry-sample", 1, "record every Nth pick point (sampling knob for extreme pick rates)")
-		telFlush    = flag.Duration("telemetry-flush", 30*time.Second, "interval between telemetry flushes to -telemetry-dir")
 		logReqs     = flag.Bool("log", false, "JSON-lines access log on stderr (op, key, status, latency, outcome)")
 	)
 	flag.DurationVar(&prepareDeadline, "prepare-deadline", 0, "default deadline per Prepare request (0 = none; per-request deadline_ms overrides)")
@@ -160,34 +153,14 @@ func main() {
 	}
 	ob := &obsState{reg: obs.NewRegistry(), ring: obs.NewTraceRing(*traceCap), pprof: *pprofOn}
 	ob.ring.Instrument(ob.reg)
-	if *telDir != "" {
-		tel, err := obs.OpenTelemetry(*telDir, obs.TelemetryOptions{SampleEvery: *telSample})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ob.tel = tel
-	}
-	opts.Trace, opts.Telemetry = ob.ring, ob.tel
+	opts.Trace = ob.ring
 
 	s := serve.New(opts)
 	s.RegisterMetrics(ob.reg)
-	if ob.tel != nil {
-		// Registered before the Close defer so it runs after it: the
-		// final flush sees every pick recorded by the drained requests
-		// and queue.
-		defer func() {
-			if err := ob.tel.Flush(); err != nil {
-				log.Printf("mpqserve: final telemetry flush: %v", err)
-			}
-		}()
-	}
 	// Close drains the request queue and flushes the shared store; it
 	// runs on every exit path below.
 	defer s.Close()
 
-	if ob.tel != nil {
-		go flushLoop(ctx, ob.tel, *telFlush)
-	}
 	if *metricsAddr != "" {
 		startOps(ctx, *metricsAddr, ob)
 	}

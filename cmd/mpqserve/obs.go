@@ -17,20 +17,18 @@ import (
 // Observability wiring for mpqserve: the /metrics and /debug endpoints
 // (same mux by default, a separate -metrics-addr ops listener when
 // isolation from the request path is wanted), the JSON-lines access
-// log behind -log, and the telemetry flush loop.
+// log behind -log.
 
 // obsState bundles the process's observability plumbing.
 type obsState struct {
 	reg   *obs.Registry
 	ring  *obs.TraceRing
-	tel   *obs.Telemetry
 	pprof bool
 }
 
 // mount registers the observability endpoints on a mux: the Prometheus
-// exposition at /metrics, the trace-ring dump at /debug/traces, the
-// telemetry snapshots at /debug/telemetry, and (opt-in) the standard
-// pprof handlers.
+// exposition at /metrics, the trace-ring dump at /debug/traces, and
+// (opt-in) the standard pprof handlers.
 func (o *obsState) mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -47,17 +45,6 @@ func (o *obsState) mount(mux *http.ServeMux) {
 			Total  int64            `json:"total"`
 			Events []obs.TraceEvent `json:"events"`
 		}{o.ring.Total(), events})
-	})
-	mux.HandleFunc("GET /debug/telemetry", func(w http.ResponseWriter, r *http.Request) {
-		out := []obs.TelemetrySnapshot{}
-		if o.tel != nil {
-			for _, key := range o.tel.Keys() {
-				if snap, ok := o.tel.Snapshot(key); ok {
-					out = append(out, snap)
-				}
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
 	})
 	if o.pprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -87,24 +74,6 @@ func startOps(ctx context.Context, addr string, o *obsState) {
 		_ = srv.Shutdown(sctx)
 	}()
 	log.Printf("mpqserve: metrics on %s", addr)
-}
-
-// flushLoop persists dirty telemetry histograms every interval until
-// ctx is cancelled; the final flush on the shutdown path is a deferred
-// call in main, after the server has drained.
-func flushLoop(ctx context.Context, tel *obs.Telemetry, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := tel.Flush(); err != nil {
-				log.Printf("mpqserve: telemetry flush: %v", err)
-			}
-		}
-	}
 }
 
 // accessLog is the process's request logger; nil (the -log default)

@@ -15,20 +15,13 @@ import (
 	"mpq/internal/serve"
 )
 
-// newObsServer wires a server the way main does: traced, telemetered,
+// newObsServer wires a server the way main does: traced,
 // metrics-registered, observability endpoints mounted on the API mux.
-func newObsServer(t *testing.T, telDir string) (*serve.Server, *obsState, *httptest.Server) {
+func newObsServer(t *testing.T) (*serve.Server, *obsState, *httptest.Server) {
 	t.Helper()
 	ob := &obsState{reg: obs.NewRegistry(), ring: obs.NewTraceRing(16)}
 	ob.ring.Instrument(ob.reg)
-	if telDir != "" {
-		tel, err := obs.OpenTelemetry(telDir, obs.TelemetryOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ob.tel = tel
-	}
-	s := serve.New(serve.Options{Workers: 2, Trace: ob.ring, Telemetry: ob.tel})
+	s := serve.New(serve.Options{Workers: 2, Trace: ob.ring})
 	t.Cleanup(s.Close)
 	s.RegisterMetrics(ob.reg)
 	mux := newMux(s)
@@ -54,7 +47,7 @@ func httpPost(t *testing.T, url, body string) (int, []byte) {
 // must carry the right content type, pass the exposition lint, agree
 // with /stats on the headline counters, and stay monotonic.
 func TestMetricsEndpoint(t *testing.T) {
-	_, _, ts := newObsServer(t, t.TempDir())
+	_, _, ts := newObsServer(t)
 
 	scrape := func() (string, []*obs.Family) {
 		t.Helper()
@@ -99,13 +92,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("counters regressed: %v", errs)
 	}
 	want := map[string]float64{
-		"mpq_prepares_total":              1,
-		"mpq_picks_total":                 3,
-		"mpq_telemetry_recorded":          3,
-		"mpq_prepare_seconds_count":       1,
-		"mpq_cached_plan_sets":            1,
-		"mpq_telemetry_templates":         1,
-		"mpq_telemetry_load_errors_total": 0,
+		"mpq_prepares_total":        1,
+		"mpq_picks_total":           3,
+		"mpq_prepare_seconds_count": 1,
+		"mpq_cached_plan_sets":      1,
 	}
 	got := map[string]float64{}
 	for _, f := range after {
@@ -125,7 +115,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestDebugTracesEndpoint: computed prepares show up as JSON trace
 // events with their phase breakdown.
 func TestDebugTracesEndpoint(t *testing.T) {
-	_, _, ts := newObsServer(t, "")
+	_, _, ts := newObsServer(t)
 
 	if status, body := httpPost(t, ts.URL+"/prepare", prepareLine); status != http.StatusOK {
 		t.Fatalf("prepare: %d %s", status, body)
@@ -148,51 +138,6 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	ev := out.Events[0]
 	if ev.Op != "prepare" || ev.Source != "computed" || ev.Key == "" || len(ev.Phases) == 0 {
 		t.Fatalf("event = %+v", ev)
-	}
-}
-
-// TestDebugTelemetryEndpoint: recorded picks surface as snapshots; a
-// server without -telemetry-dir answers an empty array, not an error.
-func TestDebugTelemetryEndpoint(t *testing.T) {
-	_, _, ts := newObsServer(t, t.TempDir())
-
-	status, body := httpPost(t, ts.URL+"/prepare", prepareLine)
-	if status != http.StatusOK {
-		t.Fatalf("prepare: %d %s", status, body)
-	}
-	var prep prepareRespJS
-	if err := json.Unmarshal(body, &prep); err != nil {
-		t.Fatal(err)
-	}
-	if status, body := httpPost(t, ts.URL+"/pick",
-		fmt.Sprintf(`{"key":%q,"point":[0.25],"policy":"frontier"}`, prep.Key)); status != http.StatusOK {
-		t.Fatalf("pick: %d %s", status, body)
-	}
-	resp, err := http.Get(ts.URL + "/debug/telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snaps []obs.TelemetrySnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snaps); err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 1 || snaps[0].Key != prep.Key || snaps[0].Recorded != 1 {
-		t.Fatalf("telemetry = %+v", snaps)
-	}
-
-	_, _, bare := newObsServer(t, "")
-	resp2, err := http.Get(bare.URL + "/debug/telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var empty []obs.TelemetrySnapshot
-	if err := json.NewDecoder(resp2.Body).Decode(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if len(empty) != 0 {
-		t.Fatalf("telemetry without a dir = %+v", empty)
 	}
 }
 

@@ -200,11 +200,9 @@
 // zero-dependency registry), Prepare flights are traced per phase
 // (admission wait, queue wait, lookup, optimize, index build, save)
 // into a bounded ring served as histograms and as JSON on
-// GET /debug/traces, and -telemetry-dir persists per-template
-// histograms of requested pick points across restarts — the recording
-// half of workload-driven re-optimization. Scraping a server:
+// GET /debug/traces. Scraping a server:
 //
-//	mpqserve -addr :8080 -telemetry-dir /var/lib/mpq/telemetry &
+//	mpqserve -addr :8080 &
 //	curl -s localhost:8080/metrics | grep -E 'mpq_(prepares|picks)_total'
 //	curl -s localhost:8080/debug/traces | jq '.events[0].phases'
 //
@@ -233,7 +231,7 @@
 // optimizer-as-a-service layer), fleet (the memory-bounded cache,
 // shared plan-set store, peer fetches and admission control behind
 // fleet serving), obs (the metrics registry, exposition
-// parser/linter, Prepare trace ring and pick-point telemetry) and
+// parser/linter and Prepare trace ring) and
 // bench (the Figure 12 experiment harness with its CI regression
 // gate).
 package mpq

@@ -132,7 +132,7 @@ func TestDirStoreQuarantine(t *testing.T) {
 	if err := faultfs.OS.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(d.Dir(), path, bad); err != nil {
+	if err := WriteFileAtomic(faultfs.OS, d.Dir(), path, bad); err != nil {
 		t.Fatal(err)
 	}
 

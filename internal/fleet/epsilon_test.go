@@ -111,56 +111,43 @@ func TestDirStoreEpsilonMismatchQuarantine(t *testing.T) {
 	}
 }
 
-// TestDirStorePutKeepsFinerGeneration: generation ordering — once a
-// fine (low-ε) document is published under a key, a straggling coarser
-// Put must leave the manifest pointing at the fine document, so no
-// fleet member ever reads a downgrade. Equal-ε and finer re-publishes
-// still overwrite.
-func TestDirStorePutKeepsFinerGeneration(t *testing.T) {
+// TestDirStorePutLastWriteWins: the manifest points a key at its last
+// Put, whatever that document's ε — a coarser document replaces a finer
+// one. The read side still guards the tier: the manifest records the
+// winner's ε, and a fresh store over the same dir validates and serves
+// that document (the superseded blobs still on disk are unreferenced).
+func TestDirStorePutLastWriteWins(t *testing.T) {
 	d, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	fine := testDocEps(2, 0)
 	coarse := testDocEps(2, 0.5)
 	mid := testDocEps(2, 0.1)
-	fine := testDocEps(2, 0)
-	if err := d.Put("k", coarse); err != nil {
+	for _, doc := range [][]byte{fine, coarse} {
+		if err := d.Put("k", doc); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := d.Get("k"); err != nil || !ok || !bytes.Equal(got, doc) {
+			t.Fatalf("Get after Put = %q ok=%v err=%v, want %q", got, ok, err, doc)
+		}
+	}
+	if err := d.Put("k", mid); err != nil {
 		t.Fatal(err)
-	}
-	if err := d.Put("k", mid); err != nil { // refinement: overwrites
-		t.Fatal(err)
-	}
-	if got, ok, err := d.Get("k"); err != nil || !ok || !bytes.Equal(got, mid) {
-		t.Fatalf("after refining Put, Get = %q ok=%v err=%v, want the ε=0.1 doc", got, ok, err)
-	}
-	if err := d.Put("k", coarse); err != nil { // straggler: silently kept out
-		t.Fatal(err)
-	}
-	if got, _, _ := d.Get("k"); !bytes.Equal(got, mid) {
-		t.Fatal("a straggling coarse Put downgraded the manifest")
-	}
-	if err := d.Put("k", fine); err != nil { // final generation lands
-		t.Fatal(err)
-	}
-	got, ok, err := d.Get("k")
-	if err != nil || !ok || !bytes.Equal(got, fine) {
-		t.Fatalf("final Get = %q ok=%v err=%v, want the exact doc", got, ok, err)
 	}
 	m, err := d.readManifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Entries["k"].Epsilon; got != 0 {
-		t.Errorf("manifest epsilon = %v, want 0 after full refinement", got)
+	if got := m.Entries["k"].Epsilon; got != 0.1 {
+		t.Errorf("manifest epsilon = %v, want 0.1 from the last Put", got)
 	}
-	// A fresh store over the same dir must validate and serve the final
-	// generation (the superseded blobs still on disk are unreferenced).
 	d2, err := NewDirStore(d.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := d2.Get("k"); err != nil || !ok || !bytes.Equal(got, fine) {
-		t.Fatalf("reopened Get = %q ok=%v err=%v", got, ok, err)
+	if got, ok, err := d2.Get("k"); err != nil || !ok || !bytes.Equal(got, mid) {
+		t.Fatalf("reopened Get = %q ok=%v err=%v, want the ε=0.1 doc", got, ok, err)
 	}
 }
 

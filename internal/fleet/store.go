@@ -235,7 +235,7 @@ func (d *DirStore) Put(key string, doc []byte) error {
 		return fmt.Errorf("fleet: refusing to publish %s: %w", key, err)
 	}
 	sha := contentHash(doc)
-	if err := writeFileAtomicFS(d.fs, d.dir, d.blobPath(key, sha), doc); err != nil {
+	if err := WriteFileAtomic(d.fs, d.dir, d.blobPath(key, sha), doc); err != nil {
 		return fmt.Errorf("fleet: publishing %s: %w", key, err)
 	}
 	d.count(&d.puts)
@@ -254,16 +254,6 @@ func (d *DirStore) Put(key string, doc []byte) error {
 		// manifest degrade to misses and self-heal on their next
 		// Prepare's re-publish.
 		cur = &manifest{Version: 1, Entries: map[string]manifestEntry{}}
-	}
-	// Factor ordering: a key's manifest entry only ever moves toward a
-	// finer approximation. The key already binds ε by hash, so a coarser
-	// document under it is misfiled; it must not clobber a finer one, or
-	// a fleet reading through this store would downgrade. Equal ε
-	// re-publishes are byte-identical by the determinism contract and
-	// overwrite harmlessly. The blob itself stays on disk either way
-	// (content-addressed); only the manifest pointer is guarded.
-	if old, ok := cur.Entries[key]; ok && old.Epsilon < eps {
-		return nil
 	}
 	// Clone before mutating: the cached manifest is shared with
 	// concurrent readers.
@@ -363,33 +353,19 @@ func (d *DirStore) writeManifestLocked(m *manifest) error {
 	if err != nil {
 		return fmt.Errorf("fleet: encoding manifest: %w", err)
 	}
-	if err := writeFileAtomicFS(d.fs, d.dir, filepath.Join(d.dir, manifestName), raw); err != nil {
+	if err := WriteFileAtomic(d.fs, d.dir, filepath.Join(d.dir, manifestName), raw); err != nil {
 		return fmt.Errorf("fleet: writing manifest: %w", err)
 	}
 	return nil
 }
 
-// WriteFileAtomic writes data to path via an fsync'd temp file in dir
-// and an atomic rename, then syncs the directory so the rename itself
-// is durable. It is the one atomic-write primitive for plan-set
-// documents — the shared store and the serving layer's Options.Dir
-// persistence both use it, so the same bytes get the same durability
-// wherever they land.
-func WriteFileAtomic(dir, path string, data []byte) error {
-	return writeFileAtomicFS(faultfs.OS, dir, path, data)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic through an explicit filesystem
-// (nil selects the real one) — the injection seam the serving layer's
-// Options.Dir persistence uses.
-func WriteFileAtomicFS(fsys faultfs.FS, dir, path string, data []byte) error {
-	if fsys == nil {
-		fsys = faultfs.OS
-	}
-	return writeFileAtomicFS(fsys, dir, path, data)
-}
-
-func writeFileAtomicFS(fsys faultfs.FS, dir, path string, data []byte) error {
+// WriteFileAtomic writes data to path through fsys via an fsync'd temp
+// file in dir and an atomic rename, then syncs the directory so the
+// rename itself is durable. DirStore writes its blobs and manifest with
+// it and the serving layer's Options.Dir persistence writes plan-set
+// documents with it, so the same bytes get the same durability wherever
+// they land.
+func WriteFileAtomic(fsys faultfs.FS, dir, path string, data []byte) error {
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err

@@ -1,8 +1,8 @@
 // Package obs is the observability subsystem: a zero-dependency typed
 // metrics registry rendering the Prometheus text exposition format, an
 // exposition parser/linter (the format contract is enforced in-tree,
-// not by an external scraper), a bounded ring of Prepare phase traces,
-// and persisted per-template pick-point telemetry.
+// not by an external scraper) and a bounded ring of Prepare phase
+// traces.
 //
 // Everything here is passive with respect to the optimizer's
 // determinism contracts: instrumentation is atomic adds and scrape-time

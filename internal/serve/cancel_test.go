@@ -5,14 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mpq/internal/core"
 	"mpq/internal/fleet"
 	"mpq/internal/geometry"
 	"mpq/internal/workload"
@@ -29,19 +27,18 @@ func slowTemplate() Template {
 	}}
 }
 
-// slowDoc is slowTemplate's plan-set document under the default
-// optimizer configuration, optimized once per test binary at
-// GOMAXPROCS workers (the document is byte-identical at every worker
-// count). Tests whose slowTemplate Prepare is cancelled and must then
-// succeed serve it through a slowShared store instead of optimizing the
-// whole template a second time.
+// slowDoc stands in for slowTemplate's plan-set document: the exact
+// document of the cheap 2-parameter template chain-2p/3t/s1, prepared
+// once per test binary. Tests whose slowTemplate Prepare is cancelled
+// and must then succeed serve it through a slowShared store instead of
+// optimizing the whole template (about 34 s under -race).
 var slowDoc = sync.OnceValues(func() ([]byte, error) {
-	opts := core.DefaultOptions()
-	opts.Workers = runtime.GOMAXPROCS(0)
 	// A cache budget makes the server retain the document bytes.
-	s := New(Options{Workers: 1, Optimizer: opts, CacheBytes: 1 << 40})
+	s := New(Options{Workers: 1, CacheBytes: 1 << 40})
 	defer s.Close()
-	prep, err := s.Prepare(context.Background(), slowTemplate())
+	prep, err := s.Prepare(context.Background(), Template{Workload: workload.Config{
+		Tables: 3, Params: 2, Shape: workload.Chain, Seed: 1,
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +47,11 @@ var slowDoc = sync.OnceValues(func() ([]byte, error) {
 
 // slowShared is a SharedStore that holds nothing until armed, then
 // serves slowDoc under every key (the servers using it prepare only
-// slowTemplate). Puts are dropped. looked is closed by the first Get,
+// slowTemplate). The document is a stand-in, not slowTemplate's own:
+// serving checks only that a stored document decodes, validates and
+// records the requested ε, and the recovering Prepares need only some
+// valid exact 2-parameter plan set to count a shared hit, report plans
+// and answer a Pick at {0.5, 0.5}. Puts are dropped. looked is closed by the first Get,
 // so a test can tell that a Prepare's source lookup missed and its
 // optimization has begun.
 type slowShared struct {
@@ -60,12 +61,12 @@ type slowShared struct {
 	once   sync.Once
 }
 
-// newSlowShared returns an unarmed store, optimizing slowDoc first if
+// newSlowShared returns an unarmed store, preparing slowDoc first if
 // no test has yet.
 func newSlowShared(t *testing.T) *slowShared {
 	doc, err := slowDoc()
 	if err != nil {
-		t.Fatalf("optimizing the slow template's document: %v", err)
+		t.Fatalf("preparing the stand-in document: %v", err)
 	}
 	return &slowShared{doc: doc, looked: make(chan struct{})}
 }

@@ -156,8 +156,8 @@ var statMetrics = []statMetric{
 }
 
 // RegisterMetrics exposes the server's counters on reg in Prometheus
-// form: every Stats field, plus (when configured) the telemetry
-// recorder's counters. Each scrape takes one Stats snapshot — the same
+// form: every Stats field, plus (when configured) the peer client's
+// counters. Each scrape takes one Stats snapshot — the same
 // one GET /stats serves — so the two surfaces can never drift.
 func (s *Server) RegisterMetrics(reg *obs.Registry) {
 	type binding struct {
@@ -175,19 +175,6 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			bindings = append(bindings, binding{g.Set, m.get})
 		}
 	}
-	var tel struct {
-		templates, offered, recorded, outOfRange *obs.Gauge
-		flushes, flushErrors, loadErrors         *obs.Counter
-	}
-	if s.opts.Telemetry != nil {
-		tel.templates = reg.Gauge("mpq_telemetry_templates", "Per-template pick-point histograms resident.")
-		tel.offered = reg.Gauge("mpq_telemetry_offered", "Pick points offered to the telemetry recorder.")
-		tel.recorded = reg.Gauge("mpq_telemetry_recorded", "Pick points binned by the telemetry recorder (sampled subset of offered).")
-		tel.outOfRange = reg.Gauge("mpq_telemetry_out_of_range", "Recorded pick points outside their histogram's box (clamped).")
-		tel.flushes = reg.Counter("mpq_telemetry_flushes_total", "Telemetry histogram files written.")
-		tel.flushErrors = reg.Counter("mpq_telemetry_flush_errors_total", "Telemetry flushes that failed.")
-		tel.loadErrors = reg.Counter("mpq_telemetry_load_errors_total", "Persisted telemetry files discarded at boot (torn or foreign).")
-	}
 	var peer struct {
 		fetches, fetchHits, errors, skips, corrupt *obs.Counter
 	}
@@ -202,16 +189,6 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 		st := s.Stats()
 		for _, b := range bindings {
 			b.set(b.get(&st))
-		}
-		if s.opts.Telemetry != nil {
-			ts := s.opts.Telemetry.Stats()
-			tel.templates.Set(float64(ts.Templates))
-			tel.offered.Set(float64(ts.Offered))
-			tel.recorded.Set(float64(ts.Recorded))
-			tel.outOfRange.Set(float64(ts.OutOfRange))
-			tel.flushes.SetTotal(float64(ts.Flushes))
-			tel.flushErrors.SetTotal(float64(ts.FlushErrors))
-			tel.loadErrors.SetTotal(float64(ts.LoadErrors))
 		}
 		if s.opts.Peers != nil {
 			ps := s.opts.Peers.Stats()

@@ -154,13 +154,6 @@ type Options struct {
 	// feed per-phase latency histograms (see obs.TraceRing.Instrument).
 	// Nil disables tracing — the hot path pays one nil check.
 	Trace *obs.TraceRing
-	// Telemetry, when non-nil, records the parameter points Pick and
-	// PickBatch actually serve, per plan-set key, into bounded
-	// per-dimension histograms (the recording half of workload-driven
-	// re-optimization). Recording is atomic adds behind a sampling knob;
-	// persistence happens only on Telemetry.Flush, never on the pick
-	// path. Nil disables recording.
-	Telemetry *obs.Telemetry
 }
 
 // Template describes a query template to prepare: either an explicit
@@ -464,10 +457,6 @@ type entry struct {
 	idx        *index.Index
 	leafCands  [][]selection.Candidate
 	viewBytes  int64
-	// telLo/telHi is the parameter-space bounding box pick-point
-	// telemetry bins against, computed once at entry construction (only
-	// when telemetry is enabled); nil when the space is unbounded.
-	telLo, telHi []float64
 }
 
 // footprint is the bytes the memory-accounted cache charges for the
@@ -1351,9 +1340,8 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 	if s.opts.Index {
 		e.idx = set.Index
 		if e.idx == nil {
-			// Rebuild-on-load: the document predates the index stanza or
-			// was written without one. A failed build falls back to the
-			// linear scan.
+			// Rebuild-on-load: the document was written without an index
+			// stanza. A failed build falls back to the linear scan.
 			if ix, err := index.Build(w.solver, set.Space, cands, s.opts.IndexOptions); err == nil {
 				e.idx = ix
 				s.mu.Lock()
@@ -1366,26 +1354,7 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 			e.leafCands, e.viewBytes = e.idx.LeafViews(cands)
 		}
 	}
-	if s.opts.Telemetry != nil {
-		// Telemetry bins pick points against the parameter space's
-		// bounding box; computed once here, off the pick path. An
-		// unbounded space leaves the box nil (recording disabled for the
-		// entry).
-		if lo, hi, ok := w.solver.BoundingBox(set.Space); ok {
-			e.telLo, e.telHi = lo, hi
-		}
-	}
 	return e, nil
-}
-
-// recordPickPoint offers one served pick point to the telemetry
-// recorder. Nil telemetry or an unbounded parameter box makes it a
-// no-op.
-func (s *Server) recordPickPoint(key string, e *entry, x geometry.Vector) {
-	if s.opts.Telemetry == nil || e.telLo == nil {
-		return
-	}
-	s.opts.Telemetry.Record(key, e.telLo, e.telHi, x)
 }
 
 func (s *Server) docPath(key string) string {
@@ -1396,7 +1365,7 @@ func (s *Server) docPath(key string) string {
 // atomic write (temp file + rename + directory sync) — the same
 // durability the shared store gives the same bytes.
 func (s *Server) persist(key string, doc []byte) error {
-	return fleet.WriteFileAtomicFS(s.fs, s.opts.Dir, s.docPath(key), doc)
+	return fleet.WriteFileAtomic(s.fs, s.opts.Dir, s.docPath(key), doc)
 }
 
 // Pick evaluates a selection policy at a parameter point against a
@@ -1565,7 +1534,7 @@ func (s *Server) pickBatchEntry(e *entry, req PickBatchRequest) (PickBatchResult
 		}
 		choices[i] = cs
 	}
-	s.notePicks(req.Key, e, indexPicks, true, req.Points...)
+	s.notePicks(len(req.Points), indexPicks, true)
 	return PickBatchResult{Metrics: e.set.Metrics, Choices: choices,
 		Epsilon: e.set.Epsilon, texts: e.texts}, nil
 }
@@ -1588,25 +1557,21 @@ func (s *Server) pickEntry(e *entry, req PickRequest) (PickResult, error) {
 	if viaIndex {
 		indexPicks = 1
 	}
-	s.notePicks(req.Key, e, indexPicks, false, req.Point)
+	s.notePicks(1, indexPicks, false)
 	return PickResult{Metrics: e.set.Metrics, Choices: choices,
 		Epsilon: e.set.Epsilon, texts: e.texts}, nil
 }
 
-// notePicks records pick points served from e — indexPicks of them
-// through the index, the rest by the linear scan — in the counters and
-// the telemetry.
-func (s *Server) notePicks(key string, e *entry, indexPicks int, batch bool, points ...geometry.Vector) {
-	n := int64(len(points))
+// notePicks counts one request's served pick points — indexPicks of
+// them through the index, the rest by the linear scan.
+func (s *Server) notePicks(points, indexPicks int, batch bool) {
+	n := int64(points)
 	s.picks.points.Add(n)
 	s.picks.index.Add(int64(indexPicks))
 	s.picks.fallback.Add(n - int64(indexPicks))
 	if batch {
 		s.picks.batchRequests.Add(1)
 		s.picks.batchPoints.Add(n)
-	}
-	for _, x := range points {
-		s.recordPickPoint(key, e, x)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestSaveRejectsInvalidEpsilon(t *testing.T) {
 
 // TestLoadRejectsEpsilonStanzaErrors: the version number and the
 // epsilon stanza must certify each other. A v4 document without an
-// epsilon, a pre-v4 document with one, a negative factor, or a
+// epsilon, a v3 document with one, a negative factor, or a
 // malformed/truncated stanza are all format errors — never a silent
 // load under the wrong tier.
 func TestLoadRejectsEpsilonStanzaErrors(t *testing.T) {
@@ -80,7 +80,6 @@ func TestLoadRejectsEpsilonStanzaErrors(t *testing.T) {
 		"v4 without epsilon": `{"version":4,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
 		"v4 zero epsilon":    `{"version":4,"epsilon":0,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
 		"v3 with epsilon":    `{"version":3,"epsilon":0.05,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
-		"v1 with epsilon":    `{"version":1,"epsilon":0.05,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
 		"negative epsilon":   `{"version":4,"epsilon":-0.05,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
 		"malformed epsilon":  `{"version":4,"epsilon":"five percent","metrics":["t"],"space":{"dim":1},"plans":[]}`,
 		"truncated stanza":   `{"version":4,"epsilon":0.0`,

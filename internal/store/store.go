@@ -28,13 +28,11 @@ import (
 // FormatVersion identifies the serialization layout. Version 4 added
 // the epsilon stanza recording the approximation factor of an
 // ε-approximate plan set (SaveIndexedEpsilon); version 3 added the
-// optional point-location pick-index stanza (SaveIndexed); version 2
-// added the region-options stanza and the explicit always-relevant
-// marker. Older documents are still readable: version 2 documents
-// simply carry no index (callers rebuild one on load when they want
-// it), and version 1 regions load with the paper's default refinements
-// and treat plans without cutouts as always relevant, the only
-// semantics version 1 could express.
+// optional point-location pick-index stanza (SaveIndexed) to version
+// 2's region-options stanza and explicit always-relevant marker. Load
+// rejects versions 1 and 2: serving keys bind core.Revision, so no
+// current key addresses a document that old, and re-preparing the
+// template rewrites it in the current layout.
 //
 // Exact plan sets (epsilon 0) are still written as version 3 — byte
 // for byte the historical output — so the version number itself
@@ -45,9 +43,6 @@ const FormatVersion = 4
 // formatVersionExact is the version written for exact (epsilon 0)
 // plan sets: the canonical pre-epsilon layout.
 const formatVersionExact = 3
-
-// minFormatVersion is the oldest version Load still accepts.
-const minFormatVersion = 1
 
 // Document is the top-level serialized form of an optimization result.
 type Document struct {
@@ -63,7 +58,7 @@ type Document struct {
 	// RegionOptions records the Section 6.2 refinement configuration the
 	// relevance regions were built with, so Load rebuilds them with the
 	// same options instead of whatever the current defaults happen to
-	// be. Absent in version 1 documents (which load with the defaults).
+	// be. Every save writes it; Load rejects a document without it.
 	RegionOptions *regionOptionsJS `json:"region_options,omitempty"`
 	Plans         []planEnt        `json:"plans"`
 	// Index is the optional point-location pick index over the plan
@@ -99,9 +94,7 @@ func regionOptionsToJS(o region.Options) *regionOptionsJS {
 
 func regionOptionsFromJS(j *regionOptionsJS) (region.Options, error) {
 	if j == nil {
-		// Version 1 documents carry no stanza; they were written when
-		// save and load both meant the paper's default refinements.
-		return region.DefaultOptions(), nil
+		return region.Options{}, fmt.Errorf("store: document without region options")
 	}
 	strategy, err := region.ParseStrategy(j.Strategy)
 	if err != nil {
@@ -238,8 +231,8 @@ type PlanSet struct {
 	Epsilon float64
 	Plans   []LoadedPlan
 	// Index is the point-location pick index persisted with the set,
-	// or nil when the document carried none (pre-v3 documents, or sets
-	// saved without one). Its leaf candidate ids index Plans.
+	// or nil when the set was saved without one. Its leaf candidate ids
+	// index Plans.
 	Index *index.Index
 }
 
@@ -250,7 +243,10 @@ func Load(r io.Reader) (*PlanSet, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("store: decoding: %w", err)
 	}
-	if doc.Version < minFormatVersion || doc.Version > FormatVersion {
+	if doc.Version < formatVersionExact {
+		return nil, fmt.Errorf("store: format version %d is no longer supported (oldest readable is %d); re-preparing the template rewrites the document", doc.Version, formatVersionExact)
+	}
+	if doc.Version > FormatVersion {
 		return nil, fmt.Errorf("store: unsupported format version %d", doc.Version)
 	}
 	// The version number and the epsilon stanza certify each other: a
@@ -292,11 +288,8 @@ func Load(r io.Reader) (*PlanSet, error) {
 		lp := LoadedPlan{Plan: node, Cost: cost}
 		// A nil relevance region ("always relevant") must survive the
 		// round trip: selection's documented fast path skips all
-		// containment work for it. Version 1 documents had no explicit
-		// marker; there an absent cutout list is the only way a nil
-		// region could have been written.
-		always := ent.AlwaysRelevant || (doc.Version < 2 && len(ent.Cutouts) == 0)
-		if always {
+		// containment work for it.
+		if ent.AlwaysRelevant {
 			if len(ent.Cutouts) > 0 {
 				return nil, fmt.Errorf("store: plan %d is marked always-relevant but has %d cutouts", i, len(ent.Cutouts))
 			}

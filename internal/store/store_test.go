@@ -73,19 +73,27 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadDocuments: each malformed document fails with an
+// error naming its own defect, so a row cannot pass on some earlier
+// check (version, missing stanza) it was not written to exercise.
 func TestLoadRejectsBadDocuments(t *testing.T) {
-	cases := map[string]string{
-		"bad json":       `{`,
-		"wrong version":  `{"version":99,"metrics":["t"],"space":{"dim":1},"plans":[]}`,
-		"no metrics":     `{"version":1,"metrics":[],"space":{"dim":1},"plans":[]}`,
-		"zero dim space": `{"version":1,"metrics":["t"],"space":{"dim":0},"plans":[]}`,
-		"bad constraint": `{"version":1,"metrics":["t"],"space":{"dim":2,"constraints":[{"w":[1],"b":0}]},"plans":[]}`,
-		"scan with kids": `{"version":1,"metrics":["t"],"space":{"dim":1},"plans":[{"tree":{"op":"x","table":0,"left":{"op":"s","table":1}},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]},"cutouts":[]}]}`,
-		"metric count":   `{"version":1,"metrics":["t","f"],"space":{"dim":1},"plans":[{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]},"cutouts":[]}]}`,
+	const opts = `"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true},`
+	cases := map[string]struct{ doc, wantErr string }{
+		"bad json":       {`{`, "decoding"},
+		"wrong version":  {`{"version":99,"metrics":["t"],"space":{"dim":1},"plans":[]}`, "unsupported format version 99"},
+		"no metrics":     {`{"version":3,"metrics":[],"space":{"dim":1},"plans":[]}`, "without metrics"},
+		"zero dim space": {`{"version":3,"metrics":["t"],"space":{"dim":0},"plans":[]}`, "polytope with dimension 0"},
+		"bad constraint": {`{"version":3,"metrics":["t"],"space":{"dim":2,"constraints":[{"w":[1],"b":0}]},"plans":[]}`, "constraint dimension 1, want 2"},
+		"scan with kids": {`{"version":3,"metrics":["t"],"space":{"dim":1},` + opts + `"plans":[{"tree":{"op":"x","table":0,"left":{"op":"s","table":1}},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]},"cutouts":[]}]}`, "scan node with children"},
+		"metric count":   {`{"version":3,"metrics":["t","f"],"space":{"dim":1},` + opts + `"plans":[{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]},"cutouts":[]}]}`, "cost with 1 components, want 2"},
+		"no options":     {`{"version":3,"metrics":["t"],"space":{"dim":1},"plans":[]}`, "without region options"},
 	}
-	for name, doc := range cases {
-		if _, err := Load(strings.NewReader(doc)); err == nil {
+	for name, tc := range cases {
+		_, err := Load(strings.NewReader(tc.doc))
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc.wantErr)
 		}
 	}
 }
@@ -98,7 +106,7 @@ func TestLoadRejectsDimensionMismatches(t *testing.T) {
 	// A valid 1-parameter document skeleton: one scan plan, one linear
 	// cost piece, one cutout. %s slots: piece region, cutout list,
 	// extra plan fields.
-	const tmpl = `{"version":2,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
+	const tmpl = `{"version":3,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
 		`"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true},` +
 		`"plans":[{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":%s,"w":[1],"b":0}]}]}%s}]}`
 	good2D := `{"dim":2,"constraints":[{"w":[1,0],"b":1},{"w":[-1,0],"b":0}]}`
@@ -247,35 +255,35 @@ func TestRoundTripPreservesAlwaysRelevant(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1Document: version 1 documents (no options stanza, no
-// always-relevant marker) still load: default refinements, absent
-// cutouts meaning always relevant.
-func TestLoadVersion1Document(t *testing.T) {
-	const doc = `{"version":1,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
-		`"plans":[` +
-		`{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}},` +
-		`{"tree":{"op":"s","table":1},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[2],"b":0}]}]},` +
-		`"cutouts":[{"dim":1,"constraints":[{"w":[1],"b":0.5}]}]}` +
-		`]}`
-	ps, err := Load(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Plans[0].RR != nil {
-		t.Error("v1 plan without cutouts should load always-relevant")
-	}
-	if ps.Plans[1].RR == nil {
-		t.Fatal("v1 plan with cutouts lost its region")
-	}
-	if got := ps.Plans[1].RR.Options(); got != region.DefaultOptions() {
-		t.Errorf("v1 region options = %+v, want defaults", got)
+// TestLoadRejectsVersion1And2Documents: documents older than version
+// 3 are refused with an error naming the version and the remedy, even
+// when otherwise well formed.
+func TestLoadRejectsVersion1And2Documents(t *testing.T) {
+	const v1 = `{"version":1,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
+		`"plans":[{"tree":{"op":"s","table":0},"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}]}`
+	const v2 = `{"version":2,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
+		`"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true},` +
+		`"plans":[{"tree":{"op":"s","table":0},"always_relevant":true,` +
+		`"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}]}`
+	for v, doc := range map[int]string{1: v1, 2: v2} {
+		_, err := Load(strings.NewReader(doc))
+		if err == nil {
+			t.Errorf("version %d document accepted", v)
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("format version %d", v), "re-preparing the template rewrites the document"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("version %d: error %q does not mention %q", v, err, want)
+			}
+		}
 	}
 }
 
-// TestLoadVersion2Document: version 2 documents (no index stanza)
-// still load, with a nil PlanSet.Index.
-func TestLoadVersion2Document(t *testing.T) {
-	const doc = `{"version":2,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
+// TestLoadWithoutIndexStanza: a version 3 document without an index
+// stanza loads with a nil PlanSet.Index (callers rebuild one on load
+// when they want it).
+func TestLoadWithoutIndexStanza(t *testing.T) {
+	const doc = `{"version":3,"metrics":["t"],"space":{"dim":1,"constraints":[{"w":[1],"b":1},{"w":[-1],"b":0}]},` +
 		`"region_options":{"strategy":"bemporad","relevance_points":16,"eliminate_redundant_cutouts":true},` +
 		`"plans":[{"tree":{"op":"s","table":0},"always_relevant":true,` +
 		`"cost":{"components":[{"pieces":[{"region":{"dim":1},"w":[1],"b":0}]}]}}]}`
@@ -284,7 +292,7 @@ func TestLoadVersion2Document(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ps.Index != nil {
-		t.Error("v2 document loaded with an index")
+		t.Error("document without an index stanza loaded with an index")
 	}
 }
 
