@@ -69,7 +69,7 @@ func EnumerateAll(schema *catalog.Schema, model core.CostModel, algebra core.Alg
 						for _, alt := range alts {
 							out = append(out, EnumPlan{
 								Plan: plan.Join(alt.Op, p1.Plan, p2.Plan),
-								Cost: algebra.Accumulate(alt.Cost, p1.Cost, p2.Cost),
+								Cost: accumulate(algebra, alt.Cost, p1.Cost, p2.Cost),
 							})
 						}
 					}
@@ -85,6 +85,17 @@ func EnumerateAll(schema *catalog.Schema, model core.CostModel, algebra core.Alg
 		return out
 	}
 	return rec(all)
+}
+
+// accumulate is algebra.Accumulate with the result finished at once:
+// the baselines keep every cost they build, so a PWLAlgebra's pending
+// compaction runs eagerly, on the algebra's own solver.
+func accumulate(algebra core.Algebra, step, c1, c2 core.Cost) core.Cost {
+	c := algebra.Accumulate(step, c1, c2)
+	if a, ok := algebra.(*core.PWLAlgebra); ok {
+		c.(*pwl.Multi).Finish(a.Ctx)
+	}
+	return c
 }
 
 // TrueFrontAt computes the exact Pareto front of cost vectors over all
@@ -173,7 +184,7 @@ func Selinger(schema *catalog.Schema, model core.CostModel, algebra core.Algebra
 						return true
 					}
 					for _, alt := range model.JoinAlternatives(q1, q2) {
-						c := algebra.Accumulate(alt.Cost, b1.c, b2.c)
+						c := accumulate(algebra, alt.Cost, b1.c, b2.c)
 						cost := algebra.Eval(c, x)[metric]
 						if b := memo[mask]; b == nil || cost < b.cost {
 							memo[mask] = &best{p: plan.Join(alt.Op, b1.p, b2.p), c: c, cost: cost}
@@ -256,7 +267,7 @@ func ParetoMQ(schema *catalog.Schema, model core.CostModel, algebra core.Algebra
 					for _, alt := range model.JoinAlternatives(q1, q2) {
 						for _, p1 := range p1s {
 							for _, p2 := range p2s {
-								c := algebra.Accumulate(alt.Cost, p1.Cost, p2.Cost)
+								c := accumulate(algebra, alt.Cost, p1.Cost, p2.Cost)
 								insert(mask, VecPlan{
 									Plan: plan.Join(alt.Op, p1.Plan, p2.Plan),
 									Cost: c,
@@ -340,7 +351,7 @@ func PQSingleMetric(schema *catalog.Schema, model core.CostModel, ctx *geometry.
 					for _, alt := range model.JoinAlternatives(q1, q2) {
 						for _, p1 := range p1s {
 							for _, p2 := range p2s {
-								c := algebra.Accumulate(alt.Cost, p1.Cost, p2.Cost)
+								c := accumulate(algebra, alt.Cost, p1.Cost, p2.Cost)
 								insert(mask, EnumPlan{Plan: plan.Join(alt.Op, p1.Plan, p2.Plan), Cost: c})
 								found = true
 							}

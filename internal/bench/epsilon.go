@@ -121,17 +121,17 @@ func (t certifiedTier) row(spec Spec, points int, ns int64) JSONCase {
 // ratio. The returned value is the worst such ratio — the empirical
 // counterpart of the (1+ε) contract, computed from the served
 // candidate sets themselves so the certificate covers the full save /
-// load / select path.
+// load / select path. A point where either frontier is empty is an
+// error.
 func certifyRegret(exact, approx []selection.Candidate, points []geometry.Vector) (float64, error) {
 	worst := 1.0
 	for _, x := range points {
 		ref := selection.Frontier(exact, x)
 		if len(ref) == 0 {
-			// The exact tier offers nothing here (plans tied exactly on
-			// a region annihilate each other's relevance regions — a
-			// property of the exact prune, not of the approximation);
-			// there is no reference answer to certify against.
-			continue
+			// Without a reference answer the point certifies nothing,
+			// and an exact tier with no plan at an in-space point is a
+			// relevance-region hole in its own right.
+			return 0, fmt.Errorf("exact frontier empty at %v", x)
 		}
 		got := selection.Frontier(approx, x)
 		if len(got) == 0 {

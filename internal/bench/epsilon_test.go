@@ -5,6 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"mpq/internal/geometry"
+	"mpq/internal/plan"
+	"mpq/internal/pwl"
+	"mpq/internal/region"
+	"mpq/internal/selection"
 	"mpq/internal/workload"
 )
 
@@ -58,5 +63,25 @@ func TestRunEpsilon(t *testing.T) {
 	}
 	if n := strings.Count(progress.String(), "regret="); n != 2 {
 		t.Errorf("progress has %d rows, want 2:\n%s", n, progress.String())
+	}
+}
+
+// TestCertifyRegretRejectsEmptyExactFrontier: a point where no exact
+// plan's relevance region reaches has no reference answer, and the
+// certificate must fail there rather than skip it.
+func TestCertifyRegretRejectsEmptyExactFrontier(t *testing.T) {
+	ctx := geometry.NewSolver(geometry.Config{})
+	space := geometry.Interval(0, 1)
+	cost := pwl.NewMulti(pwl.Constant(space, 1), pwl.Constant(space, 2))
+	rr := region.New(ctx, space, region.DefaultOptions())
+	rr.Subtract(ctx, geometry.Interval(0.5, 1))
+	exact := []selection.Candidate{{Plan: plan.Scan(0, "a"), Cost: cost, RR: rr}}
+	approx := []selection.Candidate{{Plan: plan.Scan(0, "a"), Cost: cost}}
+	if r, err := certifyRegret(exact, approx, []geometry.Vector{{0.25}}); err != nil || r != 1 {
+		t.Fatalf("covered point: regret %v, err %v; want 1, nil", r, err)
+	}
+	_, err := certifyRegret(exact, approx, []geometry.Vector{{0.25}, {0.75}})
+	if err == nil || !strings.Contains(err.Error(), "exact frontier empty") {
+		t.Fatalf("err = %v, want an empty exact frontier error", err)
 	}
 }

@@ -76,12 +76,13 @@ type PWLAlgebra struct {
 	Ctx *geometry.Solver
 	// Modes is the per-metric accumulation of sub-plan costs.
 	Modes []pwl.AccumMode
-	// Compact merges equal-function pieces after accumulation, keeping
-	// piece counts near the shared approximation grid size.
+	// Compact merges equal-function pieces of accumulated costs,
+	// keeping piece counts near the shared approximation grid size.
+	// Accumulate only marks the merge pending on the *pwl.Multi it
+	// returns; the prune finishes it once the plan survives the
+	// whole-space screen (see finisher), so candidates dropped there
+	// are never compacted.
 	Compact bool
-	// SimplifyRegions removes redundant constraints from piece regions
-	// after accumulation (first refinement of Section 6.2).
-	SimplifyRegions bool
 }
 
 // NewPWLAlgebra returns a PWLAlgebra with compaction enabled and
@@ -106,20 +107,23 @@ func (a *PWLAlgebra) Dom(c1, c2 Cost) []*geometry.Polytope {
 }
 
 // Accumulate implements Algebra with the piecewise addition (and
-// min/max) of Algorithm 3.
+// min/max) of Algorithm 3. With Compact, the result carries pending
+// compaction.
 func (a *PWLAlgebra) Accumulate(step, c1, c2 Cost) Cost {
 	acc := pwl.AccumulateMulti(a.Ctx, a.Modes, step.(*pwl.Multi), c1.(*pwl.Multi), c2.(*pwl.Multi))
 	if a.Compact {
-		comps := make([]*pwl.Function, acc.NumMetrics())
-		for i := range comps {
-			comps[i] = pwl.Compact(a.Ctx, acc.Component(i))
-		}
-		acc = pwl.NewMulti(comps...)
-	}
-	if a.SimplifyRegions {
-		acc = pwl.SimplifyMulti(a.Ctx, acc)
+		acc = acc.WithPendingCompaction()
 	}
 	return acc
+}
+
+// finisher is a Cost that carries deferred construction work, such as
+// a *pwl.Multi with pending compaction. The mark travels on the cost
+// value, so it passes unchanged through any Algebra that wraps
+// PWLAlgebra. Finish does the work on s and reports whether there was
+// any; equal inputs give equal finished costs.
+type finisher interface {
+	Finish(s *geometry.Solver) bool
 }
 
 // Eval implements Algebra.

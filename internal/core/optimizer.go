@@ -522,13 +522,14 @@ func (w *worker) pruneExact(cur []*PlanInfo, c candidate) []*PlanInfo {
 // every screening sample gets its Dom computed first, and a Dom that
 // is the parameter space itself drops the newcomer outright. Most
 // dropped newcomers are dominated on the whole space by one old plan,
-// so this skips the region construction and its emptiness checks. The
-// Dom results are kept and reused at their own position in the
-// ordered loop, so a surviving newcomer's cutouts — and the plan set —
-// are exactly those of the plain loop. The test goes through
-// Algebra.Dom and Algebra.Eval only; whole-space dominance is a Dom
-// result equal to the space (see pwl.Dom and DESIGN.md, "Prune fast
-// path").
+// so this skips the region construction and its emptiness checks. A
+// surviving newcomer's cost is finished next (see finisher). When it
+// had nothing to finish, the Dom results are reused at their own
+// position in the ordered loop, so a surviving newcomer's cutouts —
+// and the plan set — are exactly those of the plain loop. The test
+// goes through Algebra.Dom and Algebra.Eval only; whole-space
+// dominance is a Dom result equal to the space (see pwl.Dom and
+// DESIGN.md, "Prune fast path").
 func (w *worker) pruneInsert(cur []*PlanInfo, c candidate) []*PlanInfo {
 	o := w.o
 	space := o.model.Space()
@@ -547,6 +548,13 @@ func (w *worker) pruneInsert(cur []*PlanInfo, c candidate) []*PlanInfo {
 			w.pruned++
 			return cur // dominated on the whole space by one old plan
 		}
+	}
+	// The newcomer survived the screen: finish its cost (PWL
+	// compaction) before its relevance region is built, so only
+	// survivors pay for it. The screen's Doms were built on the
+	// unfinished cost, so they are dropped and recomputed below.
+	if f, ok := cost.(finisher); ok && f.Finish(w.solver) {
+		known = nil
 	}
 	rr := region.New(w.solver, space, o.opts.Region)
 	for i, old := range cur {

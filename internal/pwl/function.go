@@ -206,8 +206,14 @@ func (f *Function) String() string {
 
 // Multi is a multi-objective PWL cost function: one single-objective
 // component per cost metric (the comps relationship of Figure 9).
+//
+// A Multi may carry pending compaction (see WithPendingCompaction):
+// its components are valid but not yet merged by Compact. Finish runs
+// the merge in place; a Multi with nothing pending is never written,
+// so it may be shared freely.
 type Multi struct {
-	comps []*Function
+	comps   []*Function
+	pending bool
 }
 
 // NewMulti builds a multi-objective function from per-metric components.
@@ -232,6 +238,27 @@ func (m *Multi) Dim() int { return m.comps[0].Dim() }
 
 // Component returns the single-objective function for metric i.
 func (m *Multi) Component(i int) *Function { return m.comps[i] }
+
+// WithPendingCompaction returns m marked for a later Compact of every
+// component, which Finish performs.
+func (m *Multi) WithPendingCompaction() *Multi {
+	return &Multi{comps: m.comps, pending: true}
+}
+
+// Finish compacts every component of m on ctx if compaction is
+// pending, and reports whether it was. The Multi must not be in
+// concurrent use while Finish runs.
+func (m *Multi) Finish(ctx *geometry.Solver) bool {
+	if !m.pending {
+		return false
+	}
+	comps := make([]*Function, len(m.comps))
+	for i, c := range m.comps {
+		comps[i] = Compact(ctx, c)
+	}
+	m.comps, m.pending = comps, false
+	return true
+}
 
 // Eval evaluates all components at x.
 func (m *Multi) Eval(x geometry.Vector) (geometry.Vector, bool) {

@@ -1,6 +1,8 @@
 package pwl
 
 import (
+	"math"
+
 	"mpq/internal/geometry"
 )
 
@@ -230,18 +232,12 @@ func Simplify(ctx *geometry.Solver, f *Function) *Function {
 	return &Function{dim: f.dim, pieces: pieces, cover: f.cover}
 }
 
-// SimplifyMulti applies Simplify to every component.
-func SimplifyMulti(ctx *geometry.Solver, m *Multi) *Multi {
-	comps := make([]*Function, m.NumMetrics())
-	for i := range comps {
-		comps[i] = Simplify(ctx, m.Component(i))
-	}
-	return NewMulti(comps...)
-}
-
 // Compact merges pieces that share the same linear function whenever
 // their union is convex (recognized with the Bemporad et al. algorithm),
-// reducing piece counts after accumulation.
+// reducing piece counts after accumulation. Pieces count as sharing a
+// function when their coefficients agree after rounding to 10 decimal
+// digits (see appendFloat); the merged piece keeps the first piece's
+// W and B.
 func Compact(ctx *geometry.Solver, f *Function) *Function {
 	groups := make(map[string][]Piece)
 	var order []string
@@ -285,11 +281,19 @@ func pieceKey(p Piece) string {
 }
 
 func appendFloat(b []byte, v float64) []byte {
-	// Round to 10 decimal digits for grouping.
+	// Round to 10 decimal digits for grouping. Where the rounded value
+	// leaves int64's range the conversion would collapse distinct
+	// values onto one key, so those values key on their exact bits,
+	// under a different separator so the two key kinds never collide.
 	const scale = 1e10
-	r := int64(v * scale)
+	r, sep := uint64(0), byte('|')
+	if s := v * scale; s >= -0x1p63 && s < 0x1p63 {
+		r = uint64(int64(s))
+	} else {
+		r, sep = math.Float64bits(v), '#'
+	}
 	for i := 0; i < 8; i++ {
 		b = append(b, byte(r>>(8*i)))
 	}
-	return append(b, '|')
+	return append(b, sep)
 }

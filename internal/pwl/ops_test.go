@@ -192,6 +192,63 @@ func TestCompactMergesPieces(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsLargeCoefficientsApart: base costs of 1e9 and 2e9
+// round to keys outside int64's range; they must still key apart, so
+// the two adjacent pieces stay separate and Eval(0.9) is 2e9.
+func TestCompactKeepsLargeCoefficientsApart(t *testing.T) {
+	ctx := geometry.NewSolver(geometry.Config{})
+	f := NewFunction(
+		Piece{Region: geometry.Interval(0, 0.5), W: geometry.Vector{0}, B: 1e9},
+		Piece{Region: geometry.Interval(0.5, 1), W: geometry.Vector{0}, B: 2e9},
+	)
+	c := Compact(ctx, f)
+	if c.NumPieces() != 2 {
+		t.Fatalf("compact produced %d pieces, want 2", c.NumPieces())
+	}
+	if v := c.MustEval(geometry.Vector{0.9}); v != 2e9 {
+		t.Errorf("Eval(0.9) = %v, want 2e9", v)
+	}
+	// Equal large coefficients still merge.
+	g := NewFunction(
+		Piece{Region: geometry.Interval(0, 0.5), W: geometry.Vector{0}, B: 2e9},
+		Piece{Region: geometry.Interval(0.5, 1), W: geometry.Vector{0}, B: 2e9},
+	)
+	if n := Compact(ctx, g).NumPieces(); n != 1 {
+		t.Errorf("equal large pieces compacted to %d pieces, want 1", n)
+	}
+}
+
+// TestFinishCompactsPendingMulti: a Multi marked for compaction keeps
+// its pieces until Finish, which compacts every component exactly as
+// Compact does, once; the unmarked original is not modified.
+func TestFinishCompactsPendingMulti(t *testing.T) {
+	ctx := geometry.NewSolver(geometry.Config{})
+	split := NewFunction(
+		Piece{Region: geometry.Interval(0, 0.5), W: geometry.Vector{2}, B: 1},
+		Piece{Region: geometry.Interval(0.5, 1), W: geometry.Vector{2}, B: 1},
+	)
+	orig := NewMulti(split, Constant(geometry.Interval(0, 1), 3))
+	if orig.pending || orig.Finish(ctx) {
+		t.Fatal("an unmarked Multi must have nothing pending")
+	}
+	m := orig.WithPendingCompaction()
+	if !m.pending || m.TotalPieces() != 3 {
+		t.Fatalf("marked Multi: pending %v, %d pieces; want pending with 3 pieces", m.pending, m.TotalPieces())
+	}
+	if !m.Finish(ctx) {
+		t.Fatal("Finish reported nothing pending on a marked Multi")
+	}
+	if m.pending || m.TotalPieces() != 2 {
+		t.Fatalf("finished Multi: pending %v, %d pieces; want finished with 2 pieces", m.pending, m.TotalPieces())
+	}
+	if m.Finish(ctx) {
+		t.Error("a second Finish reported pending work")
+	}
+	if orig.TotalPieces() != 3 {
+		t.Errorf("Finish modified the unmarked original: %d pieces, want 3", orig.TotalPieces())
+	}
+}
+
 // TestDomMatchesPointwise is the central property test of the dominance
 // computation: a sampled point is inside some dominance polytope exactly
 // when c1 is at most c2 on every metric at that point.
