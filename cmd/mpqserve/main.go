@@ -47,8 +47,7 @@
 // points a fleet of mpqserve processes at one shared on-disk plan-set
 // store so each template is computed once per fleet, and -peers lists
 // sibling servers to fetch prepared documents from before computing.
-// -prepare-max caps concurrently optimizing Prepares; -donate lends
-// idle pool workers to in-flight Prepares' split jobs.
+// -donate lends idle pool workers to in-flight Prepares' split jobs.
 //
 // -epsilon sets the server's default precision tier: ε > 0 prepares
 // ε-approximate Pareto frontiers (every served plan within a (1+ε)
@@ -100,7 +99,6 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", 0, "in-memory plan-set cache budget in bytes (0 = unbounded)")
 		sharedDir  = flag.String("shared-dir", "", "shared plan-set store directory for a fleet of servers")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs to fetch prepared plan sets from")
-		prepMax    = flag.Int("prepare-max", 0, "max concurrently optimizing Prepares (0 = no cap)")
 		donate     = flag.Bool("donate", true, "donate idle pool workers to in-flight Prepares' split jobs")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
 		epsilon    = flag.Float64("epsilon", 0, "default ε approximation factor for Prepares (0 = exact Pareto sets; a request's \"epsilon\" field overrides)")
@@ -124,9 +122,8 @@ func main() {
 
 	opts := serve.Options{
 		Workers: *workers, QueueDepth: *queue, Dir: *dir, Index: *useIdx,
-		CacheBytes:            *cacheBytes,
-		MaxConcurrentPrepares: *prepMax,
-		DonateWorkers:         *donate,
+		CacheBytes:    *cacheBytes,
+		DonateWorkers: *donate,
 	}
 	if *epsilon > 0 {
 		// A zero Optimizer selects core.DefaultOptions inside serve.New;

@@ -107,7 +107,7 @@ func TestHTTPProtocol(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Prepares != 1 || stats.Picks < 9 || stats.CachedPlanSets != 1 {
+	if stats.Prepares != 1 || stats.Picks < 9 || stats.Cache.ResidentEntries != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }

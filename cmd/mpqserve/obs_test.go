@@ -92,10 +92,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("counters regressed: %v", errs)
 	}
 	want := map[string]float64{
-		"mpq_prepares_total":        1,
-		"mpq_picks_total":           3,
-		"mpq_prepare_seconds_count": 1,
-		"mpq_cached_plan_sets":      1,
+		"mpq_prepares_total":         1,
+		"mpq_picks_total":            3,
+		"mpq_prepare_seconds_count":  1,
+		"mpq_cache_resident_entries": 1,
 	}
 	got := map[string]float64{}
 	for _, f := range after {

@@ -134,9 +134,8 @@
 // with ServeOptions.Peers, other servers over HTTP — before
 // optimizing, so each template is computed once per fleet. The
 // in-memory cache is bounded by ServeOptions.CacheBytes (size-aware
-// LRU; evicted plan sets reload transparently at pick time), and
-// ServeOptions.MaxConcurrentPrepares keeps expensive Prepares from
-// monopolizing the solver pool. Two servers over one shared directory:
+// LRU; evicted plan sets reload transparently at pick time). Two
+// servers over one shared directory:
 //
 //	shared, _ := mpq.NewSharedDirStore("/var/lib/mpq/plansets")
 //	a := mpq.NewServer(mpq.ServeOptions{Workers: 4, Index: true, Shared: shared})
@@ -156,7 +155,7 @@
 // (computed, loaded from the shared dir, or fetched from a peer), and
 // Close flushes the store on the way out. ServeStats exposes the fleet
 // counters: Cache (admitted − evicted = resident), SharedHits,
-// PeerHits, SharedPuts, Reloads, Admission and DonatedTasks. See
+// PeerHits, SharedPuts, Reloads and DonatedTasks. See
 // DESIGN.md, "Fleet serving".
 //
 // # Failure domains
@@ -164,7 +163,7 @@
 // Every serving entry point takes a context: a cancelled or expired
 // request is abandoned at the next cooperative checkpoint — before its
 // job runs, between scheduler tasks mid-optimization — releasing its
-// worker, admission slot, and singleflight key without disturbing
+// worker and singleflight key without disturbing
 // concurrent requests for the same template (they retry the flight).
 // Cancellation is passive, so a run that is never cancelled stays
 // byte-identical to an unbounded one. A deadline-bounded Prepare
@@ -188,17 +187,17 @@
 // so a corrupt peer response degrades to a counted miss, never a
 // poisoned cache entry. The on-disk stores write through fsync'd
 // temp-file-plus-rename; a blob that disagrees with its manifest is
-// quarantined and recomputed, and ServeStats counts every failure
-// kind (Cancellations, DeadlineExpiries, PeerRetries,
-// PeerBreakerTrips, QuarantinedBlobs). See DESIGN.md, "Failure
-// domains".
+// quarantined and recomputed. ServeStats counts the server's failure
+// kinds (Cancellations, DeadlineExpiries, QuarantinedBlobs) and
+// PeerStats the peer client's (Retries, BreakerTrips); /metrics
+// exports both. See DESIGN.md, "Failure domains".
 //
 // # Observability
 //
 // A running mpqserve is scrapable: every ServeStats field is exported
 // in the Prometheus text format on GET /metrics (internal/obs, a
 // zero-dependency registry), Prepare flights are traced per phase
-// (admission wait, queue wait, lookup, optimize, index build, save)
+// (queue wait, lookup, optimize, index build, save)
 // into a bounded ring served as histograms and as JSON on
 // GET /debug/traces. Scraping a server:
 //
@@ -229,8 +228,7 @@
 // the generic algorithm), store (the versioned plan-set serialization
 // format), selection (run-time plan selection policies), serve (the
 // optimizer-as-a-service layer), fleet (the memory-bounded cache,
-// shared plan-set store, peer fetches and admission control behind
-// fleet serving), obs (the metrics registry, exposition
+// shared plan-set store and peer fetches behind fleet serving), obs (the metrics registry, exposition
 // parser/linter and Prepare trace ring) and
 // bench (the Figure 12 experiment harness with its CI regression
 // gate).

@@ -77,5 +77,5 @@ func main() {
 
 	stats := server.Stats()
 	fmt.Printf("server stats: prepares=%d hits=%d picks=%d cachedSets=%d LPs=%d\n",
-		stats.Prepares, stats.PrepareHits, stats.Picks, stats.CachedPlanSets, stats.Geometry.LPs)
+		stats.Prepares, stats.PrepareHits, stats.Picks, stats.Cache.ResidentEntries, stats.Geometry.LPs)
 }

@@ -334,6 +334,56 @@ func TestBemporadCoverGroundTruth(t *testing.T) {
 	}
 }
 
+// TestBemporadDropsSliverPlans: the convexity test is not only a
+// shortcut in front of region difference. It decides coverage with its
+// own tolerances, and on clique-1p/5t/s1 it declares regions empty
+// that region difference alone (StrategyCoverDiff) leaves a thin
+// uncovered sliver in, so the region-difference plan set keeps a plan
+// more. Every extra plan is weakly dominated by the Bemporad set, so
+// the two sets cover each other at every point of a 401-point grid.
+func TestBemporadDropsSliverPlans(t *testing.T) {
+	schema, model, _ := cloudSetup(t, 5, 1, workload.Clique, 1)
+	plans := map[region.EmptinessStrategy][]*core.PlanInfo{}
+	for _, strat := range []region.EmptinessStrategy{region.StrategyBemporad, region.StrategyCoverDiff} {
+		opts := core.DefaultOptions()
+		opts.Region.Strategy = strat
+		opts.Context = geometry.NewSolver(geometry.Config{})
+		opts.Workers = 1
+		res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
+		if err != nil {
+			t.Fatalf("%v: optimize: %v", strat, err)
+		}
+		plans[strat] = res.Plans
+	}
+	bem, diff := plans[region.StrategyBemporad], plans[region.StrategyCoverDiff]
+	if len(bem) > len(diff) {
+		t.Errorf("Bemporad keeps %d plans, region difference %d", len(bem), len(diff))
+	}
+	lo, hi := schema.ParameterBounds()
+	points := geometry.SamplePointsInBox(lo, hi, 401, 401)
+	algebra := core.NewPWLAlgebra(geometry.NewSolver(geometry.Config{}), 2)
+	covers := func(by, of []*core.PlanInfo, x geometry.Vector) bool {
+		for _, p := range of {
+			pc := algebra.Eval(p.Cost, x)
+			if !slices.ContainsFunc(by, func(q *core.PlanInfo) bool {
+				return weaklyDominatesTol(algebra.Eval(q.Cost, x), pc, 1e-9)
+			}) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, x := range points {
+		if !covers(bem, diff, x) {
+			t.Fatalf("x=%v: the Bemporad set misses a region-difference plan", x)
+		}
+		if !covers(diff, bem, x) {
+			t.Fatalf("x=%v: the region-difference set misses a Bemporad plan", x)
+		}
+	}
+	t.Logf("Bemporad %d plans, region difference %d, %d points", len(bem), len(diff), len(points))
+}
+
 // checkGroundTruth optimizes one generated template with the default
 // options and requires every plan of the full bushy plan space to be
 // weakly dominated by a kept plan at every point of a perDim^params

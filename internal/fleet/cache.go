@@ -14,11 +14,11 @@
 //     concurrency-safe on-disk implementation (atomic rename writes,
 //     content-hashed fsync'd manifest), PeerClient fetches documents
 //     over HTTP from sibling servers.
-//   - Admission is per-template admission control: one global cap
-//     bounds how many expensive Prepares may occupy solver-pool
-//     workers concurrently, so hot templates queue behind their own
-//     key (the serving layer's singleflight) instead of starving the
-//     pool.
+//
+// Prepare concurrency is not this package's concern: the serving
+// layer's singleflight collapses requests for one key, its bounded
+// request queue refuses work beyond its depth, and picks on resident
+// plan sets never enter the pool.
 //
 // See DESIGN.md, "Fleet serving".
 package fleet

@@ -7,8 +7,8 @@ import (
 
 // Prepare phase tracing: the serving layer starts a PrepareTrace per
 // load-or-optimize flight, marks phase boundaries as it moves through
-// the pipeline (admission wait, queue wait, source lookup, optimize,
-// index build, save), and finishes it into a bounded in-memory ring of
+// the pipeline (queue wait, source lookup, optimize, index build,
+// save), and finishes it into a bounded in-memory ring of
 // recent events. The ring is the /debug/traces JSON dump; with
 // Instrument, every finished phase is also observed into per-phase
 // latency histograms on a Registry, so /metrics carries the

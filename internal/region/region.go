@@ -264,11 +264,17 @@ func (r *Region) IsEmpty(ctx *geometry.Solver) bool {
 	}
 	if r.opts.Strategy == StrategyBemporad {
 		// Theorem 5: a convex union (Bemporad et al. convexity
-		// recognition) covers the space iff it contains it. The test is
-		// only a shortcut: cutouts may extend past the space, so a
-		// non-convex union — or a convex one that does not contain the
-		// space up to tolerance — can still cover it. Region difference
-		// below decides those cases.
+		// recognition) covers the space iff it contains it. A "no" is
+		// not final: cutouts may extend past the space, so a non-convex
+		// union — or a convex one that does not contain the space up to
+		// tolerance — can still cover it, and region difference below
+		// decides those cases. A "yes" is final, and it is not always
+		// the answer region difference would give: the convexity
+		// test's tolerances also call a union covering where region
+		// difference still finds a full-dimensional sliver, so this
+		// strategy drops plans StrategyCoverDiff keeps. On the measured
+		// templates each such plan is weakly dominated by the plans
+		// this strategy keeps (DESIGN.md, "Emptiness with tolerance").
 		if u, convex := ctx.UnionConvex(r.cutouts); convex && ctx.Contains(u, r.space) {
 			return true
 		}

@@ -126,8 +126,7 @@ func TestPickDeadlineExpired(t *testing.T) {
 // TestPrepareAbandonedWhileQueued wedges the only worker, queues a
 // Prepare, cancels it, and verifies the abandoned job never runs: the
 // caller returns promptly with context.Canceled, and the server keeps
-// serving afterwards — no leaked worker, admission slot, or
-// singleflight key.
+// serving afterwards — no leaked worker or singleflight key.
 func TestPrepareAbandonedWhileQueued(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4})
 	defer s.Close()
@@ -191,9 +190,6 @@ func TestPrepareAbandonedWhileQueued(t *testing.T) {
 	if st.Cancellations != 1 {
 		t.Errorf("cancellations = %d, want 1", st.Cancellations)
 	}
-	if st.Admission.Running != 0 || st.Admission.Queued != 0 {
-		t.Errorf("admission not quiescent: %+v", st.Admission)
-	}
 }
 
 // TestPrepareDeadlineMidOptimize cancels an optimization that is
@@ -201,8 +197,8 @@ func TestPrepareAbandonedWhileQueued(t *testing.T) {
 // it well before completion (the workload takes seconds on one worker),
 // the expiry must be counted, and the same server must then complete
 // the same template cleanly — proving the abandoned run released its
-// worker, admission slot, and singleflight key. The recovery Prepare
-// takes the same flight, admission and worker path, but finds the
+// worker and singleflight key. The recovery Prepare takes the same
+// flight and worker path, but finds the
 // template's document in the shared store, armed only once the
 // deadline has expired, instead of optimizing it again.
 func TestPrepareDeadlineMidOptimize(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mpq/internal/core"
 	"mpq/internal/fleet"
@@ -227,9 +226,6 @@ func TestServeStatsAccountingBalance(t *testing.T) {
 		if st.Cache.Admissions-st.Cache.Evictions != int64(st.Cache.ResidentEntries) {
 			t.Errorf("entry accounting unbalanced: admitted %d − evicted %d != resident %d",
 				st.Cache.Admissions, st.Cache.Evictions, st.Cache.ResidentEntries)
-		}
-		if st.CachedPlanSets != st.Cache.ResidentEntries {
-			t.Errorf("CachedPlanSets = %d, cache reports %d residents", st.CachedPlanSets, st.Cache.ResidentEntries)
 		}
 	}
 
@@ -461,51 +457,5 @@ func TestServerDonatesIdleWorkers(t *testing.T) {
 	}
 	if st.SplitJobs == 0 {
 		t.Error("no split jobs recorded despite SplitCandidates=1")
-	}
-}
-
-// TestMaxConcurrentPrepares: with a cap of 1, concurrent Prepares of
-// distinct templates serialize through the admission queue (and all
-// succeed).
-func TestMaxConcurrentPrepares(t *testing.T) {
-	s := New(Options{Workers: 4, MaxConcurrentPrepares: 1})
-	defer s.Close()
-	// Occupy the only admission slot so the Prepares demonstrably queue
-	// behind the cap, deterministically.
-	release, _ := s.admission.Acquire(context.Background())
-	seeds := []int64{21, 33, 47}
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(seeds))
-	for _, seed := range seeds {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			if _, err := prepareRetrying(s, testTemplate(seed)); err != nil {
-				errCh <- err
-			}
-		}(seed)
-	}
-	for s.admission.Stats().Queued < len(seeds) {
-		// All three must be waiting before the slot frees.
-		time.Sleep(100 * time.Microsecond)
-	}
-	release()
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-	st := s.Stats()
-	if st.Admission.Admitted != 4 { // the held slot + three Prepares
-		t.Errorf("admitted = %d, want 4", st.Admission.Admitted)
-	}
-	if st.Admission.Waited == 0 {
-		t.Error("no Prepare queued behind the admission cap")
-	}
-	if st.Admission.Running != 0 || st.Admission.Queued != 0 {
-		t.Errorf("admission not quiescent: %+v", st.Admission)
-	}
-	if st.CachedPlanSets != 3 {
-		t.Errorf("cached plan sets = %d, want 3", st.CachedPlanSets)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // and /stats answers reconcilable forever.
 //
 // Kind discipline: a Stats field that can decrease — gauges over the
-// resident cache, admission occupancy, the index aggregates recomputed
+// resident cache, the index aggregates recomputed
 // from resident entries, the utilization ratio — must map to a gauge;
 // everything monotonic maps to a counter, which the CI exposition lint
 // verifies across scrapes.
@@ -66,8 +66,6 @@ var statMetrics = []statMetric{
 	{"Index.BatchPoints", "mpq_pick_batch_points_total", "Points carried by PickBatch requests.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.Index.BatchPoints) }},
 
-	{"CachedPlanSets", "mpq_cached_plan_sets", "Plan sets resident in the in-memory cache.", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.CachedPlanSets) }},
 	{"Cache.ResidentEntries", "mpq_cache_resident_entries", "Entries resident in the memory-accounted cache.", obs.KindGauge,
 		func(st *Stats) float64 { return float64(st.Cache.ResidentEntries) }},
 	{"Cache.ResidentBytes", "mpq_cache_resident_bytes", "Accounted bytes resident in the cache.", obs.KindGauge,
@@ -103,31 +101,8 @@ var statMetrics = []statMetric{
 		func(st *Stats) float64 { return float64(st.Cancellations) }},
 	{"DeadlineExpiries", "mpq_deadline_expiries_total", "Requests that ended with context.DeadlineExceeded.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.DeadlineExpiries) }},
-	{"PeerRetries", "mpq_peer_retries_total", "Re-attempts of failed peer requests.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.PeerRetries) }},
-	{"PeerBreakerTrips", "mpq_peer_breaker_trips_total", "Peer circuit-breaker closed-to-open transitions.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.PeerBreakerTrips) }},
 	{"QuarantinedBlobs", "mpq_quarantined_blobs_total", "Corrupt blobs quarantined by the shared store.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.QuarantinedBlobs) }},
-
-	// Admitted decrements when an acquisition is cancelled while queued
-	// (fleet.Admission), so it is a gauge despite the counter-ish name.
-	{"Admission.Admitted", "mpq_admission_admitted", "Prepare admissions that got a slot (net of cancelled-while-queued).", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Admission.Admitted) }},
-	{"Admission.Waited", "mpq_admission_waited_total", "Prepare admissions that had to queue.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Admission.Waited) }},
-	{"Admission.Cancelled", "mpq_admission_cancelled_total", "Prepare admissions cancelled while queued.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.Admission.Cancelled) }},
-	{"Admission.WaitTime", "mpq_admission_wait_seconds_total", "Seconds Prepare admissions spent queued.", obs.KindCounter,
-		func(st *Stats) float64 { return secs(int64(st.Admission.WaitTime)) }},
-	{"Admission.Running", "mpq_admission_running", "Prepares currently holding an admission slot.", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Admission.Running) }},
-	{"Admission.Queued", "mpq_admission_queued", "Prepares currently queued for admission.", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Admission.Queued) }},
-	{"Admission.MaxQueued", "mpq_admission_max_queued", "High-water mark of the admission wait queue.", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Admission.MaxQueued) }},
-	{"Admission.Cap", "mpq_admission_cap", "Configured admission concurrency cap (0 = unlimited).", obs.KindGauge,
-		func(st *Stats) float64 { return float64(st.Admission.Cap) }},
 
 	{"DonatedTasks", "mpq_donated_tasks_total", "Idle-worker stints donated to in-flight Prepares' split jobs.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.DonatedTasks) }},
@@ -176,12 +151,14 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 		}
 	}
 	var peer struct {
-		fetches, fetchHits, errors, skips, corrupt *obs.Counter
+		fetches, fetchHits, errors, retries, trips, skips, corrupt *obs.Counter
 	}
 	if s.opts.Peers != nil {
 		peer.fetches = reg.Counter("mpq_peer_fetches_total", "Peer fetch attempts (fleet.PeerClient).")
 		peer.fetchHits = reg.Counter("mpq_peer_fetch_hits_total", "Peer fetches answered by some peer.")
 		peer.errors = reg.Counter("mpq_peer_errors_total", "Per-peer request failures after retries.")
+		peer.retries = reg.Counter("mpq_peer_retries_total", "Re-attempts of failed peer requests.")
+		peer.trips = reg.Counter("mpq_peer_breaker_trips_total", "Peer circuit-breaker closed-to-open transitions.")
 		peer.skips = reg.Counter("mpq_peer_breaker_skips_total", "Peer requests not sent because a breaker was open.")
 		peer.corrupt = reg.Counter("mpq_peer_corrupt_total", "Peer responses rejected by integrity validation.")
 	}
@@ -195,6 +172,8 @@ func (s *Server) RegisterMetrics(reg *obs.Registry) {
 			peer.fetches.SetTotal(float64(ps.Fetches))
 			peer.fetchHits.SetTotal(float64(ps.Hits))
 			peer.errors.SetTotal(float64(ps.Errors))
+			peer.retries.SetTotal(float64(ps.Retries))
+			peer.trips.SetTotal(float64(ps.BreakerTrips))
 			peer.skips.SetTotal(float64(ps.BreakerSkips))
 			peer.corrupt.SetTotal(float64(ps.Corrupt))
 			// Per-peer breaker children register idempotently per URL, so

@@ -89,12 +89,11 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 	ring.Instrument(reg)
 
 	s := New(Options{
-		Workers:               2,
-		Dir:                   t.TempDir(),
-		Index:                 true,
-		CacheBytes:            1 << 20,
-		MaxConcurrentPrepares: 1,
-		Trace:                 ring,
+		Workers:    2,
+		Dir:        t.TempDir(),
+		Index:      true,
+		CacheBytes: 1 << 20,
+		Trace:      ring,
 	})
 	defer s.Close()
 	s.RegisterMetrics(reg)
@@ -203,7 +202,7 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 		for _, p := range ev.Phases {
 			phases = append(phases, p.Name)
 		}
-		want := "admission_wait queue_wait lookup optimize index_build save"
+		want := "queue_wait lookup optimize index_build save"
 		if strings.Join(phases, " ") != want {
 			t.Fatalf("phases = %v, want %q", phases, want)
 		}

@@ -104,17 +104,47 @@ func TestPlanSetKeyCarriesRevision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := planSetKey(schema, cfg, s.opts.Optimizer, s.opts.Solver, 0)
+	key, err := planSetKey(schema, cfg, s.opts.Optimizer, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rev, wantSame := range map[int]bool{core.Revision: true, core.Revision - 1: false, core.Revision + 1: false} {
-		got, err := planSetKeyAt(rev, schema, cfg, s.opts.Optimizer, s.opts.Solver, 0)
+		got, err := planSetKeyAt(rev, schema, cfg, s.opts.Optimizer, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if (got == key) != wantSame {
 			t.Errorf("revision %d: key %s, current revision's %s (want equal: %v)", rev, got, key, wantSame)
+		}
+	}
+}
+
+// TestPlanSetKeyStable pins the plan-set keys of one template at a
+// fixed optimizer revision. A key that moves orphans every document
+// stored under it (restart directories, shared stores, peers), so any
+// change to what the key hashes — the pool's geometry tolerances
+// included — must show up here as a deliberate edit.
+func TestPlanSetKeyStable(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	schema, cfg, err := testTemplate(21).resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		epsilon float64
+		want    string
+	}{
+		{0, "4a2868935fdec7824eaa5e5f7b4849a0"},
+		{0.05, "35c35e4e587b932b91a0e6f301322ec8"},
+	} {
+		// A fixed revision, so core.Revision bumps leave the pins alone.
+		got, err := planSetKeyAt(2, schema, cfg, s.opts.Optimizer, tc.epsilon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("ε %v: key %s, want %s", tc.epsilon, got, tc.want)
 		}
 	}
 }
@@ -138,7 +168,7 @@ func TestKeyMemo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := planSetKey(schema, cfg, s.opts.Optimizer, s.opts.Solver, eps)
+		key, err := planSetKey(schema, cfg, s.opts.Optimizer, eps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,10 +21,8 @@
 // Options.Shared consults and feeds a shared plan-set store so sibling
 // servers never recompute each other's templates, Options.Peers
 // fetches prepared documents from sibling processes over HTTP before
-// optimizing, Options.MaxConcurrentPrepares keeps expensive Prepares
-// from monopolizing the pool, and Options.DonateWorkers lends idle
-// pool workers to in-flight Prepares' split jobs. See DESIGN.md,
-// "Fleet serving".
+// optimizing, and Options.DonateWorkers lends idle pool workers to
+// in-flight Prepares' split jobs. See DESIGN.md, "Fleet serving".
 package serve
 
 import (
@@ -88,9 +86,6 @@ type Options struct {
 	// Prepare and defaults to 1, since the pool already runs requests
 	// concurrently. The configuration is part of the cache key.
 	Optimizer core.Options
-	// Solver is the shared immutable geometry configuration of the
-	// pool; zero fields take the defaults.
-	Solver geometry.Config
 	// Dir, when non-empty, persists every prepared plan set as
 	// <key>.json in this directory and serves cache misses from it
 	// before optimizing — the embedded-SQL deployment model where plan
@@ -103,11 +98,9 @@ type Options struct {
 	// are indexed on load. The full linear candidate scan remains the
 	// verified fallback — for servers with the knob off, and for points
 	// outside an index's box — and returns byte-identical results.
+	// Index builds take the index package defaults and parallelize
+	// across the pool's width.
 	Index bool
-	// IndexOptions tunes the index build; zero fields take the index
-	// package defaults, except Workers, which defaults to the pool size
-	// (the build parallelizes across the solver pool's width).
-	IndexOptions index.Options
 	// CacheBytes bounds the in-memory plan-set cache: every cached
 	// entry is charged its serialized document size plus its pick
 	// index's footprint (the tree and its per-leaf candidate views),
@@ -130,12 +123,6 @@ type Options struct {
 	// Shared. The fetch-vs-compute race is covered by the per-key
 	// singleflight: one request fetches or computes, the rest wait.
 	Peers *fleet.PeerClient
-	// MaxConcurrentPrepares caps how many Prepares may occupy pool
-	// workers at once (FIFO beyond the cap). Requests for one template
-	// already collapse onto a single computation via the per-key
-	// singleflight; the cap keeps *distinct* expensive templates from
-	// starving Picks out of the pool. Zero means no cap.
-	MaxConcurrentPrepares int
 	// DonateWorkers lends idle pool workers to in-flight Prepares'
 	// intra-mask split jobs (elastic intra-query parallelism): when the
 	// request queue is empty and workers are idle, an optimizing
@@ -149,9 +136,9 @@ type Options struct {
 	FS faultfs.FS
 	// Trace, when non-nil, records every Prepare flight that reaches the
 	// load-or-optimize pipeline into the ring: per-phase timings
-	// (admission wait, queue wait, source lookup, optimize, index build,
-	// save) plus the document's source. Instrumented rings additionally
-	// feed per-phase latency histograms (see obs.TraceRing.Instrument).
+	// (queue wait, source lookup, optimize, index build, save) plus the
+	// document's source. Instrumented rings additionally feed per-phase
+	// latency histograms (see obs.TraceRing.Instrument).
 	// Nil disables tracing — the hot path pays one nil check.
 	Trace *obs.TraceRing
 }
@@ -310,10 +297,9 @@ type Stats struct {
 	// and how many pick points the index served versus the linear-scan
 	// fallback).
 	Index IndexStats
-	// CachedPlanSets is the current cache size (resident entries).
-	CachedPlanSets int
 	// Cache is the memory-accounted plan-set cache's accounting:
 	// resident/admitted/evicted bytes and entries, re-admissions, pins.
+	// Cache.ResidentEntries is the number of cached plan sets.
 	// Admitted − evicted = resident at every quiescent point.
 	Cache fleet.CacheStats
 	// SharedHits counts documents served from Options.Shared (Prepare
@@ -332,16 +318,11 @@ type Stats struct {
 	// Prepare/Pick/PickBatch call, at the API boundary.
 	Cancellations    int64
 	DeadlineExpiries int64
-	// PeerRetries and PeerBreakerTrips mirror the peer client's
-	// resilience counters (fleet.PeerStats); QuarantinedBlobs mirrors
-	// the shared store's corrupt-blob quarantine counter. All zero when
-	// the corresponding backend is not configured.
-	PeerRetries      int64
-	PeerBreakerTrips int64
+	// QuarantinedBlobs mirrors the shared store's corrupt-blob
+	// quarantine counter; zero without a shared store. The peer
+	// client's own counters (retries, breaker trips) are in
+	// Options.Peers.Stats and on /metrics.
 	QuarantinedBlobs int64
-	// Admission reports the Prepare admission controller (running,
-	// queued, waited, wait time) when MaxConcurrentPrepares is set.
-	Admission fleet.AdmissionStats
 	// DonatedTasks counts idle-worker stints donated to in-flight
 	// Prepares' split jobs (Options.DonateWorkers); DonatedMasks the
 	// whole ready masks those stints planned (mask-level donation
@@ -397,14 +378,13 @@ type IndexStats struct {
 // Server is a long-lived optimizer service. Create with New, release
 // with Close. All methods are safe for concurrent use.
 type Server struct {
-	opts      Options
-	fs        faultfs.FS
-	queue     chan *job
-	wg        sync.WaitGroup
-	cache     *fleet.Cache
-	admission *fleet.Admission
-	busy      atomic.Int64 // pool workers currently inside a job
-	picks     pickCounters
+	opts  Options
+	fs    faultfs.FS
+	queue chan *job
+	wg    sync.WaitGroup
+	cache *fleet.Cache
+	busy  atomic.Int64 // pool workers currently inside a job
+	picks pickCounters
 
 	mu        sync.RWMutex
 	closed    bool
@@ -576,17 +556,8 @@ func New(opts Options) *Server {
 	if opts.Optimizer == (core.Options{}) {
 		opts.Optimizer = core.DefaultOptions()
 	}
-	// Normalize the solver configuration up front: equivalent
-	// configurations (zero fields vs explicit defaults) must produce
-	// the same pool behavior and the same cache keys.
-	opts.Solver = geometry.NewSolver(opts.Solver).Config
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 8 * opts.Workers
-	}
-	if opts.IndexOptions.Workers <= 0 {
-		// Index builds parallelize across the pool's width (the building
-		// worker's siblings are idle while its Prepare holds them off).
-		opts.IndexOptions.Workers = opts.Workers
 	}
 	fsys := opts.FS
 	if fsys == nil {
@@ -597,13 +568,12 @@ func New(opts Options) *Server {
 		fs:        fsys,
 		queue:     make(chan *job, opts.QueueDepth),
 		cache:     fleet.NewCache(opts.CacheBytes),
-		admission: fleet.NewAdmission(opts.MaxConcurrentPrepares),
 		inflight:  make(flights[PrepareResult]),
 		reloading: make(flights[*entry]),
 		keys:      make(map[keyMemoKey]string),
 	}
 	for i := 0; i < opts.Workers; i++ {
-		w := &worker{solver: geometry.NewSolver(opts.Solver)}
+		w := &worker{solver: geometry.NewSolver(geometry.Config{})}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -676,15 +646,8 @@ func (s *Server) Stats() Stats {
 	st.Index.BatchRequests = s.picks.batchRequests.Load()
 	st.Index.BatchPoints = s.picks.batchPoints.Load()
 	st.Cache = s.cache.Stats()
-	st.CachedPlanSets = st.Cache.ResidentEntries
-	st.Admission = s.admission.Stats()
 	if q, ok := s.opts.Shared.(interface{ Quarantined() int64 }); ok {
 		st.QuarantinedBlobs = q.Quarantined()
-	}
-	if s.opts.Peers != nil {
-		ps := s.opts.Peers.Stats()
-		st.PeerRetries = ps.Retries
-		st.PeerBreakerTrips = ps.BreakerTrips
 	}
 	if st.PipelineCapacity > 0 {
 		st.PipelineUtilization = float64(st.PipelineBusy) / float64(st.PipelineCapacity)
@@ -784,7 +747,7 @@ func (s *Server) templateKey(tpl Template) (key string, epsilon float64, schema 
 	if epsErr != nil {
 		return "", 0, nil, cloud.Config{}, epsErr
 	}
-	if key, err = planSetKey(schema, cloudCfg, s.opts.Optimizer, s.opts.Solver, epsilon); err != nil {
+	if key, err = planSetKey(schema, cloudCfg, s.opts.Optimizer, epsilon); err != nil {
 		return "", 0, nil, cloud.Config{}, err
 	}
 	if memo {
@@ -816,18 +779,20 @@ func (s *Server) resolveEpsilon(tpl Template) (float64, error) {
 // configuration that changes results (region refinements, Cartesian
 // postponement, and the approximation factor — the worker count does
 // not, by the determinism guarantee of the parallel wavefront), the
-// geometry tolerances (which steer pruning decisions), the optimizer
-// revision (core.Revision, so a directory, shared store or peer filled
-// by a build that prunes differently never answers for this one), and
-// the store format version the cached sets round-trip through. The
+// pool's geometry tolerances (which steer pruning decisions; always the
+// defaults, and still hashed so that documents stored under earlier
+// keys keep them), the optimizer revision (core.Revision, so a
+// directory, shared store or peer filled by a build that prunes
+// differently never answers for this one), and the store format
+// version the cached sets round-trip through. The
 // epsilon field is what lets precision tiers share one fleet: the same
 // template at a different ε is simply a different key.
-func planSetKey(schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, solverCfg geometry.Config, epsilon float64) (string, error) {
-	return planSetKeyAt(core.Revision, schema, cloudCfg, opts, solverCfg, epsilon)
+func planSetKey(schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, epsilon float64) (string, error) {
+	return planSetKeyAt(core.Revision, schema, cloudCfg, opts, epsilon)
 }
 
 // planSetKeyAt is planSetKey for the given optimizer revision.
-func planSetKeyAt(revision int, schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, solverCfg geometry.Config, epsilon float64) (string, error) {
+func planSetKeyAt(revision int, schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, epsilon float64) (string, error) {
 	keyDoc := struct {
 		Format            int
 		Optimizer         int
@@ -845,7 +810,7 @@ func planSetKeyAt(revision int, schema *catalog.Schema, cloudCfg cloud.Config, o
 		Region:            opts.Region,
 		PostponeCartesian: opts.PostponeCartesian,
 		Epsilon:           epsilon,
-		Solver:            solverCfg,
+		Solver:            geometry.DefaultConfig(),
 	}
 	b, err := json.Marshal(keyDoc)
 	if err != nil {
@@ -871,9 +836,9 @@ func orBackground(ctx context.Context) context.Context {
 // are deduplicated: one optimizes, the rest wait for its result. ctx
 // cancels or deadline-bounds the request: a Prepare abandoned while
 // queued never starts, and one abandoned mid-optimization stops at the
-// scheduler's next checkpoint, releasing its worker, admission slot,
-// and singleflight key promptly — without poisoning concurrent
-// requests for the same key, which simply retry the flight.
+// scheduler's next checkpoint, releasing its worker and singleflight
+// key promptly — without poisoning concurrent requests for the same
+// key, which simply retry the flight.
 func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, error) {
 	ctx = orBackground(ctx)
 	key, epsilon, schema, cloudCfg, err := s.templateKey(tpl)
@@ -939,24 +904,14 @@ func (s *Server) noteCtxFailure(err error) {
 	}
 }
 
-// runPrepare executes the load-or-optimize pipeline on a pool worker,
-// under the admission controller: at most MaxConcurrentPrepares
-// Prepares occupy workers at once, FIFO beyond that, so a burst of
-// expensive templates cannot starve Picks out of the pool. A request
-// whose context fires while queued (admission FIFO or request queue)
-// gives up its place without leaking the slot.
+// runPrepare executes the load-or-optimize pipeline on a pool worker.
+// A request whose context fires while queued gives up its place
+// without the work ever starting.
 func (s *Server) runPrepare(ctx context.Context, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64) (PrepareResult, error) {
 	tr := s.opts.Trace.Start("prepare", key)
-	release, err := s.admission.Acquire(ctx)
-	if err != nil {
-		tr.Finish(err)
-		return PrepareResult{}, err
-	}
-	tr.Phase("admission_wait")
-	defer release()
 	var res PrepareResult
 	var jerr error
-	err = s.run(ctx, func(w *worker) {
+	err := s.run(ctx, func(w *worker) {
 		tr.Phase("queue_wait")
 		res, jerr = s.prepareOn(ctx, w, key, schema, cloudCfg, epsilon, tr)
 	})
@@ -1294,7 +1249,7 @@ func (s *Server) buildIndex(w *worker, space *geometry.Polytope, plans []*core.P
 		}
 		cands = append(cands, selection.Candidate{Plan: info.Plan, Cost: cost, RR: info.RR})
 	}
-	ix, err := index.Build(w.solver, space, cands, s.opts.IndexOptions)
+	ix, err := index.Build(w.solver, space, cands, s.indexOptions())
 	if err != nil {
 		return nil
 	}
@@ -1342,7 +1297,7 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 		if e.idx == nil {
 			// Rebuild-on-load: the document was written without an index
 			// stanza. A failed build falls back to the linear scan.
-			if ix, err := index.Build(w.solver, set.Space, cands, s.opts.IndexOptions); err == nil {
+			if ix, err := index.Build(w.solver, set.Space, cands, s.indexOptions()); err == nil {
 				e.idx = ix
 				s.mu.Lock()
 				s.stats.Index.Builds++
@@ -1355,6 +1310,13 @@ func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
 		}
 	}
 	return e, nil
+}
+
+// indexOptions configures pick-index builds: the index package
+// defaults, parallelized across the pool's width (the building
+// worker's siblings are idle while its Prepare holds them off).
+func (s *Server) indexOptions() index.Options {
+	return index.Options{Workers: s.opts.Workers}
 }
 
 func (s *Server) docPath(key string) string {

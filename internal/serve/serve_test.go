@@ -174,7 +174,7 @@ func TestServerMatchesSequentialPath(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Prepares != 4 || st.PrepareHits != 2 || st.CachedPlanSets != 2 {
+	if st.Prepares != 4 || st.PrepareHits != 2 || st.Cache.ResidentEntries != 2 {
 		t.Errorf("stats = %+v, want 4 prepares, 2 hits, 2 cached sets", st)
 	}
 	if st.Geometry.LPs == 0 {
@@ -280,8 +280,8 @@ func TestServerConcurrentStress(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.CachedPlanSets != len(templates) {
-		t.Errorf("cached sets = %d, want %d (singleflight per key)", st.CachedPlanSets, len(templates))
+	if st.Cache.ResidentEntries != len(templates) {
+		t.Errorf("cached sets = %d, want %d (singleflight per key)", st.Cache.ResidentEntries, len(templates))
 	}
 	if st.PrepareHits == 0 {
 		t.Error("no cache hits during the stress mix")
@@ -754,26 +754,6 @@ func TestKeySensitivity(t *testing.T) {
 	}
 	if keyOpts == keyA {
 		t.Error("different optimizer configs share a key")
-	}
-	// Geometry tolerances steer pruning, so they are part of the key —
-	// but a zero config and the explicit defaults are the same key.
-	d := New(Options{Workers: 1, Solver: geometry.Config{RadiusTol: 1e-3}})
-	defer d.Close()
-	keySolver, err := d.Key(testTemplate(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keySolver == keyA {
-		t.Error("different solver tolerances share a key")
-	}
-	e := New(Options{Workers: 1, Solver: geometry.DefaultConfig()})
-	defer e.Close()
-	keyDefault, err := e.Key(testTemplate(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keyDefault != keyA {
-		t.Error("zero solver config and explicit defaults produce different keys")
 	}
 }
 

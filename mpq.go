@@ -363,8 +363,8 @@ func NewServer(opts ServeOptions) *Server { return serve.New(opts) }
 
 // Fleet-serving types: the subsystem that lets a fleet of servers
 // share preparations and survive real traffic — a memory-bounded
-// cache, a shared plan-set store, HTTP peer fetches, and per-template
-// admission control. See DESIGN.md, "Fleet serving".
+// cache, a shared plan-set store, and HTTP peer fetches. See DESIGN.md,
+// "Fleet serving".
 type (
 	// SharedPlanSetStore is the shared plan-set document store a fleet
 	// of servers publishes to and consults before optimizing
@@ -379,8 +379,6 @@ type (
 	// ServeCacheStats is the memory-accounted plan-set cache's
 	// accounting (admitted − evicted = resident).
 	ServeCacheStats = fleet.CacheStats
-	// ServeAdmissionStats reports the Prepare admission controller.
-	ServeAdmissionStats = fleet.AdmissionStats
 	// PeerStats counts peer-fetch traffic, including the resilience
 	// counters (retries, breaker trips and skips, corrupt responses)
 	// and each peer's circuit-breaker state.
