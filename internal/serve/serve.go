@@ -26,35 +26,17 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"math"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"mpq/internal/catalog"
-	"mpq/internal/cloud"
 	"mpq/internal/core"
 	"mpq/internal/faultfs"
 	"mpq/internal/fleet"
 	"mpq/internal/geometry"
-	"mpq/internal/index"
 	"mpq/internal/obs"
-	"mpq/internal/plan"
-	"mpq/internal/pwl"
-	"mpq/internal/region"
-	"mpq/internal/selection"
-	"mpq/internal/store"
-	"mpq/internal/workload"
 )
 
 // Errors returned by the server.
@@ -143,238 +125,6 @@ type Options struct {
 	Trace *obs.TraceRing
 }
 
-// Template describes a query template to prepare: either an explicit
-// schema or a workload-generator configuration, plus the cost-model
-// configuration.
-type Template struct {
-	// Schema, when non-nil, is the query to optimize.
-	Schema *catalog.Schema
-	// Workload generates the schema when Schema is nil.
-	Workload workload.Config
-	// Cloud configures the cost model; nil selects the defaults.
-	Cloud *cloud.Config
-	// Epsilon, when non-nil, overrides the server's default
-	// approximation factor (Options.Optimizer.Epsilon) for this
-	// template: 0 requests the exact Pareto set, ε > 0 an ε-approximate
-	// frontier. The factor is part of the plan-set key, so exact and
-	// approximate tiers of the same template coexist in one cache, one
-	// shared store, and one fleet without ever answering for each
-	// other.
-	Epsilon *float64
-}
-
-func (t Template) resolve() (*catalog.Schema, cloud.Config, error) {
-	cfg := cloud.DefaultConfig()
-	if t.Cloud != nil {
-		cfg = *t.Cloud
-	}
-	if t.Schema != nil {
-		return t.Schema, cfg, nil
-	}
-	schema, err := workload.Generate(t.Workload)
-	if err != nil {
-		return nil, cloud.Config{}, err
-	}
-	return schema, cfg, nil
-}
-
-// PrepareResult reports the outcome of a Prepare request.
-type PrepareResult struct {
-	// Key identifies the cached plan set for subsequent Picks.
-	Key string
-	// NumPlans is the Pareto-plan-set size.
-	NumPlans int
-	// Cached reports whether the set was served without optimizing:
-	// from the in-memory cache, a persisted Options.Dir document, the
-	// shared store, or a peer.
-	Cached bool
-	// Duration is the optimization time spent by this request (zero on
-	// cache hits).
-	Duration time.Duration
-	// Stats is the optimization's work summary (plans created, LPs
-	// solved, scheduler behavior); the zero value on cache, store, and
-	// peer hits. The counts are deterministic for a given template and
-	// configuration, which the fleet benchmark's regression gate relies
-	// on.
-	Stats core.Stats
-	// Epsilon is the approximation factor of the served plan set: the
-	// template's resolved factor.
-	Epsilon float64
-}
-
-// Policy selects the run-time preference policy of a Pick request.
-type Policy string
-
-// The selection policies of the paper's scenarios.
-const (
-	// PolicyFrontier returns every Pareto-optimal choice at the point,
-	// sorted lexicographically by cost (the tradeoff visualization of
-	// Scenario 1).
-	PolicyFrontier Policy = "frontier"
-	// PolicyWeightedSum minimizes Weights·cost.
-	PolicyWeightedSum Policy = "weighted"
-	// PolicyMinimizeSubjectTo minimizes metric Minimize under Bounds.
-	PolicyMinimizeSubjectTo Policy = "bound"
-	// PolicyLexicographic minimizes metrics in Order priority.
-	PolicyLexicographic Policy = "lex"
-)
-
-// PickRequest selects a plan from a prepared plan set at a parameter
-// point.
-type PickRequest struct {
-	// Key is the plan-set key returned by Prepare.
-	Key string
-	// Point is the concrete parameter vector.
-	Point geometry.Vector
-	// Policy selects the preference policy; the zero value means
-	// PolicyFrontier.
-	Policy Policy
-	// Weights configures PolicyWeightedSum.
-	Weights []float64
-	// Minimize and Bounds configure PolicyMinimizeSubjectTo.
-	Minimize int
-	Bounds   []selection.Bound
-	// Order configures PolicyLexicographic.
-	Order []int
-}
-
-// PickResult is the selected plan (or, for PolicyFrontier, every
-// Pareto-optimal plan) with cost vectors at the requested point.
-type PickResult struct {
-	// Metrics names the cost components.
-	Metrics []string
-	// Choices holds the selected plans; exactly one for the
-	// single-plan policies.
-	Choices []selection.Choice
-	// Epsilon is the approximation factor of the plan set the pick was
-	// served from.
-	Epsilon float64
-
-	texts planTexts
-}
-
-// PlanJSON returns a chosen plan's text JSON-quoted — the bytes
-// json.Marshal(n.String()) produces — pre-rendered once per resident
-// plan set. The caller must not modify them.
-func (r PickResult) PlanJSON(n *plan.Node) []byte { return r.texts.quoted(n) }
-
-// planTexts maps each plan of a resident plan set to its JSON-quoted
-// text, rendered once when the entry is built so picks never render
-// plans. Read-only after construction.
-type planTexts map[*plan.Node][]byte
-
-// quoted returns n's pre-rendered text, or renders it for a node the
-// plan set does not hold.
-func (t planTexts) quoted(n *plan.Node) []byte {
-	if b, ok := t[n]; ok {
-		return b
-	}
-	return quotePlan(n)
-}
-
-// quotePlan renders n's text through encoding/json, so its escaping
-// (HTML characters included) is exactly the transport's.
-func quotePlan(n *plan.Node) []byte {
-	b, _ := json.Marshal(n.String()) // a string always marshals
-	return b
-}
-
-// Stats is a snapshot of the server's counters.
-type Stats struct {
-	// Prepares counts completed Prepare requests; PrepareHits the
-	// subset served from the cache, PrepareDiskHits the documents
-	// loaded from Options.Dir (Prepare restarts and pick-time reloads
-	// alike).
-	Prepares        int64
-	PrepareHits     int64
-	PrepareDiskHits int64
-	// Picks counts completed pick *points*: one per Pick request plus
-	// one per point of every PickBatch request (not one per batch).
-	Picks int64
-	// Rejected counts requests refused with ErrQueueFull.
-	Rejected int64
-	// Index reports the pick-index behavior (build work, cell shape,
-	// and how many pick points the index served versus the linear-scan
-	// fallback).
-	Index IndexStats
-	// Cache is the memory-accounted plan-set cache's accounting:
-	// resident/admitted/evicted bytes and entries, re-admissions, pins.
-	// Cache.ResidentEntries is the number of cached plan sets.
-	// Admitted − evicted = resident at every quiescent point.
-	Cache fleet.CacheStats
-	// SharedHits counts documents served from Options.Shared (Prepare
-	// hits and pick-time reloads); PeerHits those fetched from
-	// Options.Peers; SharedPuts the documents this server published to
-	// the shared store.
-	SharedHits int64
-	PeerHits   int64
-	SharedPuts int64
-	// Reloads counts evicted plan sets transparently reloaded at pick
-	// time.
-	Reloads int64
-	// Cancellations counts requests that ended with context.Canceled
-	// (the caller gave up); DeadlineExpiries those that ended with
-	// context.DeadlineExceeded. Both are counted once per failed
-	// Prepare/Pick/PickBatch call, at the API boundary.
-	Cancellations    int64
-	DeadlineExpiries int64
-	// QuarantinedBlobs mirrors the shared store's corrupt-blob
-	// quarantine counter; zero without a shared store. The peer
-	// client's own counters (retries, breaker trips) are in
-	// Options.Peers.Stats and on /metrics.
-	QuarantinedBlobs int64
-	// DonatedTasks counts idle-worker stints donated to in-flight
-	// Prepares' split jobs (Options.DonateWorkers); DonatedMasks the
-	// whole ready masks those stints planned (mask-level donation
-	// raises the effective worker count of an in-flight optimization
-	// mid-run).
-	DonatedTasks int64
-	DonatedMasks int64
-	// Geometry aggregates the solver work of all pool workers.
-	Geometry geometry.Stats
-	// PipelineBusy sums the per-worker busy time inside the optimizer's
-	// dependency scheduler across all Prepares that ran an optimization;
-	// PipelineCapacity sums the corresponding scheduler wall-clock times
-	// multiplied by the worker count each run used.
-	PipelineBusy     time.Duration
-	PipelineCapacity time.Duration
-	// PipelineUtilization is PipelineBusy / PipelineCapacity: the mean
-	// worker utilization of the optimizer's dependency scheduler over
-	// all optimizations this server performed (1.0 = perfectly
-	// pipelined; 0 when nothing was optimized yet).
-	PipelineUtilization float64
-	// SplitJobs counts table sets planned with intra-mask split
-	// parallelism across all Prepares.
-	SplitJobs int64
-}
-
-// IndexStats is the pick-index slice of the server counters.
-type IndexStats struct {
-	// IndexedPlanSets counts cached plan sets carrying a built index;
-	// Leaves and LeafCandidates sum their leaf counts and per-leaf
-	// candidate ids, AvgLeafCandidates is their ratio (candidates a
-	// cell lookup scans on average, versus the full set for a linear
-	// scan).
-	IndexedPlanSets   int
-	Leaves            int64
-	LeafCandidates    int64
-	AvgLeafCandidates float64
-	// Builds counts index builds this server performed (documents
-	// loaded with a persisted index stanza need none); BuildTime sums
-	// their wall-clock durations.
-	Builds    int64
-	BuildTime time.Duration
-	// IndexPicks counts pick points answered through a cell lookup;
-	// FallbackPicks those answered by the full linear scan (index off,
-	// no index on the set, or point outside the index box).
-	IndexPicks    int64
-	FallbackPicks int64
-	// BatchRequests counts PickBatch requests; BatchPoints the points
-	// they carried (each batch point is also counted in Stats.Picks).
-	BatchRequests int64
-	BatchPoints   int64
-}
-
 // Server is a long-lived optimizer service. Create with New, release
 // with Close. All methods are safe for concurrent use.
 type Server struct {
@@ -396,132 +146,6 @@ type Server struct {
 	// templateKey).
 	keyMu sync.Mutex
 	keys  map[keyMemoKey]string
-}
-
-// pickCounters are the per-pick Stats counters, kept off mu because
-// every pick bumps them; Stats copies them into its snapshot.
-type pickCounters struct {
-	points        atomic.Int64 // Stats.Picks
-	index         atomic.Int64 // Stats.Index.IndexPicks
-	fallback      atomic.Int64 // Stats.Index.FallbackPicks
-	batchRequests atomic.Int64 // Stats.Index.BatchRequests
-	batchPoints   atomic.Int64 // Stats.Index.BatchPoints
-}
-
-// keyMemoCap bounds the key memo; a full memo is cleared, not evicted
-// entry by entry.
-const keyMemoCap = 4096
-
-// keyMemoKey identifies a generated template: the generator
-// configuration and the resolved ε's bits (planSetKey encodes -0 and 0
-// differently, so the memo must too).
-type keyMemoKey struct {
-	workload workload.Config
-	epsBits  uint64
-}
-
-// entry is a cached plan set with its precomputed selection
-// candidates. On fleet-configured servers (CacheBytes, Shared, or
-// Peers set) doc is the exact serialized document the entry
-// round-tripped through — served verbatim to peers and the basis of
-// the accounted footprint; plain in-memory servers drop it after
-// deserializing, keeping the historical memory profile. With the pick
-// index enabled, idx is the point-location index and leafCands the
-// per-leaf candidate subsets (shared restricted views) Picks scan
-// instead of candidates; viewBytes estimates what those views hold.
-type entry struct {
-	set        *store.PlanSet
-	doc        []byte
-	candidates []selection.Candidate
-	texts      planTexts
-	idx        *index.Index
-	leafCands  [][]selection.Candidate
-	viewBytes  int64
-}
-
-// footprint is the bytes the memory-accounted cache charges for the
-// entry: the serialized document, the pick index structure, and the
-// per-leaf views (their slices and every distinct restricted region,
-// cutout, cost and component, index.LeafViews' estimate). The document
-// stands in for the deserialized plan set, which the views point into
-// but do not copy.
-func (e *entry) footprint() int64 {
-	b := int64(len(e.doc))
-	if e.idx != nil {
-		b += e.idx.MemBytes() + e.viewBytes
-	}
-	return b
-}
-
-// lookup resolves the candidate subset for a pick point: the leaf cell
-// of the index when available, the full linear-scan set otherwise.
-func (e *entry) lookup(x geometry.Vector) (cands []selection.Candidate, viaIndex bool) {
-	if e.idx != nil {
-		if leaf, _, ok := e.idx.Locate(x); ok {
-			return e.leafCands[leaf], true
-		}
-	}
-	return e.candidates, false
-}
-
-// flight is one in-progress resolution of a key: the winner runs it,
-// concurrent requests for the key wait for its outcome.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// flights is a per-key singleflight table, guarded by the server
-// mutex. The server keeps two: Prepare's (which is also the fleet's
-// fetch-vs-compute singleflight — the winner consults the shared store
-// and the peers before optimizing, so one key never has a racing fetch
-// and computation in one process) and the pick-time reloads' (so a
-// Prepare never inherits a reload's ErrUnknownPlanSet).
-type flights[T any] map[string]*flight[T]
-
-// do resolves key through the table. A key already resident in the
-// cache is answered by hit, checked under the lock: a winner admits its
-// entry before retiring its flight, so a request that missed the cache
-// while that happened finds the entry here instead of running the key
-// again. Otherwise the request joins key's flight, or becomes its
-// winner and runs fn. A waiter whose winner failed on the winner's own
-// context (its caller gave up, not the work) does not inherit that
-// failure: its context is still live, so it retries and may become the
-// next winner. won reports that this call ran fn.
-func (t flights[T]) do(ctx context.Context, s *Server, key string, hit func(*entry) T, fn func() (T, error)) (val T, won bool, err error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return val, false, err
-		}
-		s.mu.Lock()
-		if v, ok := s.cache.Get(key, false); ok {
-			s.mu.Unlock()
-			return hit(v.(*entry)), false, nil
-		}
-		if fl, ok := t[key]; ok {
-			s.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return val, false, ctx.Err()
-			}
-			if isCtxErr(fl.err) {
-				continue
-			}
-			return fl.val, false, fl.err
-		}
-		fl := &flight[T]{done: make(chan struct{})}
-		t[key] = fl
-		s.mu.Unlock()
-
-		fl.val, fl.err = fn()
-		s.mu.Lock()
-		delete(t, key)
-		s.mu.Unlock()
-		close(fl.done)
-		return fl.val, true, fl.err
-	}
 }
 
 // job is one queued request; run executes on a pool worker. state
@@ -635,191 +259,6 @@ func (s *Server) submit(j *job) error {
 	}
 }
 
-// Stats returns a snapshot of the counters.
-func (s *Server) Stats() Stats {
-	s.mu.RLock()
-	st := s.stats
-	s.mu.RUnlock()
-	st.Picks = s.picks.points.Load()
-	st.Index.IndexPicks = s.picks.index.Load()
-	st.Index.FallbackPicks = s.picks.fallback.Load()
-	st.Index.BatchRequests = s.picks.batchRequests.Load()
-	st.Index.BatchPoints = s.picks.batchPoints.Load()
-	st.Cache = s.cache.Stats()
-	if q, ok := s.opts.Shared.(interface{ Quarantined() int64 }); ok {
-		st.QuarantinedBlobs = q.Quarantined()
-	}
-	if st.PipelineCapacity > 0 {
-		st.PipelineUtilization = float64(st.PipelineBusy) / float64(st.PipelineCapacity)
-		if st.PipelineUtilization > 1 {
-			st.PipelineUtilization = 1
-		}
-	}
-	s.cache.Range(func(_ string, v any) {
-		e := v.(*entry)
-		if e.idx == nil {
-			return
-		}
-		st.Index.IndexedPlanSets++
-		st.Index.Leaves += int64(e.idx.Leaves())
-		st.Index.LeafCandidates += e.idx.LeafCandidateTotal()
-	})
-	if st.Index.Leaves > 0 {
-		st.Index.AvgLeafCandidates = float64(st.Index.LeafCandidates) / float64(st.Index.Leaves)
-	}
-	return st
-}
-
-// PlanSet returns the cached plan set for a key, for inspection. It
-// does not reload evicted entries.
-func (s *Server) PlanSet(key string) (*store.PlanSet, bool) {
-	v, ok := s.cache.Get(key, false)
-	if !ok {
-		return nil, false
-	}
-	return v.(*entry).set, true
-}
-
-// retainDocs reports whether cached entries keep their serialized
-// document bytes: required for footprint accounting (CacheBytes), for
-// serving peers and re-publishing (Shared), and on servers that fetch
-// from peers (symmetric fleets list every member in every member's
-// peer set, so a fetcher is usually also a provider). Plain in-memory
-// servers drop the bytes after deserializing.
-func (s *Server) retainDocs() bool {
-	return s.opts.CacheBytes > 0 || s.opts.Shared != nil || s.opts.Peers != nil
-}
-
-// Document returns the serialized plan-set document for a key — the
-// bytes a peer fetching through fleet.PlanSetPath receives. It serves
-// from the in-memory cache, the Options.Dir document, or the shared
-// store, and never computes or consults peers itself (peer chains
-// must not turn one fetch into a fleet-wide cascade). Keys that do
-// not have the planSetKey shape are unknown by construction — in
-// particular, a path-traversal "key" never reaches the filesystem.
-func (s *Server) Document(key string) ([]byte, error) {
-	if !validKey(key) {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
-	}
-	if v, ok := s.cache.Get(key, false); ok {
-		if doc := v.(*entry).doc; doc != nil {
-			return doc, nil
-		}
-	}
-	var doc []byte
-	if s.localDoc(key, func(d []byte, _ entrySource) bool { doc = d; return true }) {
-		return doc, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
-}
-
-// Key computes the plan-set cache key of a template under this server's
-// optimizer configuration without preparing it: a hash of the schema,
-// the cost-model configuration and the optimizer configuration (plus
-// the store format version, since the cached sets round-trip through
-// it).
-func (s *Server) Key(tpl Template) (string, error) {
-	key, _, _, _, err := s.templateKey(tpl)
-	return key, err
-}
-
-// templateKey returns tpl's plan-set key and resolved ε, plus the
-// resolved schema and cost-model configuration that hashed to the key.
-// A generated template (no explicit Schema or Cloud) seen before takes
-// its key from the memo instead, skipping workload generation and the
-// key hash; schema is then nil, and a caller that needs it resolves tpl
-// itself.
-func (s *Server) templateKey(tpl Template) (key string, epsilon float64, schema *catalog.Schema, cloudCfg cloud.Config, err error) {
-	epsilon, epsErr := s.resolveEpsilon(tpl)
-	memo := tpl.Schema == nil && tpl.Cloud == nil && epsErr == nil
-	mk := keyMemoKey{workload: tpl.Workload, epsBits: math.Float64bits(epsilon)}
-	if memo {
-		s.keyMu.Lock()
-		k, ok := s.keys[mk]
-		s.keyMu.Unlock()
-		if ok {
-			return k, epsilon, nil, cloud.Config{}, nil
-		}
-	}
-	if schema, cloudCfg, err = tpl.resolve(); err != nil {
-		return "", 0, nil, cloud.Config{}, err
-	}
-	if epsErr != nil {
-		return "", 0, nil, cloud.Config{}, epsErr
-	}
-	if key, err = planSetKey(schema, cloudCfg, s.opts.Optimizer, epsilon); err != nil {
-		return "", 0, nil, cloud.Config{}, err
-	}
-	if memo {
-		s.keyMu.Lock()
-		if len(s.keys) >= keyMemoCap {
-			clear(s.keys)
-		}
-		s.keys[mk] = key
-		s.keyMu.Unlock()
-	}
-	return key, epsilon, schema, cloudCfg, nil
-}
-
-// resolveEpsilon returns the approximation factor a template prepares
-// under: its own override when set, the server default otherwise.
-func (s *Server) resolveEpsilon(tpl Template) (float64, error) {
-	epsilon := s.opts.Optimizer.Epsilon
-	if tpl.Epsilon != nil {
-		epsilon = *tpl.Epsilon
-	}
-	if epsilon < 0 || math.IsNaN(epsilon) {
-		return 0, fmt.Errorf("serve: invalid epsilon %v", epsilon)
-	}
-	return epsilon, nil
-}
-
-// planSetKey hashes everything that determines a prepared plan set:
-// the schema content, the cost-model configuration, the optimizer
-// configuration that changes results (region refinements, Cartesian
-// postponement, and the approximation factor — the worker count does
-// not, by the determinism guarantee of the parallel wavefront), the
-// pool's geometry tolerances (which steer pruning decisions; always the
-// defaults, and still hashed so that documents stored under earlier
-// keys keep them), the optimizer revision (core.Revision, so a
-// directory, shared store or peer filled by a build that prunes
-// differently never answers for this one), and the store format
-// version the cached sets round-trip through. The
-// epsilon field is what lets precision tiers share one fleet: the same
-// template at a different ε is simply a different key.
-func planSetKey(schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, epsilon float64) (string, error) {
-	return planSetKeyAt(core.Revision, schema, cloudCfg, opts, epsilon)
-}
-
-// planSetKeyAt is planSetKey for the given optimizer revision.
-func planSetKeyAt(revision int, schema *catalog.Schema, cloudCfg cloud.Config, opts core.Options, epsilon float64) (string, error) {
-	keyDoc := struct {
-		Format            int
-		Optimizer         int
-		Schema            *catalog.Schema
-		Cloud             cloud.Config
-		Region            region.Options
-		PostponeCartesian bool
-		Epsilon           float64
-		Solver            geometry.Config
-	}{
-		Format:            store.FormatVersion,
-		Optimizer:         revision,
-		Schema:            schema,
-		Cloud:             cloudCfg,
-		Region:            opts.Region,
-		PostponeCartesian: opts.PostponeCartesian,
-		Epsilon:           epsilon,
-		Solver:            geometry.DefaultConfig(),
-	}
-	b, err := json.Marshal(keyDoc)
-	if err != nil {
-		return "", fmt.Errorf("serve: hashing template: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:16]), nil
-}
-
 // orBackground is the server's single sanctioned context root: every
 // public entry point tolerates a nil ctx from legacy callers by
 // defaulting to an uncancellable Background at the API boundary.
@@ -828,59 +267,6 @@ func orBackground(ctx context.Context) context.Context {
 		return context.Background() //mpq:ctxroot nil ctx from legacy callers defaults to an uncancellable root at the API boundary
 	}
 	return ctx
-}
-
-// Prepare optimizes a template (unless its plan set is already cached),
-// persists the plan set through the store format, and caches the
-// deserialized set for Picks. Concurrent Prepares of the same template
-// are deduplicated: one optimizes, the rest wait for its result. ctx
-// cancels or deadline-bounds the request: a Prepare abandoned while
-// queued never starts, and one abandoned mid-optimization stops at the
-// scheduler's next checkpoint, releasing its worker and singleflight
-// key promptly — without poisoning concurrent requests for the same
-// key, which simply retry the flight.
-func (s *Server) Prepare(ctx context.Context, tpl Template) (PrepareResult, error) {
-	ctx = orBackground(ctx)
-	key, epsilon, schema, cloudCfg, err := s.templateKey(tpl)
-	if err != nil {
-		return PrepareResult{}, err
-	}
-	res, won, err := s.inflight.do(ctx, s, key, func(e *entry) PrepareResult {
-		return prepared(key, e, core.Stats{}, true)
-	}, func() (PrepareResult, error) {
-		if schema == nil {
-			// A memoized key: the template is resolved only now that
-			// its plan set is not resident, so a warm Prepare consults
-			// the cache exactly as often as before the memo.
-			var err error
-			if schema, cloudCfg, err = tpl.resolve(); err != nil {
-				return PrepareResult{}, err
-			}
-		}
-		return s.runPrepare(ctx, key, schema, cloudCfg, epsilon)
-	})
-	if err != nil {
-		s.noteCtxFailure(err)
-		return PrepareResult{}, err
-	}
-	if !won {
-		// A cache hit or another request's flight: this request did no
-		// optimization work.
-		res.Cached, res.Duration, res.Stats = true, 0, core.Stats{}
-	}
-	s.mu.Lock()
-	s.stats.Prepares++
-	if !won {
-		s.stats.PrepareHits++
-	}
-	s.mu.Unlock()
-	return res, nil
-}
-
-// prepared builds the PrepareResult of a resident entry.
-func prepared(key string, e *entry, cst core.Stats, cached bool) PrepareResult {
-	return PrepareResult{Key: key, NumPlans: len(e.set.Plans), Cached: cached,
-		Duration: cst.Duration, Stats: cst, Epsilon: e.set.Epsilon}
 }
 
 // isCtxErr reports whether err is (or wraps) a context cancellation or
@@ -902,25 +288,6 @@ func (s *Server) noteCtxFailure(err error) {
 		s.stats.Cancellations++
 		s.mu.Unlock()
 	}
-}
-
-// runPrepare executes the load-or-optimize pipeline on a pool worker.
-// A request whose context fires while queued gives up its place
-// without the work ever starting.
-func (s *Server) runPrepare(ctx context.Context, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64) (PrepareResult, error) {
-	tr := s.opts.Trace.Start("prepare", key)
-	var res PrepareResult
-	var jerr error
-	err := s.run(ctx, func(w *worker) {
-		tr.Phase("queue_wait")
-		res, jerr = s.prepareOn(ctx, w, key, schema, cloudCfg, epsilon, tr)
-	})
-	if err != nil {
-		tr.Finish(err)
-		return PrepareResult{}, err
-	}
-	tr.Finish(jerr)
-	return res, jerr
 }
 
 // run submits fn to the pool and waits for it, merging the worker's
@@ -966,231 +333,6 @@ func (s *Server) mergeSolverStats(w *worker, before geometry.Stats) {
 	s.mu.Unlock()
 }
 
-// entrySource labels where a served document came from, for the
-// per-source counters.
-type entrySource int
-
-const (
-	sourceComputed entrySource = iota
-	sourceDisk                 // legacy Options.Dir document
-	sourceShared               // Options.Shared store
-	sourcePeer                 // Options.Peers fetch
-)
-
-// name labels the source for trace events.
-func (src entrySource) name() string {
-	switch src {
-	case sourceDisk:
-		return "disk"
-	case sourceShared:
-		return "shared"
-	case sourcePeer:
-		return "peer"
-	}
-	return "computed"
-}
-
-// validKey reports whether key has the exact shape planSetKey
-// produces: 32 lowercase hex digits. Every file- or URL-backed lookup
-// refuses other shapes, so a request-supplied key (Pick reloads, the
-// /planset peer endpoint) can never traverse paths under Options.Dir
-// or inject segments into a peer URL.
-func validKey(key string) bool {
-	if len(key) != 32 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// localDoc offers key's document from each local source in resolution
-// order — the restart Dir, then the shared store — to use, stopping at
-// the first one use accepts. An unreadable document is skipped like a
-// missing one. It is the non-compute source walk shared by resolve
-// (which continues with the peers) and Document (which never consults
-// peers).
-func (s *Server) localDoc(key string, use func(doc []byte, src entrySource) bool) bool {
-	if s.opts.Dir != "" {
-		if doc, err := s.fs.ReadFile(s.docPath(key)); err == nil && use(doc, sourceDisk) {
-			return true
-		}
-	}
-	if s.opts.Shared != nil {
-		if doc, ok, err := s.opts.Shared.Get(key); err == nil && ok && use(doc, sourceShared) {
-			return true
-		}
-	}
-	return false
-}
-
-// resolve is the one route to a resident plan set, run on worker w.
-// It serves the first document that deserializes cleanly from the
-// ordered sources — the restart Dir, the shared store, then the peers —
-// and otherwise computes it; either way the entry is admitted to the
-// cache and the lookup and save phases are traced. A corrupt or
-// unreadable document from any source is not fatal: the next source
-// (ultimately the optimizer) takes over. Documents fetched from a peer are
-// re-published to the shared store so the next sibling finds them one
-// hop closer. Malformed keys resolve nowhere but the optimizer.
-//
-// accept, when non-nil, filters documents by their recorded
-// approximation factor: one recording an unacceptable factor is
-// treated as a miss, exactly like a corrupt one — defense in depth
-// behind the key (which already binds ε by hash) against a document
-// planted or misfiled under the wrong tier's name. A Prepare accepts
-// exactly its resolved factor. Pick-time reloads pass nil and accept
-// the document's own factor, which the key vouches for.
-//
-// compute is nil for reloads, which never optimize: a key no source
-// holds is then ErrUnknownPlanSet, or ctx's error when the lookup may
-// have been cut short (peer fetch aborted).
-func (s *Server) resolve(ctx context.Context, w *worker, key string, accept func(eps float64) bool, compute func() (*entry, core.Stats, error), tr *obs.PrepareTrace) (*entry, entrySource, core.Stats, error) {
-	var e *entry
-	src := sourceComputed
-	use := func(doc []byte, from entrySource) bool {
-		got, err := s.newEntry(doc, w)
-		if err != nil || (accept != nil && !accept(got.set.Epsilon)) {
-			return false
-		}
-		e, src = got, from
-		return true
-	}
-	if validKey(key) && !s.localDoc(key, use) && s.opts.Peers != nil && ctx.Err() == nil {
-		if doc, ok, _ := s.opts.Peers.Fetch(ctx, key); ok && use(doc, sourcePeer) {
-			s.publishShared(key, doc)
-		}
-	}
-	tr.Phase("lookup")
-	var cst core.Stats
-	if e == nil {
-		if compute == nil {
-			if err := ctx.Err(); err != nil {
-				return nil, src, cst, err
-			}
-			return nil, src, cst, fmt.Errorf("%w: %q", ErrUnknownPlanSet, key)
-		}
-		var err error
-		if e, cst, err = compute(); err != nil {
-			return nil, src, core.Stats{}, err
-		}
-	}
-	tr.SetSource(src.name())
-	s.admit(key, e, src)
-	if src == sourceComputed {
-		tr.Phase("save")
-	}
-	return e, src, cst, nil
-}
-
-// admit publishes a resolved entry into the memory-accounted cache (the
-// first insert of a key wins) and bumps its source counter.
-func (s *Server) admit(key string, e *entry, src entrySource) {
-	s.cache.Add(key, e, e.footprint(), false)
-	s.mu.Lock()
-	switch src {
-	case sourceDisk:
-		s.stats.PrepareDiskHits++
-	case sourceShared:
-		s.stats.SharedHits++
-	case sourcePeer:
-		s.stats.PeerHits++
-	}
-	s.mu.Unlock()
-}
-
-// publishShared best-effort publishes a document to the shared store.
-func (s *Server) publishShared(key string, doc []byte) {
-	if s.opts.Shared == nil {
-		return
-	}
-	if err := s.opts.Shared.Put(key, doc); err == nil {
-		s.mu.Lock()
-		s.stats.SharedPuts++
-		s.mu.Unlock()
-	}
-}
-
-// prepareOn runs on a pool worker: resolve the key's plan set through
-// the ordered sources, optimizing when none has it. Picks therefore
-// serve exactly the bytes a separate run-time process would load,
-// wherever they came from.
-func (s *Server) prepareOn(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64, tr *obs.PrepareTrace) (PrepareResult, error) {
-	accept := func(got float64) bool { return got == epsilon }
-	e, src, cst, err := s.resolve(ctx, w, key, accept, func() (*entry, core.Stats, error) {
-		return s.computeEntry(ctx, w, key, schema, cloudCfg, epsilon, tr)
-	}, tr)
-	if err != nil {
-		return PrepareResult{}, err
-	}
-	tr.SetEpsilon(e.set.Epsilon)
-	return prepared(key, e, cst, src != sourceComputed), nil
-}
-
-// computeEntry optimizes a template at one approximation factor on
-// worker w and round-trips the result through the store format: the
-// returned entry is deserialized from exactly the bytes persisted to
-// Dir and published to the shared store, so picks serve what a
-// separate process would load.
-func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema *catalog.Schema, cloudCfg cloud.Config, epsilon float64, tr *obs.PrepareTrace) (*entry, core.Stats, error) {
-	model, err := cloud.NewModel(schema, cloudCfg, w.solver)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	opts := s.opts.Optimizer
-	opts.Context = w.solver
-	opts.Algebra = nil
-	opts.Epsilon = epsilon
-	if opts.Workers == 0 {
-		// Request-level concurrency comes from the pool; one Prepare
-		// stays on its worker unless explicitly configured otherwise.
-		opts.Workers = 1
-	}
-	if s.opts.DonateWorkers {
-		// Idle pool workers may join this optimization's split jobs and
-		// ready masks.
-		opts.Donor = (*serverDonor)(s)
-	}
-	result, err := core.OptimizeCtx(ctx, schema, model, opts)
-	tr.Phase("optimize")
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	s.recordPipeline(result.Stats)
-
-	// With the pick index enabled, build it over the optimizer's plan
-	// set now so the persisted document carries it (restarted servers
-	// and shared stores skip the rebuild).
-	var ix *index.Index
-	if s.opts.Index {
-		ix = s.buildIndex(w, model.Space(), result.Plans)
-		tr.Phase("index_build")
-	}
-
-	// Failures past this point are server-side (serialization,
-	// persistence), not the client's template; wrap them in ErrInternal
-	// so transports report 5xx instead of 4xx.
-	var buf bytes.Buffer
-	if err := store.SaveIndexedEpsilon(&buf, model.MetricNames(), model.Space(), result.Plans, ix, epsilon); err != nil {
-		return nil, core.Stats{}, fmt.Errorf("%w: %v", ErrInternal, err)
-	}
-	if s.opts.Dir != "" {
-		if err := s.persist(key, buf.Bytes()); err != nil {
-			return nil, core.Stats{}, fmt.Errorf("%w: persisting plan set: %v", ErrInternal, err)
-		}
-	}
-	s.publishShared(key, buf.Bytes())
-	e, err := s.newEntry(buf.Bytes(), w)
-	if err != nil {
-		return nil, core.Stats{}, fmt.Errorf("%w: reloading saved plan set: %v", ErrInternal, err)
-	}
-	return e, result.Stats, nil
-}
-
 // serverDonor adapts the server's idle pool capacity to the
 // optimizer's DonorPool: when the request queue is empty and workers
 // are idle, an in-flight Prepare's split jobs may borrow them. Offers
@@ -1233,386 +375,5 @@ func (d *serverDonor) Offer(task func()) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// buildIndex builds the pick index over a just-optimized plan set,
-// recording the build in the index stats. A failed build (e.g. an
-// unbounded parameter space) is not fatal: the entry serves through the
-// linear scan instead.
-func (s *Server) buildIndex(w *worker, space *geometry.Polytope, plans []*core.PlanInfo) *index.Index {
-	cands := make([]selection.Candidate, 0, len(plans))
-	for _, info := range plans {
-		cost, ok := info.Cost.(*pwl.Multi)
-		if !ok {
-			return nil // non-PWL algebra; Save will reject the set anyway
-		}
-		cands = append(cands, selection.Candidate{Plan: info.Plan, Cost: cost, RR: info.RR})
-	}
-	ix, err := index.Build(w.solver, space, cands, s.indexOptions())
-	if err != nil {
-		return nil
-	}
-	s.mu.Lock()
-	s.stats.Index.Builds++
-	s.stats.Index.BuildTime += ix.BuildTime()
-	s.mu.Unlock()
-	return ix
-}
-
-// recordPipeline merges one optimization's dependency-scheduler metrics
-// into the server's pipeline-utilization aggregate.
-func (s *Server) recordPipeline(st core.Stats) {
-	s.mu.Lock()
-	s.stats.PipelineBusy += st.Scheduler.Busy
-	s.stats.PipelineCapacity += time.Duration(int64(st.Scheduler.Wall) * int64(st.Workers))
-	s.stats.SplitJobs += int64(st.Scheduler.SplitJobs)
-	s.stats.DonatedMasks += int64(st.Scheduler.DonatedMasks)
-	s.mu.Unlock()
-}
-
-// newEntry deserializes a document and precomputes the selection
-// candidates and their plans' reply text. With the pick index enabled, the document's persisted
-// index is used when present; otherwise (older documents, documents
-// written by index-less servers) one is rebuilt on load. Either way the
-// per-leaf candidate subsets are materialized once here, so a pick is a
-// tree descent plus a subset scan.
-func (s *Server) newEntry(doc []byte, w *worker) (*entry, error) {
-	set, err := store.Load(bytes.NewReader(doc))
-	if err != nil {
-		return nil, err
-	}
-	cands := make([]selection.Candidate, len(set.Plans))
-	texts := make(planTexts, len(set.Plans))
-	for i, lp := range set.Plans {
-		cands[i] = selection.Candidate{Plan: lp.Plan, Cost: lp.Cost, RR: lp.RR}
-		texts[lp.Plan] = quotePlan(lp.Plan)
-	}
-	e := &entry{set: set, candidates: cands, texts: texts}
-	if s.retainDocs() {
-		e.doc = doc
-	}
-	if s.opts.Index {
-		e.idx = set.Index
-		if e.idx == nil {
-			// Rebuild-on-load: the document was written without an index
-			// stanza. A failed build falls back to the linear scan.
-			if ix, err := index.Build(w.solver, set.Space, cands, s.indexOptions()); err == nil {
-				e.idx = ix
-				s.mu.Lock()
-				s.stats.Index.Builds++
-				s.stats.Index.BuildTime += ix.BuildTime()
-				s.mu.Unlock()
-			}
-		}
-		if e.idx != nil {
-			e.leafCands, e.viewBytes = e.idx.LeafViews(cands)
-		}
-	}
-	return e, nil
-}
-
-// indexOptions configures pick-index builds: the index package
-// defaults, parallelized across the pool's width (the building
-// worker's siblings are idle while its Prepare holds them off).
-func (s *Server) indexOptions() index.Options {
-	return index.Options{Workers: s.opts.Workers}
-}
-
-func (s *Server) docPath(key string) string {
-	return filepath.Join(s.opts.Dir, key+".json")
-}
-
-// persist writes the document through the fleet package's fsync'd
-// atomic write (temp file + rename + directory sync) — the same
-// durability the shared store gives the same bytes.
-func (s *Server) persist(key string, doc []byte) error {
-	return fleet.WriteFileAtomic(s.fs, s.opts.Dir, s.docPath(key), doc)
-}
-
-// Pick evaluates a selection policy at a parameter point against a
-// prepared plan set. ctx cancels or deadline-bounds the request: a Pick
-// whose ctx is done never starts, and neither does one abandoned while
-// queued for a reload.
-func (s *Server) Pick(ctx context.Context, req PickRequest) (PickResult, error) {
-	return pickOn(ctx, s, req.Key, func(e *entry) (PickResult, error) {
-		return s.pickEntry(e, req)
-	})
-}
-
-// pickOn runs one pick-shaped request against key's entry and counts a
-// failure on its context once, at the API boundary. A resident entry is
-// pinned and picked on the caller's goroutine: selection on the
-// immutable entry needs no solver, so it never waits in the queue
-// behind optimizer work. Only an entry that must be reloaded (decoded,
-// perhaps indexed) takes a pool worker, through the reload
-// singleflight.
-func pickOn[R any](ctx context.Context, s *Server, key string, on func(e *entry) (R, error)) (R, error) {
-	ctx = orBackground(ctx)
-	var res R
-	err := s.accepting(ctx)
-	if err == nil {
-		if v, ok := s.cache.Get(key, true); ok {
-			func() {
-				defer s.cache.Unpin(key)
-				res, err = on(v.(*entry))
-			}()
-		} else {
-			var jerr error
-			err = s.run(ctx, func(w *worker) {
-				e, release, rerr := s.reload(ctx, key, w)
-				if rerr != nil {
-					jerr = rerr
-					return
-				}
-				defer release()
-				res, jerr = on(e)
-			})
-			if err == nil {
-				err = jerr
-			}
-		}
-	}
-	if err != nil {
-		// res is the zero value here: either the pick never ran, or it
-		// failed and returned none.
-		s.noteCtxFailure(err)
-	}
-	return res, err
-}
-
-// accepting reports why a request may not start: the server is closed,
-// or ctx is already done.
-func (s *Server) accepting(ctx context.Context) error {
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return ErrServerClosed
-	}
-	return ctx.Err()
-}
-
-// PickBatchRequest evaluates one selection policy at many parameter
-// points against one prepared plan set — the high-pick-rate interface
-// the pick index is built for. The policy fields mirror PickRequest.
-type PickBatchRequest struct {
-	// Key is the plan-set key returned by Prepare.
-	Key string
-	// Points are the parameter vectors to pick for, answered in order.
-	Points []geometry.Vector
-	// Policy selects the preference policy; the zero value means
-	// PolicyFrontier.
-	Policy Policy
-	// Weights configures PolicyWeightedSum.
-	Weights []float64
-	// Minimize and Bounds configure PolicyMinimizeSubjectTo.
-	Minimize int
-	Bounds   []selection.Bound
-	// Order configures PolicyLexicographic.
-	Order []int
-}
-
-// PickBatchResult answers a PickBatchRequest: Choices[i] are the
-// selected plans for Points[i].
-type PickBatchResult struct {
-	// Metrics names the cost components.
-	Metrics []string
-	// Choices holds, per point, the selected plans (exactly one for the
-	// single-plan policies).
-	Choices [][]selection.Choice
-	// Epsilon is the approximation factor of the plan set the batch was
-	// served from.
-	Epsilon float64
-
-	texts planTexts
-}
-
-// PlanJSON is PickResult.PlanJSON for the batch's plans.
-func (r PickBatchResult) PlanJSON(n *plan.Node) []byte { return r.texts.quoted(n) }
-
-// PickBatch evaluates a selection policy at every point of the request
-// against a prepared plan set, as one queued unit of work. Points are
-// sorted into index cells first, so consecutive picks of one cell reuse
-// its candidate subset; answers come back in request order and are
-// byte-identical to issuing the Picks one by one. Any invalid point or
-// selection failure fails the whole batch (the error names the point).
-func (s *Server) PickBatch(ctx context.Context, req PickBatchRequest) (PickBatchResult, error) {
-	return pickOn(ctx, s, req.Key, func(e *entry) (PickBatchResult, error) {
-		return s.pickBatchEntry(e, req)
-	})
-}
-
-// pickBatchEntry executes a batch against e.
-func (s *Server) pickBatchEntry(e *entry, req PickBatchRequest) (PickBatchResult, error) {
-	if !validPolicy(req.Policy) {
-		// Request-shape problems are reported as such, before any
-		// per-point validation, and even for empty batches.
-		return PickBatchResult{}, fmt.Errorf("serve: unknown policy %q", req.Policy)
-	}
-	for i, x := range req.Points {
-		if err := e.validatePoint(x); err != nil {
-			return PickBatchResult{}, fmt.Errorf("point %d: %w", i, err)
-		}
-	}
-	// Route every point to its cell, then process in cell order: picks
-	// sharing a leaf run back to back on the same (cache-hot) candidate
-	// subset. Fallback points (no index, or outside the box) share the
-	// full candidate set and run first.
-	leaves := make([]int32, len(req.Points))
-	indexPicks := 0
-	for i, x := range req.Points {
-		leaves[i] = -1
-		if e.idx != nil {
-			if leaf, _, ok := e.idx.Locate(x); ok {
-				leaves[i] = leaf
-				indexPicks++
-			}
-		}
-	}
-	order := make([]int, len(req.Points))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return leaves[order[a]] < leaves[order[b]] })
-
-	shell := PickRequest{
-		Policy:   req.Policy,
-		Weights:  req.Weights,
-		Minimize: req.Minimize,
-		Bounds:   req.Bounds,
-		Order:    req.Order,
-	}
-	choices := make([][]selection.Choice, len(req.Points))
-	for _, i := range order {
-		cands := e.candidates
-		if leaves[i] >= 0 {
-			cands = e.leafCands[leaves[i]]
-		}
-		shell.Point = req.Points[i]
-		cs, err := applyPolicy(cands, shell)
-		if err != nil {
-			return PickBatchResult{}, fmt.Errorf("point %d: %w", i, err)
-		}
-		choices[i] = cs
-	}
-	s.notePicks(len(req.Points), indexPicks, true)
-	return PickBatchResult{Metrics: e.set.Metrics, Choices: choices,
-		Epsilon: e.set.Epsilon, texts: e.texts}, nil
-}
-
-// pickEntry executes a Pick against e. Selection is pure point
-// evaluation (the relevance-region fast path needs no LPs), so it needs
-// no solver. With a pick index on the entry, the point is routed to its
-// cell and only the cell's candidate subset is scanned — byte-identical
-// to the linear fallback by the index's conservative construction.
-func (s *Server) pickEntry(e *entry, req PickRequest) (PickResult, error) {
-	if err := e.validatePoint(req.Point); err != nil {
-		return PickResult{}, err
-	}
-	cands, viaIndex := e.lookup(req.Point)
-	choices, err := applyPolicy(cands, req)
-	if err != nil {
-		return PickResult{}, err
-	}
-	indexPicks := 0
-	if viaIndex {
-		indexPicks = 1
-	}
-	s.notePicks(1, indexPicks, false)
-	return PickResult{Metrics: e.set.Metrics, Choices: choices,
-		Epsilon: e.set.Epsilon, texts: e.texts}, nil
-}
-
-// notePicks counts one request's served pick points — indexPicks of
-// them through the index, the rest by the linear scan.
-func (s *Server) notePicks(points, indexPicks int, batch bool) {
-	n := int64(points)
-	s.picks.points.Add(n)
-	s.picks.index.Add(int64(indexPicks))
-	s.picks.fallback.Add(n - int64(indexPicks))
-	if batch {
-		s.picks.batchRequests.Add(1)
-		s.picks.batchPoints.Add(n)
-	}
-}
-
-// reload brings an evicted (or never-seen) plan set back from the
-// non-compute sources (Dir, shared store, peers) through the reload
-// singleflight; a reload never computes. It accepts the document's own
-// approximation factor: the request addressed the tier by key, and the
-// key hash already binds ε. The entry is pinned against eviction for
-// the duration of the request; callers must call the returned release
-// exactly once.
-func (s *Server) reload(ctx context.Context, key string, w *worker) (*entry, func(), error) {
-	e, _, err := s.reloading.do(ctx, s, key, func(e *entry) *entry { return e }, func() (*entry, error) {
-		e, _, _, err := s.resolve(ctx, w, key, nil, nil, nil)
-		if err == nil {
-			s.mu.Lock()
-			s.stats.Reloads++
-			s.mu.Unlock()
-		}
-		return e, err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if v, ok := s.cache.Get(key, true); ok {
-		return v.(*entry), func() { s.cache.Unpin(key) }, nil
-	}
-	// The re-admitted entry was already evicted again (budget pressure):
-	// serve the loaded object unpinned — it stays alive for this
-	// request regardless of cache membership.
-	return e, func() {}, nil
-}
-
-// validatePoint rejects points the stored plan set cannot price.
-func (e *entry) validatePoint(x geometry.Vector) error {
-	if len(x) != e.set.Space.Dim() {
-		return fmt.Errorf("serve: point dimension %d, want %d", len(x), e.set.Space.Dim())
-	}
-	if !e.set.Space.ContainsPoint(x, geometry.CompareEps) {
-		// Outside the parameter space the stored cost pieces would be
-		// extrapolated and relevance regions are meaningless; reject
-		// instead of fabricating a result.
-		return fmt.Errorf("serve: point %v outside the plan set's parameter space", x)
-	}
-	return nil
-}
-
-// validPolicy reports whether p names a selection policy.
-func validPolicy(p Policy) bool {
-	switch p {
-	case PolicyFrontier, "", PolicyWeightedSum, PolicyMinimizeSubjectTo, PolicyLexicographic:
-		return true
-	}
-	return false
-}
-
-// applyPolicy runs the request's selection policy over a candidate set.
-func applyPolicy(cands []selection.Candidate, req PickRequest) ([]selection.Choice, error) {
-	switch req.Policy {
-	case PolicyFrontier, "":
-		return selection.Frontier(cands, req.Point), nil
-	case PolicyWeightedSum:
-		c, err := selection.WeightedSum(cands, req.Point, req.Weights)
-		if err != nil {
-			return nil, err
-		}
-		return []selection.Choice{c}, nil
-	case PolicyMinimizeSubjectTo:
-		c, err := selection.MinimizeSubjectTo(cands, req.Point, req.Minimize, req.Bounds)
-		if err != nil {
-			return nil, err
-		}
-		return []selection.Choice{c}, nil
-	case PolicyLexicographic:
-		c, err := selection.Lexicographic(cands, req.Point, req.Order)
-		if err != nil {
-			return nil, err
-		}
-		return []selection.Choice{c}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown policy %q", req.Policy)
 	}
 }
