@@ -14,10 +14,10 @@ import (
 // and /stats answers reconcilable forever.
 //
 // Kind discipline: a Stats field that can decrease — gauges over the
-// resident cache, the index aggregates recomputed
-// from resident entries, the utilization ratio — must map to a gauge;
-// everything monotonic maps to a counter, which the CI exposition lint
-// verifies across scrapes.
+// resident cache, the index aggregates recomputed from resident
+// entries, the utilization ratio — must map to a gauge; everything
+// monotonic maps to a counter, which the CI exposition lint verifies
+// across scrapes.
 
 // statMetric is one Stats field's metric binding.
 type statMetric struct {

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mpq/internal/fleet"
 	"mpq/internal/obs"
 )
 
@@ -76,6 +79,19 @@ func TestStatMetricsCoverEveryStatsField(t *testing.T) {
 			t.Errorf("statMetrics binds %s, which is not a Stats field", field)
 		}
 	}
+}
+
+// unlabeledValues maps each unlabeled sample of a scrape to its value.
+func unlabeledValues(fams []*obs.Family) map[string]float64 {
+	values := make(map[string]float64)
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			if len(smp.Labels) == 0 {
+				values[smp.Name] = smp.Value
+			}
+		}
+	}
+	return values
 }
 
 // TestMetricsMatchStatsUnderLoad drives the server concurrently —
@@ -165,14 +181,7 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 		t.Fatalf("counters regressed between scrapes: %v", errs)
 	}
 
-	values := make(map[string]float64)
-	for _, f := range fams {
-		for _, smp := range f.Samples {
-			if len(smp.Labels) == 0 {
-				values[smp.Name] = smp.Value
-			}
-		}
-	}
+	values := unlabeledValues(fams)
 	for _, m := range statMetrics {
 		got, ok := values[m.name]
 		if !ok {
@@ -209,5 +218,53 @@ func TestMetricsMatchStatsUnderLoad(t *testing.T) {
 	}
 	if values["mpq_prepare_seconds_count"] != 3 {
 		t.Fatalf("mpq_prepare_seconds_count = %v, want 3", values["mpq_prepare_seconds_count"])
+	}
+}
+
+// TestPeerCountersOnMetrics: the peer client's counters reach /metrics
+// straight from its own stats, retries and breaker trips included.
+func TestPeerCountersOnMetrics(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer down.Close()
+	peers := fleet.NewPeerClientOptions([]string{down.URL}, fleet.PeerOptions{
+		Retries:          1,
+		BackoffBase:      time.Millisecond,
+		BackoffMax:       2 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+		Seed:             1,
+	})
+	s := New(Options{Workers: 1, Peers: peers})
+	defer s.Close()
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	if _, err := s.Prepare(context.Background(), testTemplate(21)); err != nil {
+		t.Fatal(err)
+	}
+
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := unlabeledValues(fams)
+	ps := peers.Stats()
+	if ps.Retries == 0 || ps.BreakerTrips == 0 {
+		t.Fatalf("the dead peer was neither retried nor tripped: %+v", ps)
+	}
+	for name, want := range map[string]int64{
+		"mpq_peer_fetches_total":       ps.Fetches,
+		"mpq_peer_errors_total":        ps.Errors,
+		"mpq_peer_retries_total":       ps.Retries,
+		"mpq_peer_breaker_trips_total": ps.BreakerTrips,
+	} {
+		if got, ok := values[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (exported %v), peer stats %d", name, got, ok, want)
+		}
 	}
 }
