@@ -47,7 +47,8 @@
 // points a fleet of mpqserve processes at one shared on-disk plan-set
 // store so each template is computed once per fleet, and -peers lists
 // sibling servers to fetch prepared documents from before computing.
-// -donate lends idle pool workers to in-flight Prepares' split jobs.
+// -donate lends idle pool workers to in-flight Prepares, which hand
+// them ready table sets to plan.
 //
 // -epsilon sets the server's default precision tier: ε > 0 prepares
 // ε-approximate Pareto frontiers (every served plan within a (1+ε)
@@ -99,7 +100,7 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", 0, "in-memory plan-set cache budget in bytes (0 = unbounded)")
 		sharedDir  = flag.String("shared-dir", "", "shared plan-set store directory for a fleet of servers")
 		peers      = flag.String("peers", "", "comma-separated peer base URLs to fetch prepared plan sets from")
-		donate     = flag.Bool("donate", true, "donate idle pool workers to in-flight Prepares' split jobs")
+		donate     = flag.Bool("donate", true, "donate idle pool workers to in-flight Prepares")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
 		epsilon    = flag.Float64("epsilon", 0, "default ε approximation factor for Prepares (0 = exact Pareto sets; a request's \"epsilon\" field overrides)")
 

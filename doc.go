@@ -38,9 +38,8 @@
 // With Options.Workers > 1 the dynamic program runs on a pipelined
 // dependency scheduler over a cardinality-sharded plan-set store: a
 // table set is planned the moment every strict subset it decomposes
-// into has completed, and wide table sets are split across workers
-// with an order-preserving reduction (see DESIGN.md, "Concurrency
-// model"). Plan sets and aggregate LP statistics are identical for
+// into has completed, and each table set is planned whole by one
+// worker (see DESIGN.md, "Concurrency model"). Plan sets and aggregate LP statistics are identical for
 // every worker count; Stats.Scheduler and Stats.PipelineUtilization
 // report how well the pipeline kept the pool busy.
 //
@@ -56,8 +55,8 @@
 // concurrent requests. ServeStats exposes, next to the request and
 // cache counters, the optimizer pipeline's behavior across all
 // Prepares: PipelineBusy/PipelineCapacity/PipelineUtilization (mean
-// worker utilization of the dependency scheduler) and SplitJobs
-// (table sets planned with intra-mask split parallelism).
+// worker utilization of the dependency scheduler) and DonatedMasks
+// (table sets planned by donated idle pool workers).
 //
 // With ServeOptions.Index, Prepare additionally builds a
 // point-location pick index over the plan set's parameter space (a

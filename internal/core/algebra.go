@@ -41,9 +41,8 @@ type Algebra interface {
 // ForkableAlgebra is an Algebra that can clone itself onto a different
 // geometry solver. The dependency scheduler gives every worker its own
 // fork so that concurrent Dom/Accumulate calls never share simplex
-// scratch state — workers plan independent table sets concurrently and
-// may accumulate candidate costs of a single wide table set in
-// parallel chunks; algebras that hold no solver may return themselves.
+// scratch state — workers plan independent table sets concurrently;
+// algebras that hold no solver may return themselves.
 // An Algebra that does not implement ForkableAlgebra runs on one worker
 // regardless of Options.Workers, and Options.Donor is never offered
 // work.

@@ -71,7 +71,6 @@ func TestDeferredCompactionMatchesEager(t *testing.T) {
 							opts.Workers = 2
 						case "donor":
 							opts.Donor = newPoolDonor(2)
-							opts.SplitCandidates = 1
 						}
 						if eager {
 							opts.Algebra = eagerAlgebra{core.NewPWLAlgebra(ctx, len(model.MetricNames()))}

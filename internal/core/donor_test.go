@@ -50,10 +50,10 @@ func (d *poolDonor) Offer(task func()) bool {
 	return true
 }
 
-// TestDonatedWorkersPreserveDeterminism: a Workers=1 run with donated
-// split-job helpers must produce byte-identical plan sets and exactly
-// the sequential run's plan and LP counters — donation may only change
-// wall-clock time.
+// TestDonatedWorkersPreserveDeterminism: a Workers=1 run whose ready
+// masks are planned by donated helpers on their own goroutines must
+// produce byte-identical plan sets and exactly the sequential run's
+// plan and LP counters — donation may only change wall-clock time.
 func TestDonatedWorkersPreserveDeterminism(t *testing.T) {
 	cfgs := []workload.Config{
 		{Tables: 5, Params: 1, Shape: workload.Chain, Seed: 21},
@@ -67,7 +67,6 @@ func TestDonatedWorkersPreserveDeterminism(t *testing.T) {
 		donor := newPoolDonor(3)
 		don := core.DefaultOptions()
 		don.Workers = 1
-		don.SplitCandidates = 1 // force split jobs so donation has work
 		don.Donor = donor
 		resDon, bytesDon := optimizeAndSave(t, cfg, don)
 		donor.wg.Wait()
@@ -85,14 +84,11 @@ func TestDonatedWorkersPreserveDeterminism(t *testing.T) {
 			t.Errorf("%v: geometry counters differ: sequential %+v, donated %+v",
 				cfg, resSeq.Stats.Geometry, resDon.Stats.Geometry)
 		}
-		if resDon.Stats.Scheduler.SplitJobs == 0 {
-			t.Errorf("%v: forced splits did not activate under donation", cfg)
-		}
 		if donor.accepted == 0 {
 			t.Errorf("%v: donor pool was never asked for help", cfg)
 		}
-		if resDon.Stats.Scheduler.DonatedTasks == 0 {
-			t.Errorf("%v: no donated work stints recorded (accepted offers: %d)", cfg, donor.accepted)
+		if resDon.Stats.Scheduler.DonatedMasks == 0 {
+			t.Errorf("%v: no masks planned by donated workers (accepted offers: %d)", cfg, donor.accepted)
 		}
 	}
 }
@@ -114,9 +110,8 @@ func (d *inlineDonor) Offer(task func()) bool {
 	return true
 }
 
-// TestMaskDonationParallelizesNarrowQueries: a Workers=1 run whose
-// masks stay below the split threshold must still hand whole ready
-// masks to donated workers — and stay byte-identical to the sequential
+// TestMaskDonationParallelizesNarrowQueries: a Workers=1 run must hand
+// whole ready masks to donated workers — and stay byte-identical to the sequential
 // run, with identical plan and LP counters. Mask-level donation is a
 // mid-run raise of the effective worker count, nothing more.
 func TestMaskDonationParallelizesNarrowQueries(t *testing.T) {
@@ -154,16 +149,15 @@ func TestMaskDonationParallelizesNarrowQueries(t *testing.T) {
 	}
 }
 
-// TestDonorWithoutSplitsIsHarmless: a donor on a run whose masks never
-// reach the split threshold changes nothing, and a declining donor
-// (zero idle capacity) never blocks the run.
-func TestDonorWithoutSplitsIsHarmless(t *testing.T) {
+// TestIdleLessDonorIsHarmless: a declining donor (zero idle capacity)
+// is never offered work, never blocks the run and changes nothing.
+func TestIdleLessDonorIsHarmless(t *testing.T) {
 	cfg := workload.Config{Tables: 4, Params: 1, Shape: workload.Star, Seed: 3}
 	seq := core.DefaultOptions()
 	seq.Workers = 1
 	_, bytesSeq := optimizeAndSave(t, cfg, seq)
 
-	empty := newPoolDonor(0) // Idle() == 0: splitting never activates
+	empty := newPoolDonor(0) // Idle() == 0: nothing is offered
 	don := core.DefaultOptions()
 	don.Workers = 1
 	don.Donor = empty
@@ -171,7 +165,10 @@ func TestDonorWithoutSplitsIsHarmless(t *testing.T) {
 	if !bytes.Equal(bytesSeq, bytesDon) {
 		t.Error("idle-less donor changed the plan set")
 	}
-	if res.Stats.Scheduler.DonatedTasks != 0 {
-		t.Errorf("idle-less donor recorded %d donated tasks", res.Stats.Scheduler.DonatedTasks)
+	if offers := empty.accepted + empty.declined; offers != 0 {
+		t.Errorf("idle-less donor was offered %d stints, want 0", offers)
+	}
+	if res.Stats.Scheduler.DonatedMasks != 0 {
+		t.Errorf("idle-less donor planned %d masks", res.Stats.Scheduler.DonatedMasks)
 	}
 }

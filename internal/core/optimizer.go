@@ -55,20 +55,17 @@ type Options struct {
 	// and identical aggregate geometry Stats: per-mask work is
 	// self-contained, the sharded store publishes complete sets
 	// atomically, the per-polytope Chebyshev memo solves every memoized
-	// LP exactly once, and intra-mask split jobs merge through an
-	// order-preserving reduction. The CostModel must tolerate concurrent calls when
-	// Workers > 1.
+	// LP exactly once, and every mask is planned whole by one worker.
+	// The CostModel must tolerate concurrent calls when Workers > 1.
 	Workers int
-	// Donor, when non-nil, lends transient goroutines to this run's
-	// intra-mask split jobs: whenever a wide mask is split, the
-	// scheduler offers chunk work to the donor's idle capacity (the
-	// serving layer donates idle solver-pool workers this way — elastic
-	// intra-query parallelism). Donated workers run on their own solver
-	// and algebra forks, so results and aggregate LP statistics are
-	// identical with or without donation. With a Donor even a
-	// Workers == 1 run splits wide masks and hands whole ready masks
-	// to donated workers. Requires a ForkableAlgebra; ignored
-	// otherwise.
+	// Donor, when non-nil, lends transient goroutines to this run:
+	// whenever masks become ready beyond what the resident workers can
+	// absorb, the scheduler offers whole-mask work to the donor's idle
+	// capacity (the serving layer donates idle solver-pool workers this
+	// way — elastic intra-query parallelism, even for a Workers == 1
+	// run). Donated workers run on their own solver and algebra forks,
+	// so results and aggregate LP statistics are identical with or
+	// without donation. Requires a ForkableAlgebra; ignored otherwise.
 	Donor DonorPool
 	// Epsilon enables the ε-approximate prune: a candidate plan is
 	// dropped outright when, everywhere in the parameter space, some
@@ -99,20 +96,6 @@ type Options struct {
 	// sets of runs that complete — and whether it trips is independent
 	// of the worker count, so it is not part of the plan-set identity.
 	MaxPlansPerSet int
-	// SplitCandidates is the estimated-work threshold at which a single
-	// wide mask is planned with intra-mask split parallelism (multiple
-	// workers accumulate candidate costs and presort keys, one
-	// reduction prunes them in presort order). Work is cost-aware:
-	// candidate plans weighted by a piece-pair estimate — for PWL
-	// costs, the summed per-metric products of the joined sides' piece
-	// counts — so cheap wide masks (many candidates, few pieces) split
-	// less eagerly than piece-rich ones; the estimate is always at
-	// least the candidate count. Zero
-	// selects a default threshold and splits only when workers are
-	// idle; an explicit value forces splitting whenever the estimate
-	// meets it. Results are identical either way — this knob only
-	// trades scheduling overhead against pipelining.
-	SplitCandidates int
 }
 
 // DefaultOptions mirrors the configuration of the paper's experiments.
@@ -164,7 +147,7 @@ type Stats struct {
 	// counters, merged across all workers.
 	Geometry geometry.Stats
 	// Scheduler reports the dependency scheduler's pipeline metrics
-	// (tasks, split jobs, worker utilization). These are scheduling
+	// (donated masks, worker utilization). These are scheduling
 	// metrics, not determinism-contract quantities: they may differ
 	// between runs and worker counts.
 	Scheduler SchedulerStats
@@ -204,9 +187,9 @@ var ErrPlanBudget = errors.New("core: plan-set budget exceeded")
 // schema, with operator costs from model, and returns a Pareto plan set
 // for the full query. With the default PWL algebra this is PWL-RRPA.
 //
-// Cancellation is cooperative: the run checks runCtx between scheduler
-// tasks (masks, split chunks) and stops promptly — workers, donated
-// goroutines, and the caller all unwind — returning runCtx's error.
+// Cancellation is cooperative: the run checks runCtx between masks and
+// stops promptly — workers, donated goroutines, and the caller all
+// unwind — returning runCtx's error.
 // Checkpoints are passive, so any run that completes without observing
 // a done context is byte-identical to an uncancelled run.
 func OptimizeCtx(runCtx context.Context, schema *catalog.Schema, model CostModel, opts Options) (*Result, error) {
@@ -671,35 +654,8 @@ func (r *Result) ParetoFrontAt(algebra Algebra, x geometry.Vector) []*PlanInfo {
 		entries = append(entries, entry{info, algebra.Eval(info.Cost, x)})
 	}
 	var out []*PlanInfo
-	for i, e := range entries {
-		dominated := false
-		for j, other := range entries {
-			if i == j {
-				continue
-			}
-			if dominatesVec(other.cost, e.cost) && !other.cost.Equal(e.cost, 1e-12) {
-				dominated = true
-				break
-			}
-			// Among equal-cost plans keep only the first.
-			if j < i && other.cost.Equal(e.cost, 1e-12) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, e.info)
-		}
+	for _, e := range geometry.ParetoFront(entries, func(e entry) geometry.Vector { return e.cost }) {
+		out = append(out, e.info)
 	}
 	return out
-}
-
-// dominatesVec reports a <= b component-wise (with tolerance).
-func dominatesVec(a, b geometry.Vector) bool {
-	for i := range a {
-		if a[i] > b[i]+1e-12 {
-			return false
-		}
-	}
-	return true
 }

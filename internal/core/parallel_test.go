@@ -103,8 +103,7 @@ func TestParallelWavefrontDeterminism(t *testing.T) {
 // TestParallelFallbackForNonForkableAlgebra: a custom algebra that does
 // not implement ForkableAlgebra must run on one worker instead of
 // racing on shared solver state, and must never offer work to a Donor
-// (a donated worker forks the algebra), even when split jobs are
-// forced. Either way the run saves the forkable one-worker run's bytes.
+// (a donated worker forks the algebra). Either way the run saves the forkable one-worker run's bytes.
 func TestParallelFallbackForNonForkableAlgebra(t *testing.T) {
 	cfg := workload.Config{Tables: 4, Params: 1, Shape: workload.Chain, Seed: 5}
 	ref := core.DefaultOptions()
@@ -127,7 +126,6 @@ func TestParallelFallbackForNonForkableAlgebra(t *testing.T) {
 		opts.Algebra = nonForkable{core.NewPWLAlgebra(ctx, 2)}
 		if withDonor {
 			opts.Donor = donor
-			opts.SplitCandidates = 1
 		}
 		res, err := core.OptimizeCtx(context.Background(), schema, model, opts)
 		if err != nil {

@@ -79,8 +79,7 @@ func equivalenceWorkerCounts(t *testing.T) []int {
 // TestSchedulerStoreEquivalence is the scheduler's central property
 // test: for every join-graph shape, the pipelined dependency scheduler
 // must produce a plan set that serializes to byte-identical store
-// documents for any worker count — including intra-mask split
-// parallelism — and every aggregate counter of the determinism
+// documents for any worker count, and every aggregate counter of the determinism
 // contract (created/pruned plans, all geometry Stats, the Figure 12 LP
 // count) must match the Workers=1 run exactly. Running
 // under -race additionally exercises the sharded store's atomic
@@ -115,33 +114,6 @@ func TestSchedulerStoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestSchedulerSplitJobEquivalence forces intra-mask split parallelism
-// onto every mask (threshold 1) and asserts the order-preserving
-// reduction still reproduces the sequential bytes and counters.
-func TestSchedulerSplitJobEquivalence(t *testing.T) {
-	cfg := workload.Config{Tables: 5, Params: 2, Shape: workload.Star, Seed: 2}
-	seqOpts := core.DefaultOptions()
-	seqOpts.Workers = 1
-	seq, seqBytes := optimizeAndSave(t, cfg, seqOpts)
-	for _, workers := range []int{2, 3} {
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		opts.SplitCandidates = 1 // force split jobs regardless of idleness
-		par, parBytes := optimizeAndSave(t, cfg, opts)
-		if par.Stats.Scheduler.SplitJobs == 0 {
-			t.Errorf("workers=%d: SplitCandidates=1 ran no split jobs", workers)
-		}
-		if par.Stats.Scheduler.SplitChunks < par.Stats.Scheduler.SplitJobs {
-			t.Errorf("workers=%d: %d chunks for %d split jobs", workers,
-				par.Stats.Scheduler.SplitChunks, par.Stats.Scheduler.SplitJobs)
-		}
-		if !bytes.Equal(seqBytes, parBytes) {
-			t.Errorf("workers=%d: split-job store.Save output differs from sequential", workers)
-		}
-		assertDeterministicStats(t, workers, seq, par)
-	}
-}
-
 // assertDeterministicStats checks every counter of the determinism
 // contract. Scheduler metrics (tasks, utilization) are deliberately
 // excluded: they reflect runtime scheduling, not results.
@@ -161,31 +133,27 @@ func assertDeterministicStats(t *testing.T, workers int, seq, par *core.Result) 
 	}
 }
 
-// TestSchedulerStats: the pipeline metrics must be populated — tasks
-// executed, busy time measured, utilization within (0, 1]. One worker
-// without a donor never splits (no worker is idle while it plans), so
-// it runs exactly one task per scheduled join mask.
+// TestSchedulerStats: the pipeline metrics must be populated — busy
+// time and wall time measured, utilization within (0, 1]. One worker
+// without a donor plans every mask on the caller's goroutine, so its
+// busy time cannot exceed the wall time and no mask is donated.
 func TestSchedulerStats(t *testing.T) {
 	cfg := workload.Config{Tables: 5, Params: 1, Shape: workload.Chain, Seed: 4}
-	// A 5-table chain has 4+3+2+1 connected join masks.
-	const joinMasks = 10
 	for _, workers := range []int{1, 3} {
 		opts := core.DefaultOptions()
 		opts.Workers = workers
 		res, _ := optimizeAndSave(t, cfg, opts)
 		sc := res.Stats.Scheduler
-		if sc.Tasks <= 0 || sc.Wall <= 0 || sc.Busy <= 0 {
+		if sc.Wall <= 0 || sc.Busy <= 0 {
 			t.Errorf("workers=%d: empty scheduler stats %+v", workers, sc)
 		}
 		u := res.Stats.PipelineUtilization()
 		if u <= 0 || u > 1 {
 			t.Errorf("workers=%d: utilization %v out of (0,1]", workers, u)
 		}
-		if workers == 1 {
-			if sc.SplitJobs != 0 || sc.Tasks != joinMasks || sc.Busy > sc.Wall {
-				t.Errorf("one worker: split jobs %d (want 0), tasks %d (want %d), busy %v > wall %v",
-					sc.SplitJobs, sc.Tasks, joinMasks, sc.Busy, sc.Wall)
-			}
+		if workers == 1 && (sc.DonatedMasks != 0 || sc.Busy > sc.Wall) {
+			t.Errorf("one worker: donated masks %d (want 0), busy %v > wall %v",
+				sc.DonatedMasks, sc.Busy, sc.Wall)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func FrontSize(plans PlanCosts, lo, hi geometry.Vector, resolution int) (*Diagra
 	}
 	for i := range d.Cells {
 		x := d.Cells[i].X
-		d.Cells[i].Value = len(paretoIndices(plans, x))
+		d.Cells[i].Value = frontSizeAt(plans, x)
 	}
 	return d, nil
 }
@@ -108,6 +108,16 @@ func Winner(plans PlanCosts, lo, hi geometry.Vector, resolution int, weights []f
 	return d, nil
 }
 
+// frontSizeAt counts the plans whose cost vectors are Pareto-optimal
+// at x (duplicates collapse to the first).
+func frontSizeAt(plans PlanCosts, x geometry.Vector) int {
+	costs := make([]geometry.Vector, plans.NumPlans())
+	for i := range costs {
+		costs[i] = plans.CostAt(i, x)
+	}
+	return len(geometry.ParetoFront(costs, func(v geometry.Vector) geometry.Vector { return v }))
+}
+
 func newDiagram(lo, hi geometry.Vector, resolution int) (*Diagram, error) {
 	dim := len(lo)
 	if dim != 1 && dim != 2 {
@@ -139,44 +149,6 @@ func newDiagram(lo, hi geometry.Vector, resolution int) (*Diagram, error) {
 func cellCenter(lo, hi float64, res, i int) float64 {
 	w := (hi - lo) / float64(res)
 	return lo + (float64(i)+0.5)*w
-}
-
-// paretoIndices returns the indices of plans whose cost vectors are
-// Pareto-optimal at x (duplicates collapse to the first).
-func paretoIndices(plans PlanCosts, x geometry.Vector) []int {
-	n := plans.NumPlans()
-	costs := make([]geometry.Vector, n)
-	for i := 0; i < n; i++ {
-		costs[i] = plans.CostAt(i, x)
-	}
-	var out []int
-	for i := 0; i < n; i++ {
-		dominated := false
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if weaklyDominates(costs[j], costs[i]) {
-				if !costs[j].Equal(costs[i], 1e-12) || j < i {
-					dominated = true
-					break
-				}
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func weaklyDominates(a, b geometry.Vector) bool {
-	for i := range a {
-		if a[i] > b[i]+1e-12 {
-			return false
-		}
-	}
-	return true
 }
 
 // glyphs used by RenderASCII; values index into this string, larger

@@ -141,9 +141,6 @@ func NewSolver(cfg Config) *Solver {
 // safe to use from another goroutine.
 func (s *Solver) Fork() *Solver { return &Solver{Config: s.Config} }
 
-// ResetStats zeroes the counters.
-func (s *Solver) ResetStats() { s.Stats = Stats{} }
-
 // DrainStats returns the accumulated counters and zeroes them, so a
 // coordinator can merge per-worker counters into a run aggregate
 // exactly once even when workers complete tasks out of order or are

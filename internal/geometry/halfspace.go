@@ -14,11 +14,6 @@ type Halfspace struct {
 	B float64
 }
 
-// NewHalfspace builds a halfspace W·x <= B.
-func NewHalfspace(w Vector, b float64) Halfspace {
-	return Halfspace{W: w.Clone(), B: b}
-}
-
 // Dim returns the dimension of the ambient space.
 func (h Halfspace) Dim() int { return len(h.W) }
 

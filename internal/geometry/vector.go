@@ -112,6 +112,45 @@ func (v Vector) Equal(w Vector, eps float64) bool {
 	return true
 }
 
+// ParetoFront returns, in their original order, the items whose cost
+// vectors are Pareto-optimal among all items' costs. An item is dropped
+// when another item's cost is at most its own on every component
+// (within 1e-12) and either differs from it or, being equal within
+// 1e-12, comes earlier — so among equal costs only the first is kept.
+// The result is nil when no item survives.
+func ParetoFront[T any](items []T, cost func(T) Vector) []T {
+	const tol = 1e-12
+	var front []T
+	for i, item := range items {
+		c := cost(item)
+		dominated := false
+		for j, other := range items {
+			if i == j {
+				continue
+			}
+			oc := cost(other)
+			if weaklyDominates(oc, c, tol) && (j < i || !oc.Equal(c, tol)) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, item)
+		}
+	}
+	return front
+}
+
+// weaklyDominates reports a[i] <= b[i] + tol on every component.
+func weaklyDominates(a, b Vector, tol float64) bool {
+	for i := range a {
+		if a[i] > b[i]+tol {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the vector as "(x1, x2, ...)".
 func (v Vector) String() string {
 	parts := make([]string, len(v))

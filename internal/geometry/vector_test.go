@@ -43,6 +43,34 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
+// TestParetoFront: dominated items drop, incomparable items stay in
+// input order, equal costs (within 1e-12) keep only the first, and an
+// empty input gives nil.
+func TestParetoFront(t *testing.T) {
+	costs := []Vector{
+		{2, 2},         // 0: dominated by 1
+		{1, 2},         // 1
+		{2, 1},         // 2
+		{1, 2 + 1e-13}, // 3: equal to 1 within tolerance, later: dropped
+		{0, 3},         // 4
+		{1, 2},         // 5: exact duplicate of 1: dropped
+	}
+	idx := []int{0, 1, 2, 3, 4, 5}
+	got := ParetoFront(idx, func(i int) Vector { return costs[i] })
+	want := []int{1, 2, 4}
+	if len(got) != len(want) {
+		t.Fatalf("front %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("front %v, want %v", got, want)
+		}
+	}
+	if front := ParetoFront(nil, func(v Vector) Vector { return v }); front != nil {
+		t.Errorf("empty input gave %v, want nil", front)
+	}
+}
+
 func TestVectorDotPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -528,10 +528,6 @@ func (ix *Index) Locate(x geometry.Vector) (leaf int32, ids []int32, ok bool) {
 	}
 }
 
-// NumNodes returns the total node count (for sizing per-leaf caches:
-// leaf ids index into [0, NumNodes)).
-func (ix *Index) NumNodes() int { return len(ix.nodes) }
-
 // MemBytes estimates the resident memory of the index structure: the
 // preorder node array, the per-leaf candidate id lists, and the padded
 // box. The serving layer's memory-accounted cache charges each plan

@@ -13,7 +13,7 @@ package selection
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mpq/internal/geometry"
 	"mpq/internal/plan"
@@ -46,45 +46,28 @@ var ErrNoFeasiblePlan = errors.New("selection: no plan satisfies the constraints
 // are skipped (the relevance mapping of Section 2 guarantees the
 // remaining plans cover the front).
 func Frontier(candidates []Candidate, x geometry.Vector) []Choice {
-	evaluated := Evaluate(candidates, x)
-	var front []Choice
-	for i, c := range evaluated {
-		dominated := false
-		for j, other := range evaluated {
-			if i == j {
-				continue
-			}
-			if weaklyDominates(other.Cost, c.Cost) {
-				if !other.Cost.Equal(c.Cost, 1e-12) || j < i {
-					dominated = true
-					break
-				}
-			}
-		}
-		if !dominated {
-			front = append(front, c)
-		}
-	}
+	front := geometry.ParetoFront(Evaluate(candidates, x), func(c Choice) geometry.Vector { return c.Cost })
 	// Stable sort with a full lexicographic cost tie-break: plans tied
 	// on the first metric (possible with three or more metrics) must
 	// come back in the same order on every run regardless of candidate
 	// order, so that serving-layer responses are reproducible.
-	sort.SliceStable(front, func(i, j int) bool { return lexVecLess(front[i].Cost, front[j].Cost) })
+	slices.SortStableFunc(front, func(a, b Choice) int { return lexVecCmp(a.Cost, b.Cost) })
 	return front
 }
 
-// lexVecLess compares cost vectors lexicographically across all
-// metrics.
-func lexVecLess(a, b geometry.Vector) bool {
+// lexVecCmp compares cost vectors lexicographically across all
+// metrics; components that compare neither less nor greater (equal, or
+// NaN) fall through to the next metric.
+func lexVecCmp(a, b geometry.Vector) int {
 	for i := range a {
 		switch {
 		case a[i] < b[i]:
-			return true
+			return -1
 		case a[i] > b[i]:
-			return false
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // WeightedSum picks the plan minimizing the weighted sum of metric
@@ -236,13 +219,4 @@ func scalarize(cost geometry.Vector, weights []float64) float64 {
 		s += w * cost[i]
 	}
 	return s
-}
-
-func weaklyDominates(a, b geometry.Vector) bool {
-	for i := range a {
-		if a[i] > b[i]+1e-12 {
-			return false
-		}
-	}
-	return true
 }

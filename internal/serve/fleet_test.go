@@ -427,16 +427,15 @@ func TestMalformedKeysNeverReachSources(t *testing.T) {
 	}
 }
 
-// TestServerDonatesIdleWorkers: with DonateWorkers on and split jobs
-// forced, an idle pool worker joins the in-flight Prepare's split jobs
-// and the results remain byte-identical to the sequential path.
+// TestServerDonatesIdleWorkers: with DonateWorkers on, idle pool
+// workers plan ready table sets of the in-flight Prepare and the
+// results remain byte-identical to the sequential path.
 func TestServerDonatesIdleWorkers(t *testing.T) {
 	tpl := testTemplate(21)
 	expected := sequentialPicks(t, tpl)
 
 	opts := Options{Workers: 3, DonateWorkers: true}
 	opts.Optimizer = core.DefaultOptions()
-	opts.Optimizer.SplitCandidates = 1 // force split jobs
 	s := New(opts)
 	defer s.Close()
 	prep, err := s.Prepare(context.Background(), tpl)
@@ -453,9 +452,6 @@ func TestServerDonatesIdleWorkers(t *testing.T) {
 	}
 	st := s.Stats()
 	if st.DonatedTasks == 0 {
-		t.Error("no donated worker stints recorded despite forced splits and idle workers")
-	}
-	if st.SplitJobs == 0 {
-		t.Error("no split jobs recorded despite SplitCandidates=1")
+		t.Error("no donated worker stints recorded despite idle workers")
 	}
 }

@@ -104,7 +104,7 @@ var statMetrics = []statMetric{
 	{"QuarantinedBlobs", "mpq_quarantined_blobs_total", "Corrupt blobs quarantined by the shared store.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.QuarantinedBlobs) }},
 
-	{"DonatedTasks", "mpq_donated_tasks_total", "Idle-worker stints donated to in-flight Prepares' split jobs.", obs.KindCounter,
+	{"DonatedTasks", "mpq_donated_tasks_total", "Idle-worker stints donated to in-flight Prepares.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.DonatedTasks) }},
 	{"DonatedMasks", "mpq_donated_masks_total", "Whole ready masks planned by donated worker stints.", obs.KindCounter,
 		func(st *Stats) float64 { return float64(st.DonatedMasks) }},
@@ -126,8 +126,6 @@ var statMetrics = []statMetric{
 		func(st *Stats) float64 { return secs(int64(st.PipelineCapacity)) }},
 	{"PipelineUtilization", "mpq_pipeline_utilization", "Mean worker utilization of the optimizer's dependency scheduler (0..1).", obs.KindGauge,
 		func(st *Stats) float64 { return st.PipelineUtilization }},
-	{"SplitJobs", "mpq_split_jobs_total", "Table sets planned with intra-mask split parallelism.", obs.KindCounter,
-		func(st *Stats) float64 { return float64(st.SplitJobs) }},
 }
 
 // RegisterMetrics exposes the server's counters on reg in Prometheus

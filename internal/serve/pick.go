@@ -1,10 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mpq/internal/geometry"
 	"mpq/internal/index"
@@ -278,7 +279,7 @@ func (s *Server) pickBatchEntry(e *entry, req PickBatchRequest) (PickBatchResult
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return leaves[order[a]] < leaves[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(leaves[a], leaves[b]) })
 
 	shell := PickRequest{
 		Policy:   req.Policy,

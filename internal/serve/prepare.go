@@ -385,8 +385,7 @@ func (s *Server) computeEntry(ctx context.Context, w *worker, key string, schema
 		opts.Workers = 1
 	}
 	if s.opts.DonateWorkers {
-		// Idle pool workers may join this optimization's split jobs and
-		// ready masks.
+		// Idle pool workers may plan this optimization's ready masks.
 		opts.Donor = (*serverDonor)(s)
 	}
 	result, err := core.OptimizeCtx(ctx, schema, model, opts)
@@ -455,7 +454,6 @@ func (s *Server) recordPipeline(st core.Stats) {
 	s.mu.Lock()
 	s.stats.PipelineBusy += st.Scheduler.Busy
 	s.stats.PipelineCapacity += time.Duration(int64(st.Scheduler.Wall) * int64(st.Workers))
-	s.stats.SplitJobs += int64(st.Scheduler.SplitJobs)
 	s.stats.DonatedMasks += int64(st.Scheduler.DonatedMasks)
 	s.mu.Unlock()
 }

@@ -22,7 +22,8 @@
 // servers never recompute each other's templates, Options.Peers
 // fetches prepared documents from sibling processes over HTTP before
 // optimizing, and Options.DonateWorkers lends idle pool workers to
-// in-flight Prepares' split jobs. See DESIGN.md, "Fleet serving".
+// in-flight Prepares, where they plan ready table sets. See DESIGN.md,
+// "Fleet serving".
 package serve
 
 import (
@@ -105,10 +106,10 @@ type Options struct {
 	// Shared. The fetch-vs-compute race is covered by the per-key
 	// singleflight: one request fetches or computes, the rest wait.
 	Peers *fleet.PeerClient
-	// DonateWorkers lends idle pool workers to in-flight Prepares'
-	// intra-mask split jobs (elastic intra-query parallelism): when the
-	// request queue is empty and workers are idle, an optimizing
-	// Prepare may split wide table sets across them. Results are
+	// DonateWorkers lends idle pool workers to in-flight Prepares
+	// (elastic intra-query parallelism): when the request queue is
+	// empty and workers are idle, an optimizing Prepare hands them
+	// whole table sets that are ready to plan. Results are
 	// byte-identical with or without donation.
 	DonateWorkers bool
 	// FS is the filesystem the Dir persistence reads and writes through
@@ -335,7 +336,8 @@ func (s *Server) mergeSolverStats(w *worker, before geometry.Stats) {
 
 // serverDonor adapts the server's idle pool capacity to the
 // optimizer's DonorPool: when the request queue is empty and workers
-// are idle, an in-flight Prepare's split jobs may borrow them. Offers
+// are idle, an in-flight Prepare may borrow them to plan ready table
+// sets. Offers
 // are strictly non-blocking — queued client requests always win over
 // donations.
 type serverDonor Server

@@ -53,7 +53,7 @@ type Stats struct {
 	// Options.Peers.Stats and on /metrics.
 	QuarantinedBlobs int64
 	// DonatedTasks counts idle-worker stints donated to in-flight
-	// Prepares' split jobs (Options.DonateWorkers); DonatedMasks the
+	// Prepares (Options.DonateWorkers); DonatedMasks the
 	// whole ready masks those stints planned (mask-level donation
 	// raises the effective worker count of an in-flight optimization
 	// mid-run).
@@ -72,9 +72,6 @@ type Stats struct {
 	// all optimizations this server performed (1.0 = perfectly
 	// pipelined; 0 when nothing was optimized yet).
 	PipelineUtilization float64
-	// SplitJobs counts table sets planned with intra-mask split
-	// parallelism across all Prepares.
-	SplitJobs int64
 }
 
 // IndexStats is the pick-index slice of the server counters.

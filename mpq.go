@@ -388,9 +388,10 @@ type (
 	// per-peer circuit breaker, and the response size limit. The zero
 	// value selects production defaults.
 	PeerOptions = fleet.PeerOptions
-	// DonorPool lends idle goroutines to an optimizer run's split jobs
-	// (Options.Donor; the serving layer implements it over its own
-	// pool when ServeOptions.DonateWorkers is set).
+	// DonorPool lends idle goroutines to an optimizer run, which hands
+	// them ready table sets to plan (Options.Donor; the serving layer
+	// implements it over its own pool when ServeOptions.DonateWorkers
+	// is set).
 	DonorPool = core.DonorPool
 )
 
