@@ -51,9 +51,16 @@ func (d *poolDonor) Offer(task func()) bool {
 }
 
 // TestDonatedWorkersPreserveDeterminism: a Workers=1 run whose ready
-// masks are planned by donated helpers on their own goroutines must
+// masks may be planned by donated helpers on their own goroutines must
 // produce byte-identical plan sets and exactly the sequential run's
 // plan and LP counters — donation may only change wall-clock time.
+//
+// Whether a goroutine stint plans any mask depends on timing: when the
+// stints start late (always at GOMAXPROCS=1), the resident worker has
+// already emptied the ready queue and each stint retires with nothing
+// to do. The liveness check ("donated workers planned masks") therefore
+// runs on the synchronous inlineDonor, in
+// TestMaskDonationParallelizesNarrowQueries.
 func TestDonatedWorkersPreserveDeterminism(t *testing.T) {
 	cfgs := []workload.Config{
 		{Tables: 5, Params: 1, Shape: workload.Chain, Seed: 21},
@@ -86,9 +93,6 @@ func TestDonatedWorkersPreserveDeterminism(t *testing.T) {
 		}
 		if donor.accepted == 0 {
 			t.Errorf("%v: donor pool was never asked for help", cfg)
-		}
-		if resDon.Stats.Scheduler.DonatedMasks == 0 {
-			t.Errorf("%v: no masks planned by donated workers (accepted offers: %d)", cfg, donor.accepted)
 		}
 	}
 }

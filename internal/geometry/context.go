@@ -4,16 +4,17 @@ import "fmt"
 
 // Stats counts the work performed through a Solver. The LP counter is
 // the quantity reported as "number of solved linear programs" in
-// Figure 12 of the paper; linear programs resolved by the interval and
-// point-probe fast paths (see fastpath.go) still count as solved LPs so
-// the metric stays comparable across optimizer versions.
+// Figure 12 of the paper; Chebyshev LPs resolved by the interval fast
+// paths (see fastpath.go) still count as solved LPs so the metric stays
+// comparable across optimizer versions.
 type Stats struct {
 	// LPs is the number of linear programs solved.
 	LPs int64
 	// LPIterations is the total number of simplex pivots across all LPs.
 	LPIterations int64
 	// FastPathLPs is the subset of LPs resolved without running the
-	// simplex (interval prescreens, point probes, closed-form boxes).
+	// simplex: Chebyshev's interval-infeasible screen and its closed-form
+	// ball of an axis-aligned box.
 	FastPathLPs int64
 	// RegionDiffs counts region-difference computations.
 	RegionDiffs int64
@@ -114,10 +115,8 @@ type Solver struct {
 	scratchSnapBasis   []int
 	scratchLo          []float64
 	scratchHi          []float64
-	scratchProbe       []float64
 	scratchHalfspaces  []Halfspace
 	scratchChebBacking []float64
-	scratchKeep        []bool
 }
 
 // NewSolver returns a Solver using the given configuration. Zero

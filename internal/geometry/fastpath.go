@@ -2,23 +2,25 @@ package geometry
 
 import "math"
 
-// LP fast paths: cheap prescreens run before the dense simplex. They
-// only fire on conclusive evidence — every margin below is chosen so
-// that borderline systems (within the solver tolerances) fall through
-// to the simplex, keeping fast-path and simplex answers consistent.
+// LP fast paths: two shortcuts in front of the Chebyshev LP (see
+// Solver.Chebyshev). They only fire on conclusive evidence — every
+// margin below is chosen so that borderline systems (within the solver
+// tolerances) fall through to the simplex, keeping fast-path and
+// simplex answers consistent.
 //
-// The screens work on the interval relaxation of the halfspace system:
+// Both work on the interval relaxation of the halfspace system:
 // axis-aligned constraints (a single nonzero weight) induce per-variable
 // bounds; general rows are then tested against the resulting bounding
 // box via interval arithmetic. Because the box is a relaxation of the
 // feasible set, "empty box" and "row violated everywhere on the box"
-// are sound for infeasibility, and "row valid everywhere on the box" is
-// sound for redundancy of that row. See DESIGN.md, "LP fast paths".
+// are sound for infeasibility; a system of axis rows alone is its box,
+// whose Chebyshev ball has a closed form. See DESIGN.md, "LP fast
+// paths".
 
-// fastMargin is the conclusiveness margin of the interval screens. It
-// sits well above the simplex feasibility tolerance (1e-7 on normalized
-// rows), so the screens never decide a system the simplex would
-// consider borderline.
+// fastMargin is the conclusiveness margin of the fast paths. It sits
+// well above the simplex feasibility tolerance (1e-7 on normalized
+// rows), so they never decide a system the simplex would consider
+// borderline.
 const fastMargin = 1e-6
 
 // axisVar returns the index of the single nonzero weight of w, or -1
@@ -40,11 +42,11 @@ func axisVar(w Vector) int {
 // of hs into the solver scratch. Missing bounds are ±Inf. Rows whose
 // weight norm is within the solver tolerance are skipped: the tableau
 // treats them as trivial or degenerate-infeasible (see newTableau), so
-// deriving a hard bound from them would let the screens contradict the
-// simplex.
+// deriving a hard bound from them would let the fast paths contradict
+// the simplex.
 func (s *Solver) intervalBounds(hs []Halfspace, dim int) (lo, hi []float64) {
-	lo = growFloats(&s.scratchLo, dim)
-	hi = growFloats(&s.scratchHi, dim)
+	lo = grow(&s.scratchLo, dim)
+	hi = grow(&s.scratchHi, dim)
 	for i := 0; i < dim; i++ {
 		lo[i] = math.Inf(-1)
 		hi[i] = math.Inf(1)
@@ -86,20 +88,6 @@ func rowIntervalMin(w Vector, lo, hi []float64) float64 {
 	return min
 }
 
-// rowIntervalMax returns the maximum of w·x over the box [lo, hi].
-func rowIntervalMax(w Vector, lo, hi []float64) float64 {
-	max := 0.0
-	for j, v := range w {
-		switch {
-		case v > 0:
-			max += v * hi[j]
-		case v < 0:
-			max += v * lo[j]
-		}
-	}
-	return max
-}
-
 // boundScale is the magnitude scale of the finite interval bounds, used
 // to make the screen margins relative.
 func boundScale(lo, hi []float64) float64 {
@@ -115,71 +103,25 @@ func boundScale(lo, hi []float64) float64 {
 	return s
 }
 
-// screenSystem runs the interval prescreens over the halfspace system.
-// It reports conclusive infeasibility, or (when feasibility cannot be
-// decided) a keep mask marking rows implied by the interval box — those
-// may be dropped from the tableau without changing the feasible set. A
-// nil mask keeps every row. The mask lives in solver scratch and is
-// only valid until the next screen.
-func (s *Solver) screenSystem(hs []Halfspace, dim int, dropImplied bool) (infeasible bool, keep []bool) {
-	lo, hi := s.intervalBounds(hs, dim)
-	scale := boundScale(lo, hi)
-	tol := fastMargin * scale
+// screenSystem reports whether the interval relaxation of hs proves the
+// system infeasible. It returns the interval bounds too (solver
+// scratch, valid until the next screen), for chebyshevAxisAligned.
+func (s *Solver) screenSystem(hs []Halfspace, dim int) (lo, hi []float64, infeasible bool) {
+	lo, hi = s.intervalBounds(hs, dim)
+	tol := fastMargin * boundScale(lo, hi)
 	for i := 0; i < dim; i++ {
 		if lo[i]-hi[i] > tol {
-			return true, nil
+			return lo, hi, true
 		}
 	}
-	dropped := false
-	if dropImplied {
-		keep = growBools(&s.scratchKeep, len(hs))
-	}
-	for i, h := range hs {
-		if dropImplied {
-			keep[i] = true
-		}
-		if h.W.NormInf() <= s.Eps {
-			continue // trivial or degenerate: the tableau decides
-		}
-		j := axisVar(h.W)
-		if j >= 0 {
-			if !dropImplied {
-				continue
-			}
-			// Axis rows slacker than the derived bound are implied by
-			// the (kept) tightest row of their direction.
-			w := h.W[j]
-			if w > 0 {
-				if h.B/w > hi[j]+tol {
-					keep[i] = false
-					dropped = true
-				}
-			} else if h.B/w < lo[j]-tol {
-				keep[i] = false
-				dropped = true
-			}
-			continue
-		}
+	for _, h := range hs {
 		n := h.W.NormInf()
-		min := rowIntervalMin(h.W, lo, hi)
-		if min-h.B > tol*n {
-			return true, nil // violated everywhere on the relaxation
+		if n <= s.Eps || axisVar(h.W) >= 0 {
+			continue // trivial or degenerate: the tableau decides; axis rows made the box
 		}
-		if dropImplied && rowIntervalMax(h.W, lo, hi) <= h.B-tol*n {
-			keep[i] = false // valid everywhere on the relaxation
-			dropped = true
+		if rowIntervalMin(h.W, lo, hi)-h.B > tol*n {
+			return lo, hi, true // violated everywhere on the relaxation
 		}
 	}
-	if !dropped {
-		return false, nil
-	}
-	return false, keep
-}
-
-func growBools(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
+	return lo, hi, false
 }

@@ -2,7 +2,6 @@ package geometry
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -49,13 +48,6 @@ func (h Halfspace) IsTrivial(eps float64) bool {
 // (zero weights and negative bound beyond eps).
 func (h Halfspace) IsInfeasible(eps float64) bool {
 	return h.W.IsZero(eps) && h.B < -eps
-}
-
-// Equal reports whether h and g describe the same inequality after
-// normalization, within eps.
-func (h Halfspace) Equal(g Halfspace, eps float64) bool {
-	hn, gn := h.Normalize(), g.Normalize()
-	return hn.W.Equal(gn.W, eps) && math.Abs(hn.B-gn.B) <= eps
 }
 
 // String renders the halfspace as a linear inequality.

@@ -177,8 +177,7 @@ func (p *Polytope) String() string {
 
 // dedupHalfspaces removes exact duplicates (after normalization) and
 // trivial constraints (satisfied by every point) while preserving order.
-// It is a cheap syntactic reduction; semantic redundancy is removed by
-// Solver.RemoveRedundant.
+// It is a cheap syntactic reduction, not a semantic redundancy check.
 func dedupHalfspaces(hs []Halfspace) []Halfspace {
 	if len(hs) <= smallDedup {
 		return dedupSmall(hs)
@@ -263,13 +262,6 @@ func appendFloatKey(b []byte, v float64) []byte {
 	return b
 }
 
-// IsEmpty reports whether p has no points at all (infeasible constraint
-// set). Lower-dimensional polytopes are NOT empty by this predicate; use
-// IsFullDim for the tolerance-based full-dimensionality test.
-func (s *Solver) IsEmpty(p *Polytope) bool {
-	return s.feasibleStatus(p.hs, p.dim) == LPInfeasible
-}
-
 // Chebyshev computes the Chebyshev center and radius of p: the center and
 // radius of the largest inscribed ball. It returns ok=false when p is
 // empty. When p is unbounded in a direction allowing arbitrarily large
@@ -296,16 +288,16 @@ func (p *Polytope) chebPeek() *chebMemo { return p.cheb.Load() }
 func (s *Solver) chebyshevUncached(p *Polytope) (center Vector, radius float64, ok bool) {
 	d := p.dim
 	// Fast path: a clearly infeasible system needs no LP.
-	if infeasible, _ := s.screenSystem(p.hs, d, false); infeasible {
+	lo, hi, infeasible := s.screenSystem(p.hs, d)
+	if infeasible {
 		s.Stats.LPs++
 		s.Stats.FastPathLPs++
 		return nil, 0, false
 	}
 	// Fast path: for purely axis-aligned systems the Chebyshev ball has
 	// a closed form — the interval box's midpoint and smallest half-
-	// width. Only conclusive (clearly nonempty) boxes are taken; the
-	// interval bounds are still valid from the screen above.
-	if c, r, conclusive := s.chebyshevAxisAligned(p.hs, d); conclusive {
+	// width. Only conclusive (clearly nonempty) boxes are taken.
+	if c, r, conclusive := s.chebyshevAxisAligned(p.hs, lo, hi); conclusive {
 		s.Stats.LPs++
 		s.Stats.FastPathLPs++
 		return c, r, true
@@ -313,8 +305,8 @@ func (s *Solver) chebyshevUncached(p *Polytope) (center Vector, radius float64, 
 	// Variables (x, r); maximize r subject to W·x + ||W||2 * r <= B and
 	// r >= 0. The transformed system lives in solver scratch; newTableau
 	// copies it before the next LP could reuse the buffer.
-	hs := growHalfspaces(&s.scratchHalfspaces, len(p.hs)+1)
-	backing := growFloats(&s.scratchChebBacking, (len(p.hs)+2)*(d+1))
+	hs := grow(&s.scratchHalfspaces, len(p.hs)+1)
+	backing := grow(&s.scratchChebBacking, (len(p.hs)+2)*(d+1))
 	for i, h := range p.hs {
 		w := Vector(backing[i*(d+1) : (i+1)*(d+1)])
 		copy(w, h.W)
@@ -358,8 +350,8 @@ func (s *Solver) chebyshevUncached(p *Polytope) (center Vector, radius float64, 
 // whose rows are all axis-aligned (a box): the interval midpoint and
 // the smallest half-width. conclusive is false when the system has a
 // general row, or the box is borderline empty — those fall back to the
-// LP. The caller must have just run screenSystem (interval scratch).
-func (s *Solver) chebyshevAxisAligned(hs []Halfspace, dim int) (Vector, float64, bool) {
+// LP. lo and hi are the interval bounds of hs (screenSystem).
+func (s *Solver) chebyshevAxisAligned(hs []Halfspace, lo, hi []float64) (Vector, float64, bool) {
 	for _, h := range hs {
 		if h.W.NormInf() <= s.Eps {
 			// The tableau treats these rows as trivial or degenerate-
@@ -373,10 +365,7 @@ func (s *Solver) chebyshevAxisAligned(hs []Halfspace, dim int) (Vector, float64,
 			return nil, 0, false
 		}
 	}
-	lo, hi := s.scratchLo, s.scratchHi
-	if len(lo) != dim {
-		return nil, 0, false
-	}
+	dim := len(lo)
 	radius := math.Inf(1)
 	for i := 0; i < dim; i++ {
 		if hw := (hi[i] - lo[i]) / 2; hw < radius {
@@ -411,13 +400,6 @@ func radiusOr(r, fallback float64) float64 {
 		return fallback
 	}
 	return r
-}
-
-func growHalfspaces(buf *[]Halfspace, n int) []Halfspace {
-	if cap(*buf) < n {
-		*buf = make([]Halfspace, n)
-	}
-	return (*buf)[:n]
 }
 
 // IsFullDim reports whether p contains a ball of radius larger than
@@ -463,7 +445,7 @@ func (s *Solver) BallCertifiesFullDim(base *Polytope, hs ...Halfspace) bool {
 // solver failure); in that case bounded distinguishes emptiness
 // (bounded=false means unbounded above).
 func (s *Solver) SupportValue(p *Polytope, w Vector) (val float64, ok bool, unbounded bool) {
-	res := s.maximize(w, p.hs, true)
+	res := s.Maximize(w, p.hs)
 	switch res.Status {
 	case LPOptimal:
 		return res.Value, true, false
@@ -502,46 +484,6 @@ func (s *Solver) Contains(p, q *Polytope) bool {
 		}
 	}
 	return true
-}
-
-// Equal reports whether p and q describe the same point set, by mutual
-// containment.
-func (s *Solver) Equal(p, q *Polytope) bool {
-	return s.Contains(p, q) && s.Contains(q, p)
-}
-
-// RemoveRedundant returns a polytope describing the same set with
-// semantically redundant constraints removed: a constraint is dropped
-// when it is implied by the remaining ones. This is the first refinement
-// of Section 6.2 of the paper.
-func (s *Solver) RemoveRedundant(p *Polytope) *Polytope {
-	if len(p.hs) <= 1 {
-		return p
-	}
-	// Process constraints from the end so earlier (often domain) bounds
-	// are preferentially kept; keep set shrinks as we go.
-	kept := append([]Halfspace(nil), p.hs...)
-	for i := len(kept) - 1; i >= 0; i-- {
-		if len(kept) == 1 {
-			break
-		}
-		rest := make([]Halfspace, 0, len(kept)-1)
-		rest = append(rest, kept[:i]...)
-		rest = append(rest, kept[i+1:]...)
-		val, ok, unbounded := s.SupportValue(&Polytope{dim: p.dim, hs: rest}, kept[i].W)
-		if unbounded {
-			continue // constraint is binding
-		}
-		if !ok {
-			// Rest is empty: everything redundant, keep a single
-			// infeasible certificate set.
-			continue
-		}
-		if val <= kept[i].B+s.Eps*10 {
-			kept = rest
-		}
-	}
-	return &Polytope{dim: p.dim, hs: kept}
 }
 
 // Vertices1D returns the endpoints of a one-dimensional polytope

@@ -2,7 +2,6 @@ package geometry
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -34,14 +33,17 @@ func TestIntersectDedup(t *testing.T) {
 	}
 }
 
+// TestIsEmpty: Chebyshev's ok result is the solver's emptiness answer.
+// A box and a single point are non-empty, a contradictory system is
+// empty, and of the non-empty ones only the box is full-dimensional.
 func TestIsEmpty(t *testing.T) {
 	ctx := NewSolver(Config{})
 	p := UnitBox(2)
-	if ctx.IsEmpty(p) {
+	if _, _, ok := ctx.Chebyshev(p); !ok {
 		t.Error("unit box reported empty")
 	}
 	q := p.With(Halfspace{W: Vector{1, 0}, B: -1}) // x <= -1 conflicts with x >= 0
-	if !ctx.IsEmpty(q) {
+	if _, _, ok := ctx.Chebyshev(q); ok {
 		t.Error("infeasible polytope reported non-empty")
 	}
 	// A single point is not empty (but is lower-dimensional).
@@ -49,7 +51,7 @@ func TestIsEmpty(t *testing.T) {
 		Halfspace{W: Vector{1, 0}, B: 0},
 		Halfspace{W: Vector{0, 1}, B: 0},
 	)
-	if ctx.IsEmpty(pt) {
+	if _, _, ok := ctx.Chebyshev(pt); !ok {
 		t.Error("single point reported empty")
 	}
 	if ctx.IsFullDim(pt) {
@@ -104,66 +106,6 @@ func TestContains(t *testing.T) {
 	empty := inner.With(Halfspace{W: Vector{1, 0}, B: 0})
 	if !ctx.Contains(inner, empty) {
 		t.Error("everything contains the empty set")
-	}
-}
-
-func TestEqual(t *testing.T) {
-	ctx := NewSolver(Config{})
-	// Same square described two ways.
-	a := Box(Vector{0, 0}, Vector{1, 1})
-	b := UnitBox(2).With(Halfspace{W: Vector{1, 1}, B: 5}) // redundant extra constraint
-	if !ctx.Equal(a, b) {
-		t.Error("equal polytopes not recognized")
-	}
-	c := Box(Vector{0, 0}, Vector{1, 0.5})
-	if ctx.Equal(a, c) {
-		t.Error("different polytopes reported equal")
-	}
-}
-
-func TestRemoveRedundant(t *testing.T) {
-	ctx := NewSolver(Config{})
-	p := UnitBox(2).With(
-		Halfspace{W: Vector{1, 1}, B: 10}, // redundant
-		Halfspace{W: Vector{1, 0}, B: 5},  // redundant (x <= 1 tighter)
-	)
-	r := ctx.RemoveRedundant(p)
-	if r.NumConstraints() != 4 {
-		t.Errorf("got %d constraints, want 4; %v", r.NumConstraints(), r)
-	}
-	if !ctx.Equal(p, r) {
-		t.Error("redundancy removal changed the set")
-	}
-}
-
-func TestRemoveRedundantRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ctx := NewSolver(Config{})
-	for trial := 0; trial < 40; trial++ {
-		dim := 1 + rng.Intn(3)
-		lo, hi := NewVector(dim), NewVector(dim)
-		for i := 0; i < dim; i++ {
-			hi[i] = 1 + rng.Float64()
-		}
-		p := Box(lo, hi)
-		// Add random constraints, some cutting, some redundant.
-		for k := 0; k < 6; k++ {
-			w := NewVector(dim)
-			for i := range w {
-				w[i] = rng.Float64()*2 - 1
-			}
-			p = p.With(Halfspace{W: w, B: rng.Float64() * 3})
-		}
-		if ctx.IsEmpty(p) {
-			continue
-		}
-		r := ctx.RemoveRedundant(p)
-		if r.NumConstraints() > p.NumConstraints() {
-			t.Fatalf("redundancy removal added constraints")
-		}
-		if !ctx.Equal(p, r) {
-			t.Fatalf("trial %d: redundancy removal changed the set\np=%v\nr=%v", trial, p, r)
-		}
 	}
 }
 

@@ -143,6 +143,12 @@ func TestRegionDiffProperties(t *testing.T) {
 	}
 }
 
+// sameSet reports whether p and q describe the same point set, by
+// mutual containment.
+func sameSet(s *Solver, p, q *Polytope) bool {
+	return s.Contains(p, q) && s.Contains(q, p)
+}
+
 func TestUnionConvex(t *testing.T) {
 	ctx := NewSolver(Config{})
 	// Two halves of the unit square: union is convex (the square itself).
@@ -152,7 +158,7 @@ func TestUnionConvex(t *testing.T) {
 	if !convex {
 		t.Fatal("union of two halves of a square must be convex")
 	}
-	if !ctx.Equal(u, UnitBox(2)) {
+	if !sameSet(ctx, u, UnitBox(2)) {
 		t.Errorf("union = %v, want unit square", u)
 	}
 	// An L-shape is not convex.
@@ -185,7 +191,7 @@ func TestUnionConvexDegenerate(t *testing.T) {
 	if !convex {
 		t.Fatal("nested union must be convex")
 	}
-	if !ctx.Equal(u, p) {
+	if !sameSet(ctx, u, p) {
 		t.Errorf("nested union = %v, want unit box", u)
 	}
 }

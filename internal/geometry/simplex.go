@@ -46,25 +46,12 @@ type LPResult struct {
 //	max  obj·x
 //	s.t. h.W·x <= h.B  for every h in hs,
 //
-// with x free, using a dense two-phase simplex method preceded by the
-// interval prescreen of fastpath.go. Degenerate halfspaces (zero weight
-// vectors) are resolved directly. Every call increments s.Stats.LPs,
-// whether the simplex ran or a fast path concluded.
+// with x free, using a dense two-phase simplex method. Degenerate
+// halfspaces (zero weight vectors) are resolved directly. Every call
+// increments s.Stats.LPs.
 func (s *Solver) Maximize(obj Vector, hs []Halfspace) LPResult {
-	// Row dropping is disabled so the returned vertex is the exact
-	// point the historical solver produced (callers read X).
-	return s.maximize(obj, hs, false)
-}
-
-func (s *Solver) maximize(obj Vector, hs []Halfspace, dropImplied bool) LPResult {
 	s.Stats.LPs++
-	dim := len(obj)
-	infeasible, keep := s.screenSystem(hs, dim, dropImplied)
-	if infeasible {
-		s.Stats.FastPathLPs++
-		return LPResult{Status: LPInfeasible}
-	}
-	t, infeasible := newTableau(s, dim, hs, keep)
+	t, infeasible := newTableau(s, len(obj), hs)
 	if infeasible {
 		return LPResult{Status: LPInfeasible}
 	}
@@ -83,12 +70,7 @@ func (s *Solver) maximize(obj Vector, hs []Halfspace, dropImplied bool) LPResult
 // It runs only phase 1 of the simplex method and counts as one LP.
 func (s *Solver) FeasiblePoint(hs []Halfspace, dim int) LPResult {
 	s.Stats.LPs++
-	infeasible, _ := s.screenSystem(hs, dim, false)
-	if infeasible {
-		s.Stats.FastPathLPs++
-		return LPResult{Status: LPInfeasible}
-	}
-	t, infeasible := newTableau(s, dim, hs, nil)
+	t, infeasible := newTableau(s, dim, hs)
 	if infeasible {
 		return LPResult{Status: LPInfeasible}
 	}
@@ -97,60 +79,6 @@ func (s *Solver) FeasiblePoint(hs []Halfspace, dim int) LPResult {
 	}
 	x := t.solution()
 	return LPResult{Status: LPOptimal, X: x}
-}
-
-// feasibleStatus decides feasibility of the system, status only. On top
-// of the prescreens of FeasiblePoint it probes candidate points (box
-// corners always satisfy axis-aligned systems), resolving many systems
-// without touching the simplex. Counts as one LP.
-func (s *Solver) feasibleStatus(hs []Halfspace, dim int) LPStatus {
-	s.Stats.LPs++
-	infeasible, keep := s.screenSystem(hs, dim, true)
-	if infeasible {
-		s.Stats.FastPathLPs++
-		return LPInfeasible
-	}
-	if s.probeFeasible(hs, dim) {
-		s.Stats.FastPathLPs++
-		return LPOptimal
-	}
-	t, infeasible := newTableau(s, dim, hs, keep)
-	if infeasible {
-		return LPInfeasible
-	}
-	return t.phase1()
-}
-
-// probeFeasible tests a candidate point derived from the interval
-// bounds (the box midpoint, with unbounded directions clamped) against
-// every row. A satisfying point certifies feasibility; failure is
-// inconclusive. intervalBounds scratch is still valid from the
-// preceding screenSystem call.
-func (s *Solver) probeFeasible(hs []Halfspace, dim int) bool {
-	lo, hi := s.scratchLo, s.scratchHi
-	if len(lo) != dim || len(hi) != dim {
-		return false
-	}
-	x := growFloats(&s.scratchProbe, dim)
-	for i := 0; i < dim; i++ {
-		l, h := lo[i], hi[i]
-		switch {
-		case math.IsInf(l, -1) && math.IsInf(h, 1):
-			x[i] = 0
-		case math.IsInf(l, -1):
-			x[i] = h
-		case math.IsInf(h, 1):
-			x[i] = l
-		default:
-			x[i] = (l + h) / 2
-		}
-	}
-	for _, h := range hs {
-		if h.W.Dot(x) > h.B {
-			return false
-		}
-	}
-	return true
 }
 
 // supportSolver answers repeated support-value queries (max obj·x over
@@ -180,19 +108,12 @@ func (s *Solver) newSupportSolver(hs []Halfspace, dim int) *supportSolver {
 	return &supportSolver{s: s, hs: hs, dim: dim}
 }
 
-// prepare runs the prescreens and phase 1 once and snapshots the
-// feasible basis. It does not count an LP by itself; the callers'
-// queries do.
+// prepare runs phase 1 once and snapshots the feasible basis. It does
+// not count an LP by itself; the callers' queries do.
 func (ss *supportSolver) prepare() {
 	ss.prepared = true
 	s := ss.s
-	infeasible, keep := s.screenSystem(ss.hs, ss.dim, true)
-	if infeasible {
-		s.Stats.FastPathLPs++
-		ss.status = LPInfeasible
-		return
-	}
-	t, infeasible := newTableau(s, ss.dim, ss.hs, keep)
+	t, infeasible := newTableau(s, ss.dim, ss.hs)
 	if infeasible {
 		ss.status = LPInfeasible
 		return
@@ -203,19 +124,18 @@ func (ss *supportSolver) prepare() {
 	}
 	ss.status = LPOptimal
 	ss.m, ss.n, ss.noArt = t.m, t.n, t.noArt
-	ss.rows = growFloats(&s.scratchSnapRows, t.m*(t.n+1))
+	ss.rows = grow(&s.scratchSnapRows, t.m*(t.n+1))
 	for i := 0; i < t.m; i++ {
 		copy(ss.rows[i*(t.n+1):(i+1)*(t.n+1)], t.rows[i])
 	}
-	ss.basis = growInts(&s.scratchSnapBasis, t.m)
+	ss.basis = grow(&s.scratchSnapBasis, t.m)
 	copy(ss.basis, t.basis)
 }
 
-// Empty reports whether the system is conclusively infeasible. Counts
-// as one LP (it replaces a FeasiblePoint-based IsEmpty call). An
-// iteration-capped preparation is NOT empty — the historical
-// conservative behavior: callers proceed and their value queries
-// report ok=false.
+// Empty reports whether phase 1 proved the system infeasible. Counts as
+// one LP. An iteration-capped preparation is NOT empty, which keeps
+// callers conservative: they proceed and their value queries report
+// ok=false.
 func (ss *supportSolver) Empty() bool {
 	ss.s.Stats.LPs++
 	if !ss.prepared {
@@ -255,13 +175,13 @@ func (ss *supportSolver) restore() *tableau {
 	s := ss.s
 	t := &s.scratchTableau
 	*t = tableau{ctx: s, dim: ss.dim, m: ss.m, n: ss.n, noArt: ss.noArt, nArt: ss.n - ss.noArt}
-	t.rows = growRows(&s.scratchRows, ss.m)
-	backing := growFloats(&s.scratchBacking, ss.m*(ss.n+1))
+	t.rows = grow(&s.scratchRows, ss.m)
+	backing := grow(&s.scratchBacking, ss.m*(ss.n+1))
 	copy(backing, ss.rows)
 	for i := 0; i < ss.m; i++ {
 		t.rows[i] = backing[i*(ss.n+1) : (i+1)*(ss.n+1)]
 	}
-	t.basis = growInts(&s.scratchBasis, ss.m)
+	t.basis = grow(&s.scratchBasis, ss.m)
 	copy(t.basis, ss.basis)
 	return t
 }
@@ -289,22 +209,17 @@ type tableau struct {
 // normalizing rows in place. Scratch buffers on the Solver are reused
 // across LPs to keep allocation pressure low (Solvers are
 // single-threaded; no LP nests inside another). infeasible is true when
-// a degenerate constraint 0·x <= b with b < 0 is present. A non-nil
-// keep mask (index-aligned with hs) excludes rows the interval screen
-// proved redundant.
+// a degenerate constraint 0·x <= b with b < 0 is present.
 //
 // Rows with non-negative bounds start with their slack variable basic;
 // only rows with negative bounds need an artificial variable. When no
 // artificials are needed, phase 1 is skipped entirely.
-func newTableau(ctx *Solver, dim int, hs []Halfspace, keep []bool) (t *tableau, infeasible bool) {
+func newTableau(ctx *Solver, dim int, hs []Halfspace) (t *tableau, infeasible bool) {
 	// Count usable rows and needed artificials first.
 	m, nArt := 0, 0
-	for hi, h := range hs {
+	for _, h := range hs {
 		if h.IsInfeasible(ctx.Eps) {
 			return nil, true
-		}
-		if keep != nil && !keep[hi] {
-			continue
 		}
 		if !h.IsTrivial(ctx.Eps) {
 			m++
@@ -317,17 +232,14 @@ func newTableau(ctx *Solver, dim int, hs []Halfspace, keep []bool) (t *tableau, 
 	n := noArt + nArt
 	t = &ctx.scratchTableau
 	*t = tableau{ctx: ctx, dim: dim, m: m, n: n, noArt: noArt, nArt: nArt}
-	t.rows = growRows(&ctx.scratchRows, m)
-	t.basis = growInts(&ctx.scratchBasis, m)
-	backing := growFloats(&ctx.scratchBacking, m*(n+1))
+	t.rows = grow(&ctx.scratchRows, m)
+	t.basis = grow(&ctx.scratchBasis, m)
+	backing := grow(&ctx.scratchBacking, m*(n+1))
 	for i := range backing {
 		backing[i] = 0
 	}
 	i, art := 0, 0
-	for hi, h := range hs {
-		if keep != nil && !keep[hi] {
-			continue
-		}
+	for _, h := range hs {
 		if h.IsTrivial(ctx.Eps) {
 			continue
 		}
@@ -360,29 +272,11 @@ func newTableau(ctx *Solver, dim int, hs []Halfspace, keep []bool) (t *tableau, 
 	return t, false
 }
 
-// The grow helpers resize a scratch buffer to exactly n elements,
-// reallocating only when capacity is exceeded. The resized header is
-// stored back so that code reading the scratch field directly (the
-// interval fast paths) always sees the length of the most recent use.
-func growFloats(buf *[]float64, n int) []float64 {
+// grow resizes a scratch buffer to exactly n elements, reallocating
+// only when capacity is exceeded.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growRows(buf *[][]float64, n int) [][]float64 {
-	if cap(*buf) < n {
-		*buf = make([][]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -399,7 +293,7 @@ func (t *tableau) phase1() LPStatus {
 	// Phase-1 objective: cost 1 on artificials. Reduced costs after
 	// eliminating the basic artificial columns (rows whose basis entry
 	// is an artificial).
-	obj := growFloats(&t.ctx.scratchObj1, t.n+1)
+	obj := grow(&t.ctx.scratchObj1, t.n+1)
 	for i := range obj {
 		obj[i] = 0
 	}
@@ -462,7 +356,7 @@ func (t *tableau) driveOutArtificials() {
 
 // phase2 maximizes objX·x, i.e. minimizes -objX·(u-v).
 func (t *tableau) phase2(objX Vector) LPStatus {
-	obj := growFloats(&t.ctx.scratchObj2, t.n+1)
+	obj := grow(&t.ctx.scratchObj2, t.n+1)
 	for i := range obj {
 		obj[i] = 0
 	}

@@ -102,18 +102,16 @@ func TestConcurrentChebyshevMemo(t *testing.T) {
 
 // TestScreenAgreesWithTableauOnTinyWeights: rows with weight norms at
 // or below the solver tolerance are trivial (or degenerate-infeasible)
-// for the tableau; the interval screens must not derive hard bounds
+// for the tableau; the interval fast paths must not derive hard bounds
 // from them. Regression test: a sub-Eps row like 1e-10*x <= -1e-10
-// once made IsEmpty report infeasible for a system phase 1 accepts.
+// once made the interval screen report infeasible for a system phase 1
+// accepts.
 func TestScreenAgreesWithTableauOnTinyWeights(t *testing.T) {
 	s := NewSolver(Config{})
 	p := &Polytope{dim: 2, hs: []Halfspace{
 		{W: Vector{1e-10, 0}, B: -1e-10}, // trivial for the tableau (|W| <= Eps, B >= -Eps)
 		{W: Vector{-1, 0}, B: -2},        // x0 >= 2
 	}}
-	if s.IsEmpty(p) {
-		t.Fatal("IsEmpty = true for a feasible system (x0 >= 2)")
-	}
 	if res := s.FeasiblePoint(p.hs, 2); res.Status != LPOptimal {
 		t.Fatalf("FeasiblePoint status = %v, want optimal", res.Status)
 	}
@@ -126,8 +124,11 @@ func TestScreenAgreesWithTableauOnTinyWeights(t *testing.T) {
 	}
 	// A degenerate-infeasible row must still make everything empty.
 	bad := &Polytope{dim: 2, hs: []Halfspace{{W: Vector{1e-10, 0}, B: -1}}}
-	if !s.IsEmpty(bad) {
-		t.Fatal("IsEmpty = false for 0·x <= -1")
+	if _, _, ok := s.Chebyshev(bad); ok {
+		t.Fatal("Chebyshev reported non-empty for 0·x <= -1")
+	}
+	if res := s.Maximize(Vector{1, 0}, bad.hs); res.Status != LPInfeasible {
+		t.Fatalf("Maximize status = %v for 0·x <= -1, want infeasible", res.Status)
 	}
 }
 
@@ -163,12 +164,13 @@ func TestContainsConservativeOnMaxIter(t *testing.T) {
 	}
 }
 
-// TestScreenSystemSoundness: the interval prescreen may only report
-// infeasibility when the simplex agrees, and row dropping must not
-// change feasibility or support values.
+// TestScreenSystemSoundness: the interval screen may only report
+// infeasibility when the simplex agrees: whenever it fires, Maximize
+// must find the system infeasible and Chebyshev must report it empty.
 func TestScreenSystemSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	plain := NewSolver(Config{}) // uses screens like every solver; reference below disables dropping
+	s := NewSolver(Config{})
+	screened := 0
 	for trial := 0; trial < 500; trial++ {
 		dim := 1 + rng.Intn(3)
 		lo, hi := NewVector(dim), NewVector(dim)
@@ -191,17 +193,19 @@ func TestScreenSystemSoundness(t *testing.T) {
 		for i := range obj {
 			obj[i] = rng.Float64()*2 - 1
 		}
-		// Value-only path (with dropping) vs. vertex-preserving path.
-		dropRes := plain.maximize(obj, p.Constraints(), true)
-		fullRes := plain.maximize(obj, p.Constraints(), false)
-		if dropRes.Status != fullRes.Status {
-			t.Fatalf("trial %d: dropped rows changed status %v -> %v on %v",
-				trial, fullRes.Status, dropRes.Status, p)
+		if _, _, infeasible := s.screenSystem(p.Constraints(), dim); !infeasible {
+			continue
 		}
-		if fullRes.Status == LPOptimal && math.Abs(dropRes.Value-fullRes.Value) > 1e-6 {
-			t.Fatalf("trial %d: dropped rows changed optimum %v -> %v on %v",
-				trial, fullRes.Value, dropRes.Value, p)
+		screened++
+		if res := s.Maximize(obj, p.Constraints()); res.Status != LPInfeasible {
+			t.Fatalf("trial %d: screen reported infeasible, simplex %v on %v", trial, res.Status, p)
 		}
+		if _, _, ok := s.Chebyshev(p); ok {
+			t.Fatalf("trial %d: screen reported infeasible, Chebyshev non-empty on %v", trial, p)
+		}
+	}
+	if screened == 0 {
+		t.Fatal("the screen fired on no random system; the test checked nothing")
 	}
 }
 

@@ -169,18 +169,6 @@ func TestHalfspaceBasics(t *testing.T) {
 	}
 }
 
-func TestHalfspaceEqual(t *testing.T) {
-	a := Halfspace{W: Vector{1, 2}, B: 3}
-	b := Halfspace{W: Vector{0.5, 1}, B: 1.5}
-	if !a.Equal(b, 1e-9) {
-		t.Error("scaled halfspaces not equal")
-	}
-	c := Halfspace{W: Vector{1, 2}, B: 3.1}
-	if a.Equal(c, 1e-9) {
-		t.Error("different halfspaces equal")
-	}
-}
-
 func TestLPStatusString(t *testing.T) {
 	for st, want := range map[LPStatus]string{
 		LPOptimal:    "optimal",

@@ -130,13 +130,9 @@ func TestWithCover(t *testing.T) {
 	if Constant(dom, 1).Cover() != dom {
 		t.Error("Constant missing cover")
 	}
-	// Scale/AddConstant/Simplify preserve the cover.
-	ctx := geometry.NewSolver(geometry.Config{})
+	// Scale/AddConstant preserve the cover.
 	if Scale(g, 2).Cover() != dom || AddConstant(g, 1).Cover() != dom {
 		t.Error("Scale/AddConstant dropped cover")
-	}
-	if Simplify(ctx, g).Cover() != dom {
-		t.Error("Simplify dropped cover")
 	}
 }
 

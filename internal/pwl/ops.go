@@ -221,17 +221,6 @@ func AccumulateMulti(ctx *geometry.Solver, modes []AccumMode, opCost, c1, c2 *Mu
 	return NewMulti(comps...)
 }
 
-// Simplify removes redundant linear constraints from every piece region
-// (first refinement of Section 6.2). The represented function is
-// unchanged.
-func Simplify(ctx *geometry.Solver, f *Function) *Function {
-	pieces := make([]Piece, len(f.pieces))
-	for i, p := range f.pieces {
-		pieces[i] = Piece{Region: ctx.RemoveRedundant(p.Region), W: p.W, B: p.B}
-	}
-	return &Function{dim: f.dim, pieces: pieces, cover: f.cover}
-}
-
 // Compact merges pieces that share the same linear function whenever
 // their union is convex (recognized with the Bemporad et al. algorithm),
 // reducing piece counts after accumulation. Pieces count as sharing a

@@ -147,28 +147,6 @@ func TestAccumulateMultiMax(t *testing.T) {
 	}
 }
 
-func TestSimplifyPreservesFunction(t *testing.T) {
-	ctx := geometry.NewSolver(geometry.Config{})
-	// Build a function whose piece regions carry redundant constraints.
-	r := geometry.Interval(0, 1).With(
-		geometry.Halfspace{W: geometry.Vector{1}, B: 5},
-		geometry.Halfspace{W: geometry.Vector{-1}, B: 3},
-	)
-	f := NewFunction(Piece{Region: r, W: geometry.Vector{1}, B: 0})
-	s := Simplify(ctx, f)
-	if s.Pieces()[0].Region.NumConstraints() >= r.NumConstraints() {
-		t.Errorf("simplify did not remove redundant constraints: %d -> %d",
-			r.NumConstraints(), s.Pieces()[0].Region.NumConstraints())
-	}
-	for _, x := range []float64{0, 0.3, 1} {
-		a, _ := f.Eval(geometry.Vector{x})
-		b, _ := s.Eval(geometry.Vector{x})
-		if !almostEqual(a, b, 1e-12) {
-			t.Errorf("simplify changed value at %v: %v vs %v", x, a, b)
-		}
-	}
-}
-
 func TestCompactMergesPieces(t *testing.T) {
 	ctx := geometry.NewSolver(geometry.Config{})
 	// Same linear function on two adjacent intervals: should merge.

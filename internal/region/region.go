@@ -5,10 +5,11 @@
 // region iff it is contained in no cutout.
 //
 // The package implements both elementary operations of Algorithm 2
-// (SubtractPolys and IsEmpty) and the three refinements of Section 6.2:
-// redundant-constraint elimination happens in the geometry package,
-// redundant-cutout elimination and relevance points are implemented
-// here.
+// (SubtractPolys and IsEmpty) and two of the three refinements of
+// Section 6.2, redundant-cutout elimination and relevance points. Of
+// the first, redundant-constraint elimination, only the geometry
+// package's syntactic deduplication of constraint lists is applied: no
+// LP decides whether a constraint is implied.
 package region
 
 import (
